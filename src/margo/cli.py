@@ -1,9 +1,9 @@
 """Command-line surface: reproducible, scriptable verification runs.
 
 Exit codes: 0 success or PASS, 1 theorem-check counterexample, 2 resource
-ceiling hit, 64 usage error.  Reports are plain text with a stable schema;
-identical inputs and flags produce byte-identical reports regardless of the
-worker count.
+ceiling hit, 64 usage error, 70 internal error (a bug, never a verdict).
+Reports are plain text with a stable schema; identical inputs and flags
+produce byte-identical reports regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"margo: usage error: {exc}", file=sys.stderr)
         return 64
+    except Exception as exc:  # noqa: BLE001 - keep exit 1 for counterexamples only
+        print(f"margo: internal error: {exc!r}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

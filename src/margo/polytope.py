@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget
 from .parallel import run_ordered
-from .spaces import Config, ConfigSpace, MarginalMatrix, layout, marginal_matrix
-
-Frac = Fraction
+from .spaces import (Config, ConfigSpace, MarginalMatrix, layout, marginal_matrix,
+                     symmetry_generators)
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,22 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
     """
     m = len(rows)
     n = len(objective)
-    cost = [Frac(c) for c in objective]
+    cost = [Fraction(c) for c in objective]
     flip = []
     tab: list[list[Fraction]] = []
     for i in range(m):
-        row = [Frac(v) for v in rows[i]]
+        row = [Fraction(v) for v in rows[i]]
         if len(row) != n:
             raise ValueError("constraint row length does not match objective")
-        b = Frac(rhs[i])
+        b = Fraction(rhs[i])
         if b < 0:
             row = [-v for v in row]
             b = -b
             flip.append(-1)
         else:
             flip.append(1)
-        art = [Frac(0)] * m
-        art[i] = Frac(1)
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
         tab.append(row + art + [b])
     basis = [n + i for i in range(m)]
 
@@ -78,7 +78,7 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
     def reduced_costs(costs: list[Fraction], allowed: int) -> list[Fraction]:
         z = costs[:allowed].copy()
         for i, bi in enumerate(basis):
-            cb = costs[bi] if bi < len(costs) else Frac(0)
+            cb = costs[bi] if bi < len(costs) else Fraction(0)
             if cb:
                 row = tab[i]
                 for j in range(allowed):
@@ -106,7 +106,7 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
             pivot(leave, enter)
 
     # phase 1: maximize minus the sum of artificials
-    costs1 = [Frac(0)] * n + [Frac(-1)] * m
+    costs1 = [Fraction(0)] * n + [Fraction(-1)] * m
     run(costs1, n + m)
     infeasibility = sum(tab[i][-1] for i in range(len(tab)) if basis[i] >= n)
     if infeasibility > 0:
@@ -122,12 +122,12 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
             del tab[i]
             del basis[i]
 
-    status = run(cost + [Frac(0)] * m, n)
+    status = run(cost + [Fraction(0)] * m, n)
     if status == "unbounded":
         return LPResult("unbounded", None, None, None)
 
-    solution = [Frac(0)] * n
-    value = Frac(0)
+    solution = [Fraction(0)] * n
+    value = Fraction(0)
     for i, bi in enumerate(basis):
         solution[bi] = tab[i][-1]
         value += cost[bi] * tab[i][-1]
@@ -161,11 +161,14 @@ class FacialityCertificate:
 
     def recheck(self, matrix: MarginalMatrix) -> bool:
         """Re-verify the certificate against a marginal matrix, exactly."""
-        member_ix = {matrix.col_labels.index(x) for x in self.members}
-        bary = [Frac(0)] * matrix.nrows
+        col_of = {x: ix for ix, x in enumerate(matrix.col_labels)}
+        if any(x not in col_of for x in self.members):
+            return False
+        member_ix = {col_of[x] for x in self.members}
+        bary = [Fraction(0)] * matrix.nrows
         for ix in member_ix:
             for r, v in enumerate(matrix.column(ix)):
-                bary[r] += Frac(v, len(member_ix))
+                bary[r] += Fraction(v, len(member_ix))
         if tuple(bary) != self.barycenter:
             return False
         if self.is_face:
@@ -214,58 +217,58 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
     size = space.size
     y_configs = tuple(space.config(ix) for ix in y_ix)
 
-    bary = [Frac(0)] * lay.nrows
+    bary = [Fraction(0)] * lay.nrows
     for ix in y_ix:
-        for r in _column(lay, ix):
-            bary[r] += Frac(1, len(y_ix))
+        for r in lay.rows_of[ix]:
+            bary[r] += Fraction(1, len(y_ix))
     bary_t = tuple(bary)
 
     # duplicate-column guard
     col_of = {}
     for ix in y_ix:
-        col_of[_column(lay, ix)] = ix
+        col_of[lay.rows_of[ix]] = ix
     for ix in range(size):
         if ix in y_set:
             continue
-        twin = col_of.get(_column(lay, ix))
+        twin = col_of.get(lay.rows_of[ix])
         if twin is not None:
-            lam = [Frac(0)] * size
+            lam = [Fraction(0)] * size
             for jx in y_ix:
-                lam[jx] = Frac(1, len(y_ix))
+                lam[jx] = Fraction(1, len(y_ix))
             lam[ix] = lam[twin]
-            lam[twin] = Frac(0)
+            lam[twin] = Fraction(0)
             return FacialityCertificate(y_configs, False, bary_t,
                                         combination=tuple(lam),
-                                        outside_mass=Frac(1, len(y_ix)))
+                                        outside_mass=Fraction(1, len(y_ix)))
 
     zero_rows = [r for r in range(lay.nrows) if bary[r] == 0]
     zero_set = set(zero_rows)
     survivors = [ix for ix in range(size)
-                 if all(r not in zero_set for r in _column(lay, ix))]
+                 if all(r not in zero_set for r in lay.rows_of[ix])]
     outside = [ix for ix in survivors if ix not in y_set]
 
     if not outside:
-        theta = [Frac(0)] * lay.nrows
+        theta = [Fraction(0)] * lay.nrows
         for r in zero_rows:
-            theta[r] = Frac(-1)
+            theta[r] = Fraction(-1)
         return FacialityCertificate(y_configs, True, bary_t,
                                     separating=tuple(theta),
-                                    separation_value=Frac(0))
+                                    separation_value=Fraction(0))
 
     kept_rows = [r for r in range(lay.nrows) if bary[r] != 0]
     a_rows: list[list[Fraction]] = []
     for r in kept_rows:
-        a_rows.append([Frac(1) if r in _column(lay, ix) else Frac(0)
+        a_rows.append([Fraction(1) if r in lay.rows_of[ix] else Fraction(0)
                        for ix in survivors])
-    a_rows.append([Frac(1)] * len(survivors))
-    rhs = [bary[r] for r in kept_rows] + [Frac(1)]
-    objective = [Frac(0) if ix in y_set else Frac(1) for ix in survivors]
+    a_rows.append([Fraction(1)] * len(survivors))
+    rhs = [bary[r] for r in kept_rows] + [Fraction(1)]
+    objective = [Fraction(0) if ix in y_set else Fraction(1) for ix in survivors]
     res = lp_solve(a_rows, rhs, objective)
     if res.status != "optimal":
         raise AssertionError(f"faciality LP unexpectedly {res.status}")
 
     if res.optimum > 0:
-        lam = [Frac(0)] * size
+        lam = [Fraction(0)] * size
         for pos, ix in enumerate(survivors):
             lam[ix] = res.solution[pos]
         return FacialityCertificate(y_configs, False, bary_t,
@@ -275,15 +278,15 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
     # optimum zero: extract a strictly separating functional from the dual
     w = res.dual
     w0 = w[-1]
-    theta = [Frac(0)] * lay.nrows
+    theta = [Fraction(0)] * lay.nrows
     for pos, r in enumerate(kept_rows):
         theta[r] = -w[pos]
     c0 = w0
     killed = [ix for ix in range(size) if ix not in set(survivors)]
     if killed:
-        scale = Frac(1)
+        scale = Fraction(1)
         for ix in killed:
-            col = _column(lay, ix)
+            col = lay.rows_of[ix]
             base = sum(theta[r] for r in col if r not in zero_set)
             hits = sum(1 for r in col if r in zero_set)
             need = (base - c0 + 1) / hits
@@ -293,10 +296,6 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
             theta[r] = -scale
     return FacialityCertificate(y_configs, True, bary_t,
                                 separating=tuple(theta), separation_value=c0)
-
-
-def _column(lay, ix: int) -> tuple[int, ...]:
-    return lay.rows_of[ix]
 
 
 @dataclass(frozen=True)
@@ -312,24 +311,64 @@ def _facial_verdict(cx: SimplicialComplex, space: ConfigSpace,
     return None if cert.is_face else cert
 
 
+def _orbit_representatives(generators: Sequence[Sequence[int]], size: int,
+                           k: int) -> list[tuple[int, ...]]:
+    """The lex-least k-subset of range(size) in each orbit, in lex order.
+
+    Walks the k-subsets in lex order; each one not yet seen is the lex-least
+    member of its orbit, and a search over the generators marks its whole
+    orbit seen.
+    """
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for combo in combinations(range(size), k):
+        if combo in seen:
+            continue
+        reps.append(combo)
+        seen.add(combo)
+        frontier = [combo]
+        while frontier:
+            members = frontier.pop()
+            for g in generators:
+                image = tuple(sorted([g[ix] for ix in members]))
+                if image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
+    return reps
+
+
 def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
                    *, ceiling: int | None = None, workers: int = 1) -> NeighborlinessReport:
     """Largest k <= k_max such that every set of <= k columns spans a face.
 
     Sweeps set sizes in increasing order and, within a size, subsets in
     lexicographic order; stops at the first non-facial set, which is
-    returned as the witness.
+    returned as the witness after its certificate re-checks exactly.
+
+    Faciality is invariant under the model's symmetry group (see
+    `symmetry_generators`), so only the lex-least subset of each orbit is
+    tested.  The witness is unchanged by this: the orbit of the lex-first
+    non-facial subset holds only non-facial subsets, none of them earlier,
+    so that subset is the lex-least member of its orbit and is tested.
+    The ceiling counts every k-subset of a level, charged before the level
+    is enumerated.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     budget = Budget(ceiling, "subsets tested")
     size = space.size
+    generators = None
     for k in range(1, min(k_max, size) + 1):
-        combos = list(combinations(range(size), k))
-        budget.spend(len(combos))
-        verdicts = run_ordered(partial(_facial_verdict, cx, space), combos, workers)
+        budget.spend(comb(size, k))
+        if generators is None:  # each holds `size` entries: build once k=1 is paid for
+            generators = symmetry_generators(cx, space)
+        reps = _orbit_representatives(generators, size, k)
+        verdicts = run_ordered(partial(_facial_verdict, cx, space), reps, workers)
         for cert in verdicts:
             if cert is not None:
+                if not cert.recheck(marginal_matrix(cx, space)):
+                    raise AssertionError(
+                        f"non-face certificate for k={k} failed its exact re-check")
                 return NeighborlinessReport(k - 1, k_max, cert)
     return NeighborlinessReport(min(k_max, size), k_max, None)
 
@@ -340,7 +379,7 @@ def polytope_dimension(cx: SimplicialComplex, space: ConfigSpace) -> int:
     if matrix.ncols <= 1:
         return 0
     base = matrix.column(0)
-    vecs = [[Frac(a - b) for a, b in zip(matrix.column(j), base)]
+    vecs = [[Fraction(a - b) for a, b in zip(matrix.column(j), base)]
             for j in range(1, matrix.ncols)]
     rank = 0
     ncoords = matrix.nrows

@@ -221,6 +221,49 @@ def layout(cx: SimplicialComplex, space: ConfigSpace) -> MarginalLayout:
     return MarginalLayout(cx, space)
 
 
+def symmetry_generators(cx: SimplicialComplex,
+                        space: ConfigSpace) -> tuple[tuple[int, ...], ...]:
+    """Generators of a group of configuration relabelings that fix the model.
+
+    Each generator is a permutation g of configuration indices (config ix
+    goes to config g[ix]) that maps the marginal matrix's columns onto a
+    row permutation of the same matrix, so it maps the marginal polytope
+    onto itself and faces onto faces.  The generators are:
+
+    - per variable, the value transposition (0 1) and the cycle
+      (0 1 ... q-1), which together generate the symmetric group on its
+      values (one generator when q = 2);
+    - per class of interchangeable variables, a transposition of its first
+      variable with each other one.  Variables i and j are interchangeable
+      when q_i = q_j and swapping them maps the facet set onto itself; this
+      relation is an equivalence, so the star generates the same group as
+      every such transposition.
+    """
+    if cx.n != space.n:
+        raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
+    q = space.cardinalities
+    moves = []
+    for i, qi in enumerate(q):
+        swap = (1, 0) + tuple(range(2, qi))
+        cycle = tuple(range(1, qi)) + (0,)
+        for perm in ([swap] if qi == 2 else [swap, cycle]):
+            moves.append(lambda x, i=i, perm=perm: x[:i] + (perm[x[i]],) + x[i + 1:])
+    facets = set(cx.facets)
+    roots: list[int] = []
+    for j in range(space.n):
+        for r in roots:
+            swap = {r + 1: j + 1, j + 1: r + 1}
+            if q[r] == q[j] and {frozenset(swap.get(v, v) for v in f)
+                                 for f in facets} == facets:
+                moves.append(lambda x, r=r, j=j: x[:r] + (x[j],) + x[r + 1:j]
+                             + (x[r],) + x[j + 1:])
+                break
+        else:
+            roots.append(j)
+    position = {x: ix for ix, x in enumerate(space.configs())}
+    return tuple(tuple(position[move(x)] for x in position) for move in moves)
+
+
 def marginal(u: ContingencyTable, members: Iterable[int]) -> ContingencyTable:
     """The B-marginal of u: sums over the cylinders {X_B = x_B}."""
     members = sorted(set(members))

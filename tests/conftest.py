@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, combinations, product
 
 import pytest
 
-from margo import ConfigSpace, ContingencyTable, from_facets, marginal_map
+from margo import (
+    ConfigSpace,
+    ContingencyTable,
+    NeighborlinessReport,
+    from_facets,
+    is_facial,
+    marginal_map,
+)
 
 
 def naive_tables(space: ConfigSpace, degree: int):
@@ -48,6 +55,27 @@ def naive_marginal(u: ContingencyTable, members) -> tuple[int, ...]:
                 total += c
         out.append(total)
     return tuple(out)
+
+
+def naive_neighborliness(cx, space: ConfigSpace, k_max: int) -> NeighborlinessReport:
+    """The unreduced sweep: test every k-subset of every level in lex order."""
+    for k in range(1, min(k_max, space.size) + 1):
+        for combo in combinations(range(space.size), k):
+            cert = is_facial(cx, space, [space.config(ix) for ix in combo])
+            if not cert.is_face:
+                return NeighborlinessReport(k - 1, k_max, cert)
+    return NeighborlinessReport(min(k_max, space.size), k_max, None)
+
+
+def all_complexes(n):
+    """Every simplicial complex on n indices, as an antichain of facets."""
+    elements = list(range(1, n + 1))
+    nonempty = [frozenset(c) for r in range(1, n + 1)
+                for c in combinations(elements, r)]
+    for picks in chain.from_iterable(combinations(nonempty, r)
+                                     for r in range(len(nonempty) + 1)):
+        if all(not (a < b or b < a) for a in picks for b in picks):
+            yield from_facets(n, [set(p) for p in picks])
 
 
 def random_complex(rng: random.Random, n: int):

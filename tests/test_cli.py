@@ -1,6 +1,6 @@
 import pytest
 
-from margo import cli
+from margo import cli, polytope
 
 IND_COMPLEX = "2\n1\n2\n"
 FULL_COMPLEX = "2\n1 2\n"
@@ -146,6 +146,25 @@ def test_worker_count_does_not_change_reports(capsys, d2_path):
                                   "--workers", "4"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_internal_errors_exit_70(capsys, d2_path, monkeypatch):
+    argv = ["neighborly", "--complex", d2_path, "--space", "2,2,2", "--kmax", "4"]
+
+    def broken_lp(*args, **kwargs):
+        raise AssertionError("faciality LP unexpectedly infeasible")
+
+    monkeypatch.setattr(polytope, "is_facial", broken_lp)
+    code, out, err = run(capsys, argv)
+    assert code == 70 and out == ""
+    assert err.startswith("margo: internal error: ") and err.count("\n") == 1
+    assert "LP unexpectedly infeasible" in err
+
+    monkeypatch.undo()
+    monkeypatch.setattr(polytope.FacialityCertificate, "recheck", lambda self, matrix: False)
+    code, out, err = run(capsys, argv)
+    assert code == 70 and out == ""
+    assert "re-check" in err
 
 
 def test_collapse_subcommand(capsys, tmp_path):

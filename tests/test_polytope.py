@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +20,10 @@ from margo import (
     polytope_dimension,
     uniform_complex,
 )
+from margo.polytope import _orbit_representatives
+from margo.spaces import symmetry_generators
+
+from conftest import all_complexes, naive_neighborliness
 
 INDEPENDENCE = from_facets(2, [{1}, {2}])
 B2 = binary_space(2)
@@ -141,6 +147,8 @@ def test_certificates_do_not_recheck_when_tampered():
     face_cert = is_facial(INDEPENDENCE, B2, [(0, 0)])
     broken = replace(face_cert, separation_value=face_cert.separation_value + 1)
     assert not broken.recheck(mat)
+    broken = replace(face_cert, members=((0, 2),))
+    assert not broken.recheck(mat)
 
 
 def test_face_certificate_is_strictly_separating():
@@ -177,22 +185,10 @@ def test_neighborliness_full_simplex_has_every_face():
     assert rep.k == 4 and rep.witness is None
 
 
-def _all_complexes(n):
-    """Every simplicial complex on n indices, as an antichain of facets."""
-    from itertools import chain, combinations
-    elements = list(range(1, n + 1))
-    nonempty = [frozenset(c) for r in range(1, n + 1)
-                for c in combinations(elements, r)]
-    for picks in chain.from_iterable(combinations(nonempty, r)
-                                     for r in range(len(nonempty) + 1)):
-        if all(not (a < b or b < a) for a in picks for b in picks):
-            yield from_facets(n, [set(p) for p in picks])
-
-
 def test_neighborliness_meets_theorem_bound_all_small_complexes():
     # every complex on n <= 3: the polytope is at least (2^(g-1) - 1)-neighborly
     for n in (2, 3):
-        for cx in _all_complexes(n):
+        for cx in all_complexes(n):
             if not cx.facet_masks:
                 continue
             try:
@@ -233,6 +229,47 @@ def test_minimal_witness_support_is_not_facial():
 def test_neighborliness_respects_ceiling():
     with pytest.raises(ResourceCeilingError):
         neighborliness(D2_3, B3, 4, ceiling=10)
+
+
+def test_neighborliness_charges_ceiling_before_enumerating_a_level():
+    # the 1024 vertices of the cube fit under the ceiling, their 523,776
+    # pairs do not: the sweep must refuse at k=2 before it lists any pair
+    cx, space = uniform_complex(10, 1), binary_space(10)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCeilingError, match="more than 2000 subsets tested"):
+        neighborliness(cx, space, 2, ceiling=2000)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCeilingError):
+            neighborliness(cx, space, 2, ceiling=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20  # the list of pairs alone takes about 50 MB
+
+
+def test_reduced_sweep_matches_unreduced_oracle():
+    # every complex on 3 indices, the facet-free one included, on alphabets
+    # where variables are and are not interchangeable
+    for sizes in [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 2)]:
+        space = ConfigSpace(sizes)
+        for cx in all_complexes(3):
+            assert neighborliness(cx, space, 4) == naive_neighborliness(cx, space, 4), (cx, sizes)
+
+
+def test_orbit_representatives_counts():
+    cases = [
+        (D2_3, ConfigSpace((3, 3, 2)), [1, 5, 12, 40]),
+        (D2_3, ConfigSpace((3, 3, 3)), [1, 3, 10, 34]),
+        (uniform_complex(5, 2), binary_space(5), [1, 5, 10, 47]),
+    ]
+    for cx, space, counts in cases:
+        gens = symmetry_generators(cx, space)
+        for k, count in enumerate(counts, start=1):
+            reps = _orbit_representatives(gens, space.size, k)
+            assert len(reps) == count, (cx, space, k)
+            assert reps[0] == tuple(range(k)) and reps == sorted(reps)
 
 
 def test_polytope_dimension():

@@ -7,15 +7,22 @@ from margo import (
     cylinder,
     from_facets,
     full_simplex,
+    interval_complement,
     kernel_check,
     marginal,
     marginal_map,
     marginal_matrix,
     uniform_complex,
 )
-from margo.spaces import format_matrix, format_table, parse_matrix, parse_table
+from margo.spaces import (
+    format_matrix,
+    format_table,
+    parse_matrix,
+    parse_table,
+    symmetry_generators,
+)
 
-from conftest import naive_marginal, random_complex, random_table
+from conftest import all_complexes, naive_marginal, random_complex, random_table
 
 
 def test_config_space_basics():
@@ -196,3 +203,31 @@ def test_table_validation():
         ContingencyTable(sp, (1, -1, 0, 0))
     with pytest.raises(ValueError):
         ContingencyTable(sp, (1, 0, 0))
+
+
+def test_symmetry_generators_fix_the_marginal_matrix():
+    # permuting the columns by a generator must give the same rows, reordered
+    cases = [(cx, ConfigSpace(sizes)) for cx in all_complexes(3)
+             for sizes in [(2, 2, 2), (3, 3, 2), (2, 3, 2)]]
+    cases += [(interval_complement(4, {1, 2}), ConfigSpace((2, 2, 3, 3))),
+              (uniform_complex(4, 2), ConfigSpace((3, 3, 3, 3)))]
+    for cx, space in cases:
+        rows = marginal_matrix(cx, space).rows
+        for g in symmetry_generators(cx, space):
+            assert sorted(g) == list(range(space.size))
+            moved = sorted(tuple(row[g[j]] for j in range(space.size)) for row in rows)
+            assert moved == sorted(rows), (cx, space, g)
+
+
+def test_symmetry_generators_keep_unlike_variables_apart():
+    # variable 3 has a smaller alphabet on 3x3x2, and on 2x2x2 the facets
+    # {1,2},{3} set it apart: no generator may move it, while (1 2) is one
+    for cx, space in [(uniform_complex(3, 2), ConfigSpace((3, 3, 2))),
+                      (from_facets(3, [{1, 2}, {3}]), binary_space(3))]:
+        gens = symmetry_generators(cx, space)
+        for g in gens:
+            third = {}
+            for ix, x in enumerate(space.configs()):
+                third.setdefault(x[2], set()).add(space.config(g[ix])[2])
+            assert all(len(images) == 1 for images in third.values()), g
+        assert any(g[space.index((1, 0, 0))] == space.index((0, 1, 0)) for g in gens)
