@@ -147,15 +147,14 @@ def _cmd_verify_markov(args) -> int:
             raise UsageError(f"--drop-move index out of range 0..{len(moves) - 1}")
         del moves[args.drop_move]
     report = fiber.verify_markov_basis(cx, space, moves, args.degree_limit,
-                                       method=args.method, ceiling=args.ceiling,
-                                       workers=args.workers)
+                                       ceiling=args.ceiling, workers=args.workers)
     pairs = [
         ("command", "verify-markov"),
         ("complex", _complex_str(cx)),
         ("space", _space_str(space)),
         ("moves", str(len(moves))),
         ("degree-limit", str(report.degree_limit)),
-        ("method", report.method),
+        ("method", "fibers"),
         ("fibers-checked", str(report.fibers_checked)),
     ]
     if report.passed:
@@ -325,12 +324,8 @@ def _cmd_tableau(args) -> int:
 
 # ------------------------------------------------------------------- parsing
 
-def _add_common(sp, *, out=True, seed=True):
-    if out:
-        sp.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property sweeps (reserved; default 0)")
+def _add_common(sp):
+    sp.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--moves", metavar="FILE", help="move set in matrix text format")
     sp.add_argument("--drop-move", type=int, metavar="I", help="remove move I before verifying")
     sp.add_argument("--degree-limit", type=int, required=True, metavar="T")
-    sp.add_argument("--method", choices=("fibers", "tables"), default="fibers")
     sp.add_argument("--ceiling", type=int)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--kv", action="store_true", help="emit key=value lines")
@@ -375,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--G", metavar="I,J,...")
     sp.add_argument("--kmax", type=int)
     sp.add_argument("--ceiling", type=int)
-    sp.add_argument("--workers", type=int, default=1,
-                    help="accepted for flag symmetry; this search is serial")
     sp.add_argument("--kv", action="store_true")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_degree_bound)

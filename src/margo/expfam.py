@@ -8,7 +8,7 @@ tolerance-tagged.  Entropies use the natural logarithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, isfinite, log
 from typing import Sequence
 
 from .characters import Move
@@ -27,6 +27,8 @@ class Density:
         object.__setattr__(self, "probabilities", tuple(float(p) for p in self.probabilities))
         if len(self.probabilities) != self.space.size:
             raise ValueError(f"expected {self.space.size} entries, got {len(self.probabilities)}")
+        if not all(map(isfinite, self.probabilities)):
+            raise ValueError("probabilities must be finite")
         if any(p < 0 for p in self.probabilities):
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(self.probabilities) - 1.0) > 1e-9:
@@ -60,6 +62,8 @@ def density(cx: SimplicialComplex, space: ConfigSpace,
     lay = layout(cx, space)
     if len(theta) != lay.nrows:
         raise ValueError(f"theta length {len(theta)} != {lay.nrows} matrix rows")
+    if not all(map(isfinite, theta)):
+        raise ValueError("theta must be finite")
     scores = [sum(theta[r] for r in lay.rows_of[ix]) for ix in range(space.size)]
     peak = max(scores)
     weights = [exp(s - peak) for s in scores]

@@ -7,26 +7,21 @@ module enumerates fibers exactly, decides connectivity, verifies candidate
 Markov bases up to a stated degree bound, and searches for binomials of
 minimal degree.
 
-Verification strategies
------------------------
-`verify_markov_basis` accepts two methods that provably return the same
-verdict and the same witness:
-
-* ``tables``: enumerate every table of degree <= T, bucket by marginal,
-  check each bucket.  This is the literal definition and is kept as the
-  ground-truth oracle, but its cost is the number of all bounded-degree
-  tables.
-* ``fibers`` (default): induct on the degree.  If every fiber of degree
-  < t is connected, then in a degree-t fiber any two tables with a common
-  support point are already connected (drop one shared unit, connect in the
-  smaller fiber, add the unit back along the path).  A degree-t fiber can
-  therefore only be disconnected if it contains two tables with disjoint
-  supports, i.e. the two halves of a kernel vector.  It suffices to
-  enumerate kernel vectors m with deg(m+) <= T and to check the fibers of
-  their marginals, in increasing degree.  At the smallest degree carrying
-  any disconnected fiber, the disconnected fibers are exactly the
-  disconnected ones among these, so verdict and least witness agree with
-  the table sweep.
+Verification strategy
+---------------------
+`verify_markov_basis` inducts on the degree.  If every fiber of degree
+< t is connected, then in a degree-t fiber any two tables with a common
+support point are already connected (drop one shared unit, connect in the
+smaller fiber, add the unit back along the path).  A degree-t fiber can
+therefore only be disconnected if it contains two tables with disjoint
+supports, i.e. the two halves of a kernel vector.  It suffices to
+enumerate kernel vectors m with deg(m+) <= T and to check the fibers of
+their marginals, in increasing degree.  At the smallest degree carrying
+any disconnected fiber, the disconnected fibers are exactly the
+disconnected ones among these, so verdict and least witness agree with
+the literal definition: enumerate every table of degree <= T, bucket by
+marginal, check each bucket.  That sweep costs the number of all
+bounded-degree tables and lives in the test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from math import comb
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .characters import Move
@@ -86,7 +81,6 @@ class DisconnectedFiber:
 class MarkovReport:
     passed: bool
     degree_limit: int
-    method: str
     fibers_checked: int
     witness: DisconnectedFiber | None
 
@@ -159,13 +153,9 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     Edges join tables differing by plus or minus one move when the step stays
     nonnegative.  Rejects moves outside the kernel of the marginal map.
     """
-    lay = layout(fiber.complex, fiber.space)
+    _validate_moves(layout(fiber.complex, fiber.space), moves)
     steps = []
     for m in moves:
-        if m.space != fiber.space:
-            raise ValueError("move space does not match the fiber's space")
-        if any(v != 0 for v in lay.marginal_entries(m.vector)):
-            raise ValueError("move is not in the kernel of the marginal map")
         steps.append(m.vector)
         steps.append(tuple(-v for v in m.vector))
 
@@ -277,184 +267,113 @@ def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
 
 
 def _check_fiber(cx: SimplicialComplex, space: ConfigSpace, moves: tuple[Move, ...],
-                 blocks: tuple, ceiling: int | None,
-                 entries: tuple[int, ...]) -> tuple[tuple[int, ...], bool, DisconnectedFiber | None]:
+                 blocks: tuple, ceiling: int,
+                 entries: tuple[int, ...]) -> tuple[int, DisconnectedFiber | None]:
+    """The fiber's size, and the fiber with its report when it is disconnected."""
     fiber = enumerate_fiber(cx, space, MarginalVector(entries, blocks), ceiling=ceiling)
     if fiber.size <= 1:
-        return entries, True, None
+        return fiber.size, None
     report = fiber_connected(fiber, moves)
-    if report.connected:
-        return entries, True, None
-    return entries, False, DisconnectedFiber(fiber, report)
+    return fiber.size, None if report.connected else DisconnectedFiber(fiber, report)
 
 
 def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequence[Move],
-                        degree_limit: int, *, method: str = "fibers",
-                        ceiling: int | None = None, workers: int = 1) -> MarkovReport:
+                        degree_limit: int, *, ceiling: int | None = None,
+                        workers: int = 1) -> MarkovReport:
     """Check that the moves connect every fiber of degree <= degree_limit.
 
     Passing is evidence up to the stated bound, not a proof for all degrees.
     On failure the report carries the first disconnected fiber (smallest
     degree, then lexicographically least marginal) and a witness pair of
     tables in distinct components.
+
+    One ceiling bounds the whole run: the kernel-vector search spends it
+    first, every checked fiber is then charged its size in task order, and
+    each fiber's own enumeration is capped at what was left when its degree
+    began, so verdicts and ceiling errors do not depend on the worker count.
     """
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
-    if method not in ("fibers", "tables"):
-        raise ValueError(f"unknown method {method!r}")
     lay = layout(cx, space)
-    _validate_moves(lay, tuple(moves))
     moves = tuple(moves)
+    _validate_moves(lay, moves)
     blocks = lay.blocks()
     budget = Budget(ceiling, "enumerated tables")
+    if lay.nrows == 0:
+        raise ValueError("cannot verify a model with no facets: every fiber is infinite")
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
-    if method == "tables":
-        budget.charge_estimate(comb(degree_limit + space.size, space.size))
-        buckets = _bucket_tables(lay, degree_limit, budget)
-        for entries in buckets:
-            deg = sum(entries[:blocks[0][1]]) if blocks else 0
-            by_degree.setdefault(deg, set()).add(entries)
-    else:
-        if lay.nrows == 0:
-            raise ValueError("cannot verify a model with no facets: every fiber is infinite")
-        for vec in _kernel_vectors(lay, degree_limit, budget):
-            plus = tuple(max(v, 0) for v in vec)
-            deg = sum(plus)
-            if 0 < deg <= degree_limit:
-                by_degree.setdefault(deg, set()).add(lay.marginal_entries(plus))
+    for vec in _kernel_vectors(lay, degree_limit, budget):
+        plus = tuple(max(v, 0) for v in vec)
+        deg = sum(plus)
+        if 0 < deg <= degree_limit:
+            by_degree.setdefault(deg, set()).add(lay.marginal_entries(plus))
 
     fibers_checked = 0
     for deg in sorted(by_degree):
-        keys = sorted(by_degree[deg])
-        if method == "tables":
-            results = []
-            for entries in keys:
-                tables = buckets[entries]
-                fiber = Fiber(cx, space, MarginalVector(entries, blocks),
-                              tuple(ContingencyTable(space, t) for t in tables))
-                if fiber.size <= 1:
-                    results.append((entries, True, None))
-                    continue
-                report = fiber_connected(fiber, moves)
-                ok = report.connected
-                results.append((entries, ok, None if ok else DisconnectedFiber(fiber, report)))
-        else:
-            task = partial(_check_fiber, cx, space, moves, blocks, ceiling)
-            results = run_ordered(task, keys, workers)
+        task = partial(_check_fiber, cx, space, moves, blocks, budget.ceiling - budget.used)
+        results = run_ordered(task, sorted(by_degree[deg]), workers)
+        for size, _ in results:
+            budget.spend(size)
         fibers_checked += len(results)
-        for _, ok, bad in results:
-            if not ok:
-                return MarkovReport(False, degree_limit, method, fibers_checked, bad)
-    return MarkovReport(True, degree_limit, method, fibers_checked, None)
+        for _, bad in results:
+            if bad is not None:
+                return MarkovReport(False, degree_limit, fibers_checked, bad)
+    return MarkovReport(True, degree_limit, fibers_checked, None)
 
 
-def _bucket_tables(lay: MarginalLayout, degree_limit: int,
-                   budget: Budget) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Every table of degree <= limit, grouped by its marginal entries."""
-    size = lay.space.size
-    counts = [0] * size
-    margin = [0] * lay.nrows
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+def _tables_of_degree(size: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every table of degree k on `size` cells, in increasing lex order (stars and bars)."""
+    steps = range(size - 1)
+    for bars in combinations(range(k + size - 1), size - 1):
+        cuts = (0, *map(sub, bars, steps), k)  # stars left of each bar
+        yield tuple(map(sub, cuts[1:], cuts))
 
-    def descend(ix: int, left: int) -> None:
-        if ix == size:
-            budget.spend()
-            buckets.setdefault(tuple(margin), []).append(tuple(counts))
-            return
-        rows = lay.rows_of[ix]
-        for v in range(left + 1):
-            counts[ix] = v
-            for r in rows:
-                margin[r] += v
-            descend(ix + 1, left - v)
-            for r in rows:
-                margin[r] -= v
-        counts[ix] = 0
 
-    descend(0, degree_limit)
-    return buckets
+def _first_disjoint_pair(tables: Iterator[tuple[int, ...]], weights: Sequence[int],
+                         budget: Budget) -> tuple[int, ...] | None:
+    """u - v for the first table v sharing its marginal with an earlier u of disjoint support.
+
+    Tables are bucketed by the key sum(counts * weights), which stands for the
+    marginal (see `min_binomial_degree`).
+    """
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for counts in tables:
+        budget.spend()
+        bucket = buckets.setdefault(sum(map(mul, counts, weights)), [])
+        for other in bucket:
+            if not any(map(mul, other, counts)):
+                return tuple(map(sub, other, counts))
+        bucket.append(counts)
+    return None
 
 
 def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
                         *, ceiling: int | None = None) -> tuple[int, Move] | None:
     """Smallest degree k <= k_max carrying a disjoint-support binomial pair.
 
-    For each degree, square-free tables (supports) are enumerated first and
-    general tables second; within a degree the witness is the first pair in
-    enumeration order, as the move u - v with u the earlier table.
+    Each degree scans the square-free tables (k-subsets of configurations in
+    lex order) first and then every table of degree k (increasing lex order
+    of counts); the witness is the first pair a scan meets, as the move
+    u - v with u the earlier table.  Every scanned table is charged to the
+    ceiling once.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     lay = layout(cx, space)
     budget = Budget(ceiling, "enumerated tables")
     size = space.size
-
-    def support_mask(counts: Sequence[int]) -> int:
-        mask = 0
-        for ix, c in enumerate(counts):
-            if c:
-                mask |= 1 << ix
-        return mask
-
     for k in range(1, k_max + 1):
-        # square-free phase: tables are indicator vectors of k-subsets
-        buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        for combo in combinations(range(size), k):
-            budget.spend()
-            margin = [0] * lay.nrows
-            for ix in combo:
-                for r in lay.rows_of[ix]:
-                    margin[r] += 1
-            key = tuple(margin)
-            mask = 0
-            for ix in combo:
-                mask |= 1 << ix
-            counts = tuple(1 if (mask >> ix) & 1 else 0 for ix in range(size))
-            bucket = buckets.setdefault(key, [])
-            for other_mask, other_counts in bucket:
-                if other_mask & mask == 0:
-                    vec = tuple(a - b for a, b in zip(other_counts, counts))
-                    return k, Move(space, vec)
-            bucket.append((mask, counts))
-
-        # general phase: all tables of degree exactly k
-        found: list[tuple[int, Move]] = []
-        buckets = {}
-        counts = [0] * size
-        margin = [0] * lay.nrows
-
-        def descend(ix: int, left: int) -> bool:
-            if ix == size:
-                if left != 0:
-                    return False
-                budget.spend()
-                key = tuple(margin)
-                mask = support_mask(counts)
-                snapshot = tuple(counts)
-                bucket = buckets.setdefault(key, [])
-                for other_mask, other_counts in bucket:
-                    if other_mask & mask == 0:
-                        vec = tuple(a - b for a, b in zip(other_counts, snapshot))
-                        found.append((k, Move(space, vec)))
-                        return True
-                bucket.append((mask, snapshot))
-                return False
-            rows = lay.rows_of[ix]
-            for v in range(left + 1):
-                counts[ix] = v
-                for r in rows:
-                    margin[r] += v
-                hit = descend(ix + 1, left - v)
-                for r in rows:
-                    margin[r] -= v
-                counts[ix] = 0
-                if hit:
-                    return True
-            return False
-
-        if descend(0, k):
-            return found[0]
+        # A degree-k marginal packed into one integer, k.bit_length() bits per
+        # row: no entry exceeds k, so equal keys mean equal marginals.
+        width = k.bit_length()
+        weights = [sum(1 << (width * r) for r in rows) for rows in lay.rows_of]
+        square_free = (tuple(int(ix in combo) for ix in range(size))
+                       for combo in combinations(range(size), k))
+        for tables in (square_free, _tables_of_degree(size, k)):
+            vec = _first_disjoint_pair(tables, weights, budget)
+            if vec is not None:
+                return k, Move(space, vec)
     return None
 
 

@@ -43,9 +43,3 @@ class Budget:
                 f"resource ceiling exceeded: more than {self.ceiling} {self.what}"
             )
 
-    def charge_estimate(self, estimate: int) -> None:
-        """Refuse up front when a known a-priori count already exceeds the ceiling."""
-        if estimate > self.ceiling:
-            raise ResourceCeilingError(
-                f"resource ceiling exceeded: {estimate} {self.what} > {self.ceiling}"
-            )

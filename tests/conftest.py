@@ -9,12 +9,17 @@ import pytest
 
 from margo import (
     ConfigSpace,
+    ConnectivityReport,
     ContingencyTable,
+    Fiber,
+    MarkovReport,
+    Move,
     NeighborlinessReport,
     from_facets,
     is_facial,
     marginal_map,
 )
+from margo.fiber import DisconnectedFiber
 
 
 def naive_tables(space: ConfigSpace, degree: int):
@@ -40,6 +45,71 @@ def naive_tables(space: ConfigSpace, degree: int):
 def naive_fiber(cx, space, b):
     """The fiber by filtering every table of the right degree."""
     return [u for u in naive_tables(space, b.degree) if marginal_map(cx, u) == b]
+
+
+def _components(tables, steps):
+    """Connected components of tables joined when they differ by a step."""
+    components = []
+    for u in tables:
+        if any(u.counts in c for c in components):
+            continue
+        component, frontier = {u.counts}, [u.counts]
+        for t in frontier:
+            for v in tables:
+                step = tuple(a - b for a, b in zip(v.counts, t))
+                if v.counts not in component and step in steps:
+                    component.add(v.counts)
+                    frontier.append(v.counts)
+        components.append(component)
+    return components
+
+
+def naive_verify_markov(cx, space: ConfigSpace, moves, degree_limit: int) -> MarkovReport:
+    """The literal table sweep: every fiber of every table of degree <= T.
+
+    Fibers are checked by degree, then by marginal entries in lex order.  The
+    witness pair is the fiber's first table and the first table outside its
+    component, as `fiber_connected` reports it.
+    """
+    steps = {m.vector for m in moves} | {tuple(-v for v in m.vector) for m in moves}
+    checked = 0
+    for degree in range(degree_limit + 1):
+        buckets = {}
+        for u in naive_tables(space, degree):
+            buckets.setdefault(marginal_map(cx, u), []).append(u)
+        for b in sorted(buckets, key=lambda b: b.entries):
+            tables = buckets[b]
+            checked += 1
+            components = _components(tables, steps)
+            if len(components) > 1:
+                other = next(v for v in tables if v.counts not in components[0])
+                report = ConnectivityReport(len(tables), len(components), (tables[0], other))
+                bad = DisconnectedFiber(Fiber(cx, space, b, tuple(tables)), report)
+                return MarkovReport(False, degree_limit, checked, bad)
+    return MarkovReport(True, degree_limit, checked, None)
+
+
+def naive_min_binomial_degree(cx, space: ConfigSpace, k_max: int):
+    """The first pair of equal-marginal tables with disjoint supports, by degree.
+
+    Each degree looks first at the square-free tables, in decreasing lex
+    order of counts (the lex order of their supports as k-subsets), then at
+    every table in increasing lex order of counts.  The move is u - v, with
+    u the earlier table of the pair.
+    """
+    for k in range(1, k_max + 1):
+        tables = list(naive_tables(space, k))
+        square_free = sorted((u for u in tables if max(u.counts) <= 1),
+                             key=lambda u: u.counts, reverse=True)
+        for stream in (square_free, tables):
+            seen = {}
+            for v in stream:
+                bucket = seen.setdefault(marginal_map(cx, v), [])
+                for u in bucket:
+                    if not any(a and b for a, b in zip(u.counts, v.counts)):
+                        return k, Move(space, tuple(a - b for a, b in zip(u.counts, v.counts)))
+                bucket.append(v)
+    return None
 
 
 def naive_marginal(u: ContingencyTable, members) -> tuple[int, ...]:

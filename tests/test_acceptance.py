@@ -340,7 +340,10 @@ def test_criterion_10_determinism(capsys, d2_path):
             ["neighborly", "--complex", d2_path, "--space", "3,3,3", "--kmax", "4"],
         ]
         for argv in commands:
-            code1, out1 = run_cli(capsys, argv + ["--workers", "1"])
-            code8, out8 = run_cli(capsys, argv + ["--workers", "8"])
+            # degree-bound is serial and takes no --workers: it simply runs twice
+            flags = ([], []) if argv[0] == "degree-bound" else (["--workers", "1"],
+                                                                 ["--workers", "8"])
+            code1, out1 = run_cli(capsys, argv + flags[0])
+            code8, out8 = run_cli(capsys, argv + flags[1])
             assert code1 == code8
             assert out1 == out8, argv

@@ -1,6 +1,9 @@
 import pytest
 
-from margo import cli, polytope
+from margo import binary_space, cli, interval_complement, interval_moves, polytope
+from margo.spaces import config_str
+
+from conftest import naive_verify_markov
 
 IND_COMPLEX = "2\n1\n2\n"
 FULL_COMPLEX = "2\n1 2\n"
@@ -87,12 +90,34 @@ def test_verify_markov_empty_move_file(capsys, tmp_path, d2_path):
 def test_verify_markov_table_method_agrees(capsys):
     argv = ["verify-markov", "--space", "2,2,2", "--G", "2,3",
             "--degree-limit", "6", "--drop-move", "0"]
-    code_f, out_f, _ = run(capsys, argv + ["--method", "fibers"])
-    code_t, out_t, _ = run(capsys, argv + ["--method", "tables"])
-    assert code_f == code_t == 1
-    strip = lambda out: [ln for ln in out.splitlines()
-                         if not ln.startswith(("method:", "fibers-checked:"))]
-    assert strip(out_f) == strip(out_t)
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    report = dict(ln.split(": ", 1) for ln in out.splitlines())
+    assert report["method"] == "fibers"
+
+    space = binary_space(3)
+    moves = list(interval_moves(3, (2, 3)))[1:]
+    oracle = naive_verify_markov(interval_complement(3, (2, 3)), space, moves, 6)
+    assert not oracle.passed
+    b = oracle.witness.fiber.marginal
+    assert report["witness-marginal"] == " ; ".join(
+        "{" + ",".join(map(str, sorted(f))) + "}: " + " ".join(map(str, b.block(k)))
+        for k, (f, _) in enumerate(b.blocks))
+    u, v = oracle.witness.report.witness
+    assert report["witness-u"] == " ".join(
+        config_str(x, space) for x in space.configs() for _ in range(u[x]))
+    assert report["witness-v"] == " ".join(
+        config_str(x, space) for x in space.configs() for _ in range(v[x]))
+
+
+def test_removed_flags_are_usage_errors(capsys, ind_path):
+    for argv in (["verify-markov", "--space", "2,2,2", "--G", "1,2,3",
+                  "--degree-limit", "6", "--method", "tables"],
+                 ["matrix", "--complex", ind_path, "--space", "2,2", "--seed", "1"],
+                 ["degree-bound", "--complex", ind_path, "--space", "2,2", "--workers", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 64 and out == ""
+        assert err.startswith("margo: usage error: unrecognized arguments")
 
 
 def test_verify_markov_ceiling_exit(capsys):
@@ -101,6 +126,18 @@ def test_verify_markov_ceiling_exit(capsys):
                                 "--ceiling", "10"])
     assert code == 2
     assert "ceiling" in err
+
+
+def test_verify_markov_ceiling_is_run_wide(capsys):
+    # the kernel-vector search alone uses exactly 372,560 units here; the 164
+    # fibers checked after it must count against the same ceiling
+    argv = ["verify-markov", "--space", "2,2,2,2,2", "--G", "1,2",
+            "--degree-limit", "6", "--ceiling", "372560"]
+    code1, out1, err1 = run(capsys, argv + ["--workers", "1"])
+    code2, out2, err2 = run(capsys, argv + ["--workers", "2"])
+    assert code1 == code2 == 2
+    assert out1 == out2 == ""
+    assert err1 == err2 and err1.startswith("margo: resource ceiling exceeded")
 
 
 def test_ceiling_env_var_default(capsys, monkeypatch):
@@ -185,6 +222,21 @@ def test_mi_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, ["mi", "--space", "2,2,2", "--density", str(dens)])
     assert code == 0
     assert "mi: 1.38629436112" in out
+
+
+def test_non_finite_numbers_are_usage_errors(capsys, ind_path, tmp_path):
+    dens = tmp_path / "p.vec"
+    dens.write_text("nan 0.5 0.5 0\n")
+    code, out, err = run(capsys, ["mi", "--space", "2,2", "--density", str(dens)])
+    assert code == 64 and out == ""
+    assert err == "margo: usage error: probabilities must be finite\n"
+
+    theta = tmp_path / "theta.vec"
+    theta.write_text("inf 0 0 0\n")
+    code, out, err = run(capsys, ["density", "--complex", ind_path,
+                                  "--space", "2,2", "--theta", str(theta)])
+    assert code == 64 and out == ""
+    assert err == "margo: usage error: theta must be finite\n"
 
 
 def test_density_subcommand(capsys, ind_path, tmp_path):

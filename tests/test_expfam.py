@@ -70,6 +70,14 @@ def test_density_validation():
         Density(B2, (1.2, -0.2, 0.0, 0.0))
 
 
+def test_density_rejects_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            Density(B2, (bad, 0.5, 0.5, 0.0))
+        with pytest.raises(ValueError, match="theta must be finite"):
+            density(INDEPENDENCE, B2, [bad, 0.0, 0.0, 0.0])
+
+
 def test_exponential_family_points_satisfy_own_binomials():
     rng = random.Random(3)
     move = interval_move(2, {1, 2}, ())

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,9 +22,18 @@ from margo import (
     uniform_complex,
     verify_markov_basis,
 )
-from margo.spaces import MarginalVector
+from margo import fiber
+from margo.guards import Budget
+from margo.spaces import MarginalVector, layout
 
-from conftest import naive_fiber, random_complex, random_table
+from conftest import (
+    all_complexes,
+    naive_fiber,
+    naive_min_binomial_degree,
+    naive_verify_markov,
+    random_complex,
+    random_table,
+)
 
 INDEPENDENCE = from_facets(2, [{1}, {2}])
 B2 = binary_space(2)
@@ -103,6 +113,8 @@ def test_fiber_connected_rejects_non_kernel_move():
     fib = enumerate_fiber(INDEPENDENCE, B2, b)
     with pytest.raises(ValueError, match="kernel"):
         fiber_connected(fib, [Move(B2, (1, 0, 0, -1))])
+    with pytest.raises(ValueError, match="space"):
+        fiber_connected(fib, [interval_move(3, {1, 2, 3}, ())])
 
 
 def test_verify_markov_interval_models_pass():
@@ -127,7 +139,19 @@ def test_verify_markov_fails_without_moves():
     }
 
 
-def test_verify_markov_methods_agree(rng):
+def assert_matches_table_sweep(cx, sp, moves, limit):
+    """Verdict, witness marginal and witness pair equal the table-sweep oracle's."""
+    got = verify_markov_basis(cx, sp, moves, limit)
+    want = naive_verify_markov(cx, sp, moves, limit)
+    assert got.passed == want.passed
+    if not got.passed:
+        assert got.witness.fiber.marginal == want.witness.fiber.marginal
+        assert got.witness.report.witness == want.witness.report.witness
+    return got
+
+
+def test_verify_markov_methods_agree():
+    # the kernel-vector fiber method against the table sweep
     for n in (2, 3):
         sp = binary_space(n)
         for g_size in range(1, n + 1):
@@ -135,26 +159,34 @@ def test_verify_markov_methods_agree(rng):
                 cx = interval_complement(n, g)
                 moves = list(interval_moves(n, g))
                 limit = 2 * 2 ** (g_size - 1) + 2
-                full_a = verify_markov_basis(cx, sp, moves, limit, method="fibers")
-                full_b = verify_markov_basis(cx, sp, moves, limit, method="tables")
-                assert full_a.passed and full_b.passed
+                assert assert_matches_table_sweep(cx, sp, moves, limit).passed
                 if len(moves) > 1:
-                    part_a = verify_markov_basis(cx, sp, moves[1:], limit, method="fibers")
-                    part_b = verify_markov_basis(cx, sp, moves[1:], limit, method="tables")
-                    assert not part_a.passed and not part_b.passed
-                    assert part_a.witness.fiber.marginal == part_b.witness.fiber.marginal
-                    wa = tuple(t.counts for t in part_a.witness.report.witness)
-                    wb = tuple(t.counts for t in part_b.witness.report.witness)
-                    assert wa == wb
+                    assert not assert_matches_table_sweep(cx, sp, moves[1:], limit).passed
 
 
-def test_verify_markov_methods_agree_on_random_moves(rng):
-    # sanity on a non-interval complex: d2 with its parity move
+def test_verify_markov_methods_agree_on_random_moves():
+    # a non-interval complex: d2 with its parity move, and with no moves
     parity = interval_move(3, {1, 2, 3}, ())
     for limit in (4, 6):
-        a = verify_markov_basis(D2_3, B3, [parity], limit, method="fibers")
-        b = verify_markov_basis(D2_3, B3, [parity], limit, method="tables")
-        assert a.passed == b.passed
+        assert_matches_table_sweep(D2_3, B3, [parity], limit)
+        assert not assert_matches_table_sweep(D2_3, B3, [], limit).passed
+
+
+def test_verify_markov_agrees_with_table_sweep_on_interval_move_subsets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(g=st.sampled_from([g for r in (1, 2, 3)
+                                         for g in combinations((1, 2, 3), r)]),
+                      limit=st.integers(1, 6), data=st.data())
+    def check(g, limit, data):
+        moves = list(interval_moves(3, g))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(moves), max_size=len(moves)))
+        chosen = [m for m, k in zip(moves, keep) if k]
+        assert_matches_table_sweep(interval_complement(3, g), B3, chosen, limit)
+
+    check()
 
 
 def test_verify_markov_rejects_non_kernel_move():
@@ -162,16 +194,25 @@ def test_verify_markov_rejects_non_kernel_move():
         verify_markov_basis(INDEPENDENCE, B2, [Move(B2, (1, 0, 0, 0))], 4)
 
 
-def test_verify_markov_table_method_refuses_over_ceiling():
-    with pytest.raises(ResourceCeilingError):
-        verify_markov_basis(D2_3, B3, [interval_move(3, {1, 2, 3}, ())], 12,
-                            method="tables", ceiling=1000)
-
-
 def test_fiber_method_respects_ceiling():
     with pytest.raises(ResourceCeilingError):
         verify_markov_basis(interval_complement(4, {1}), binary_space(4),
                             interval_moves(4, {1}), 4, ceiling=50)
+
+
+def test_verify_markov_ceiling_covers_fibers_too():
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    moves = interval_moves(4, {1, 2})
+    kernel = Budget(None)
+    list(fiber._kernel_vectors(layout(cx, sp), 6, kernel))
+    # the checked fibers hold 8 + 36 + 120 tables at degrees 2, 4 and 6
+    run = kernel.used + 164
+    assert verify_markov_basis(cx, sp, moves, 6, ceiling=run).passed
+    with pytest.raises(ResourceCeilingError, match=f"more than {run - 1} enumerated tables"):
+        verify_markov_basis(cx, sp, moves, 6, ceiling=run - 1)
+    # the kernel search alone fits, and leaves no room for any fiber
+    with pytest.raises(ResourceCeilingError, match="more than 0 fiber assignments"):
+        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used)
 
 
 def test_min_binomial_degree_independence():
@@ -226,6 +267,27 @@ def test_min_binomial_degree_respects_theorem_bound(rng):
                 assert k == 2 ** (g - 1)
                 pos, neg, _ = move_supports(move)
                 assert len(pos) >= 2 ** (g - 1) and len(neg) >= 2 ** (g - 1)
+
+
+def test_min_binomial_degree_matches_oracle():
+    for cx in all_complexes(3):
+        for cards in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)]:
+            sp = ConfigSpace(cards)
+            for k_max in range(1, 5):
+                got = min_binomial_degree(cx, sp, k_max)
+                want = naive_min_binomial_degree(cx, sp, k_max)
+                assert (got is None) == (want is None), (cx, cards, k_max)
+                if got is not None:
+                    assert got[0] == want[0] and got[1].vector == want[1].vector
+
+
+def test_min_binomial_degree_charges_each_scanned_table_once():
+    # no binomial of degree <= 3 on d2: every square-free and every general
+    # table of degrees 1..3 on 8 cells is scanned
+    scanned = sum(comb(8, k) + comb(k + 7, 7) for k in (1, 2, 3))
+    assert min_binomial_degree(D2_3, B3, 3, ceiling=scanned) is None
+    with pytest.raises(ResourceCeilingError):
+        min_binomial_degree(D2_3, B3, 3, ceiling=scanned - 1)
 
 
 def test_min_binomial_degree_witness_is_fiber_pair():
