@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
-from .guards import Budget
+from .guards import Budget, ResourceCeilingError
 from .parallel import run_ordered
 from .spaces import (
     ConfigSpace,
@@ -85,15 +86,15 @@ class MarkovReport:
     witness: DisconnectedFiber | None
 
 
-def _completions(lay: MarginalLayout) -> list[tuple[int, ...]]:
-    """For each config index, the rows whose cylinder ends at that config."""
+def _completions(lay: MarginalLayout, walk: Sequence[int]) -> list[tuple[int, ...]]:
+    """For each walk position, the rows whose cylinder ends at that position."""
     last = {}
-    for ix, rows in enumerate(lay.rows_of):
-        for r in rows:
-            last[r] = ix
-    out: list[list[int]] = [[] for _ in range(lay.space.size)]
-    for r, ix in last.items():
-        out[ix].append(r)
+    for p, ix in enumerate(walk):
+        for r in lay.rows_of[ix]:
+            last[r] = p
+    out: list[list[int]] = [[] for _ in walk]
+    for r, p in last.items():
+        out[p].append(r)
     return [tuple(sorted(rs)) for rs in out]
 
 
@@ -103,7 +104,9 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
 
     Depth-first assignment over configurations in lex order; each facet row
     keeps a remaining budget, and a row's last configuration is forced to
-    spend the remainder exactly.
+    spend the remainder exactly.  The walk keeps an explicit stack (the
+    value at each configuration and its upper end), so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     lay = layout(cx, space)
     if lay.nrows == 0:
@@ -113,38 +116,53 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     if not b.is_consistent():
         raise ValueError("inconsistent marginal: facet blocks sum to different totals")
     budget = Budget(ceiling, "fiber assignments")
-    completions = _completions(lay)
     size = space.size
+    rows_of = lay.rows_of
+    completions = _completions(lay, range(size))
     remaining = list(b.entries)
     counts = [0] * size
+    top = [0] * size
     tables: list[ContingencyTable] = []
 
-    def descend(ix: int) -> None:
+    ix = 0
+    while True:
+        # open configuration ix at the lowest value of its range
         if ix == size:
             tables.append(ContingencyTable(space, tuple(counts)))
-            return
-        rows = lay.rows_of[ix]
-        vmax = min(remaining[r] for r in rows)
-        closing = completions[ix]
-        if closing:
-            v = remaining[closing[0]]
-            if any(remaining[r] != v for r in closing) or v > vmax:
-                return
-            lo = hi = v
         else:
-            lo, hi = 0, vmax
-        for v in range(lo, hi + 1):
-            budget.spend()
-            counts[ix] = v
-            for r in rows:
-                remaining[r] -= v
-            descend(ix + 1)
-            for r in rows:
+            rows = rows_of[ix]
+            hi = min(remaining[r] for r in rows)
+            closing = completions[ix]
+            lo = 0
+            if closing:
+                v = remaining[closing[0]]
+                if v <= hi and all(remaining[r] == v for r in closing):
+                    lo = hi = v
+                else:
+                    hi = -1
+            if lo <= hi:
+                budget.spend()
+                counts[ix] = lo
+                top[ix] = hi
+                for r in rows:
+                    remaining[r] -= lo
+                ix += 1
+                continue
+        # backtrack to the deepest configuration with a value left, and step it
+        ix -= 1
+        while ix >= 0 and counts[ix] == top[ix]:
+            v = counts[ix]
+            for r in rows_of[ix]:
                 remaining[r] += v
             counts[ix] = 0
-
-    descend(0)
-    return Fiber(cx, space, b, tuple(tables))
+            ix -= 1
+        if ix < 0:
+            return Fiber(cx, space, b, tuple(tables))
+        budget.spend()
+        counts[ix] += 1
+        for r in rows_of[ix]:
+            remaining[r] -= 1
+        ix += 1
 
 
 def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
@@ -188,73 +206,109 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     return ConnectivityReport(len(tables), ncomp, witness)
 
 
+def _walk_order(lay: MarginalLayout) -> tuple[int, ...]:
+    """The variables (1-based), most significant first, for the kernel-vector walk.
+
+    Variable i weighs sum |X_F| over the facets F that do not contain it: the
+    number of marginal rows whose cylinder varies in i.  Sorting by ascending
+    weight (ties in index order) minimizes the total span of the rows in the
+    walk, so rows close as early as possible.
+    """
+    def weight(i: int) -> int:
+        return sum(bs.size for members, bs in zip(lay.facet_members, lay.block_spaces)
+                   if i not in members)
+
+    return tuple(sorted(range(1, lay.space.n + 1), key=weight))
+
+
+def _walk(lay: MarginalLayout) -> list[int]:
+    """Configuration indices in lex order of the variables taken in `_walk_order`."""
+    q = lay.space.cardinalities
+    strides = [prod(q[i:]) for i in range(1, len(q) + 1)]
+    axes = [[v * strides[i - 1] for v in range(q[i - 1])] for i in _walk_order(lay)]
+    return [sum(offsets) for offsets in product(*axes)]
+
+
 def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator[tuple[int, ...]]:
     """All nonzero integer kernel vectors with both support degrees <= bound.
 
-    Depth-first over configurations; every facet row must sum to zero, so a
-    row's last configuration is forced, and the positive (negative) excess
-    accumulated in any single facet can never exceed the negative (positive)
-    mass still available.
+    Depth-first over the configurations in lex order of the variables sorted
+    by ascending weight, where variable i weighs sum |X_F| over the facets F
+    not containing i (`_walk_order`); that order closes every marginal row
+    as early as possible.  Every facet row must sum to zero, so a row's last
+    configuration is forced.  And since every configuration hits one row of
+    each facet, a facet's positive row sums exceed its negative ones by the
+    mass assigned so far: its positive excess must be cancelled by negative
+    mass still available, so excess + neg_used <= bound prunes (this also
+    bounds the negative excess by the positive mass still available).  The
+    search keeps an explicit stack, so its depth is not bounded by the
+    recursion limit.
     """
     size = lay.space.size
-    nfacets = len(lay.facet_members)
-    completions = _completions(lay)
-    facet_of_row = [0] * lay.nrows
-    for f in range(nfacets):
-        start = lay.offsets[f]
-        stop = start + lay.block_spaces[f].size
-        for r in range(start, stop):
-            facet_of_row[r] = f
+    walk = _walk(lay)
+    completions = _completions(lay, walk)
+    facet_of_row = [f for f, bs in enumerate(lay.block_spaces) for _ in range(bs.size)]
+    rows_at = [[(r, facet_of_row[r]) for r in lay.rows_of[ix]] for ix in walk]
     psum = [0] * lay.nrows
-    pos_excess = [0] * nfacets
-    neg_excess = [0] * nfacets
+    excess = [0] * len(lay.facet_members)  # per facet, the sum of its positive row sums
     vec = [0] * size
     found: list[tuple[int, ...]] = []
 
-    def apply(ix: int, v: int) -> None:
-        for r in lay.rows_of[ix]:
-            f = facet_of_row[r]
+    def apply(p: int, v: int) -> None:
+        for r, f in rows_at[p]:
             old = psum[r]
-            new = old + v
-            psum[r] = new
-            pos_excess[f] += max(new, 0) - max(old, 0)
-            neg_excess[f] += max(-new, 0) - max(-old, 0)
+            new = psum[r] = old + v
+            excess[f] += (new if new > 0 else 0) - (old if old > 0 else 0)
 
-    def feasible(pos_used: int, neg_used: int) -> bool:
-        pos_room = bound - pos_used
-        neg_room = bound - neg_used
-        for f in range(nfacets):
-            if pos_excess[f] > neg_room or neg_excess[f] > pos_room:
-                return False
-        return True
-
-    def descend(ix: int, pos_used: int, neg_used: int) -> None:
-        if ix == size:
-            if any(vec):
-                found.append(tuple(vec))
-            return
-        closing = completions[ix]
-        if closing:
-            v = -psum[closing[0]]
-            if any(psum[r] + v != 0 for r in closing[1:]):
-                return
-            values: Sequence[int] = (v,)
-        else:
-            values = range(-(bound - neg_used), bound - pos_used + 1)
-        for v in values:
-            p2 = pos_used + max(v, 0)
-            n2 = neg_used + max(-v, 0)
-            if p2 > bound or n2 > bound:
+    # per walk position: the top of its value range, and the positive and
+    # negative mass used before it (its current value is vec[walk[p]])
+    top = [0] * size
+    pos_before = [0] * (size + 1)
+    neg_before = [0] * (size + 1)
+    p = 0
+    opening = True
+    while p >= 0:
+        if opening:
+            if p == size:
+                if any(vec):
+                    found.append(tuple(vec))
+                p -= 1
+                opening = False
                 continue
-            budget.spend()
-            vec[ix] = v
-            apply(ix, v)
-            if feasible(p2, n2):
-                descend(ix + 1, p2, n2)
-            apply(ix, -v)
-            vec[ix] = 0
-
-    descend(0, 0, 0)
+            lo, hi = -(bound - neg_before[p]), bound - pos_before[p]
+            closing = completions[p]
+            if closing:
+                v = -psum[closing[0]]
+                if not lo <= v <= hi or any(psum[r] + v for r in closing[1:]):
+                    p -= 1
+                    opening = False
+                    continue
+                lo = hi = v
+            top[p] = hi
+            v = lo
+            apply(p, v)
+        else:
+            # step position p to its next value, or drop it and back up
+            v = vec[walk[p]]
+            if v == top[p]:
+                apply(p, -v)
+                vec[walk[p]] = 0
+                p -= 1
+                continue
+            v += 1
+            apply(p, 1)
+        budget.spend()
+        vec[walk[p]] = v
+        pos_used, neg_used = pos_before[p], neg_before[p]
+        if v > 0:
+            pos_used += v
+        else:
+            neg_used -= v
+        opening = max(excess) + neg_used <= bound
+        if opening:
+            p += 1
+            pos_before[p] = pos_used
+            neg_before[p] = neg_used
     return iter(found)
 
 
@@ -291,6 +345,8 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     first, every checked fiber is then charged its size in task order, and
     each fiber's own enumeration is capped at what was left when its degree
     began, so verdicts and ceiling errors do not depend on the worker count.
+    A ceiling error in the fiber phase names the run's ceiling and the
+    degree reached.
     """
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
@@ -312,9 +368,14 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     fibers_checked = 0
     for deg in sorted(by_degree):
         task = partial(_check_fiber, cx, space, moves, blocks, budget.ceiling - budget.used)
-        results = run_ordered(task, sorted(by_degree[deg]), workers)
-        for size, _ in results:
-            budget.spend(size)
+        try:
+            results = run_ordered(task, sorted(by_degree[deg]), workers)
+            for size, _ in results:
+                budget.spend(size)
+        except ResourceCeilingError:
+            raise ResourceCeilingError(
+                f"resource ceiling exceeded: more than {budget.ceiling} enumerated tables"
+                f" (fiber enumeration, degree {deg})") from None
         fibers_checked += len(results)
         for _, bad in results:
             if bad is not None:

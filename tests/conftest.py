@@ -89,6 +89,24 @@ def naive_verify_markov(cx, space: ConfigSpace, moves, degree_limit: int) -> Mar
     return MarkovReport(True, degree_limit, checked, None)
 
 
+def naive_kernel_vectors(cx, space: ConfigSpace, bound: int) -> set[tuple[int, ...]]:
+    """Every u - v for tables u, v of one degree d <= bound with equal marginals
+    and disjoint supports: the nonzero kernel vectors with both parts of degree
+    <= bound, found by bucketing all tables instead of a search."""
+    vectors = set()
+    for degree in range(1, bound + 1):
+        buckets = {}
+        for u in naive_tables(space, degree):
+            support = sum(1 << ix for ix, c in enumerate(u.counts) if c)
+            buckets.setdefault(marginal_map(cx, u), []).append((support, u.counts))
+        for tables in buckets.values():
+            for su, u in tables:
+                for sv, v in tables:
+                    if not su & sv:
+                        vectors.add(tuple(a - b for a, b in zip(u, v)))
+    return vectors
+
+
 def naive_min_binomial_degree(cx, space: ConfigSpace, k_max: int):
     """The first pair of equal-marginal tables with disjoint supports, by degree.
 

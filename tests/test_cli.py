@@ -1,7 +1,8 @@
 import pytest
 
-from margo import binary_space, cli, interval_complement, interval_moves, polytope
-from margo.spaces import config_str
+from margo import binary_space, cli, fiber, interval_complement, interval_moves, polytope
+from margo.guards import Budget
+from margo.spaces import config_str, layout
 
 from conftest import naive_verify_markov
 
@@ -129,10 +130,13 @@ def test_verify_markov_ceiling_exit(capsys):
 
 
 def test_verify_markov_ceiling_is_run_wide(capsys):
-    # the kernel-vector search alone uses exactly 372,560 units here; the 164
-    # fibers checked after it must count against the same ceiling
+    # a ceiling the kernel-vector search alone uses up; the 164 fibers
+    # checked after it must count against the same ceiling
+    kernel = Budget(None)
+    list(fiber._kernel_vectors(layout(interval_complement(5, {1, 2}), binary_space(5)),
+                               6, kernel))
     argv = ["verify-markov", "--space", "2,2,2,2,2", "--G", "1,2",
-            "--degree-limit", "6", "--ceiling", "372560"]
+            "--degree-limit", "6", "--ceiling", str(kernel.used)]
     code1, out1, err1 = run(capsys, argv + ["--workers", "1"])
     code2, out2, err2 = run(capsys, argv + ["--workers", "2"])
     assert code1 == code2 == 2
@@ -293,3 +297,11 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["matrix", "--complex", "/nonexistent/x.cx",
                                 "--space", "2,2"])
     assert code == 64
+
+
+def test_verify_markov_on_ten_binary_variables(capsys):
+    # 1024 configurations, more than the default recursion limit
+    code, out, err = run(capsys, ["verify-markov", "--space", ",".join(["2"] * 10),
+                                  "--G", "1,2", "--degree-limit", "0"])
+    assert code == 0 and err == ""
+    assert "status: PASS" in out

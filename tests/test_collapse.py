@@ -26,7 +26,7 @@ from margo import (
 )
 from margo.collapse import format_collapsing, parse_collapsing
 
-from conftest import random_table
+from conftest import all_complexes, random_table
 
 TERNARY_PAIR = ConfigSpace((3, 3))
 PHI_SQUASH = Collapsing(((0, 1, 1), (0, 1, 1)))
@@ -232,3 +232,25 @@ def test_collapsing_text_round_trip():
 def _all_subsets(n):
     from margo.complexes import subsets
     return list(subsets(n))
+
+
+def test_collapse_commutes_on_random_fiber_pairs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    space = ConfigSpace((3, 3, 2))
+    complexes = [cx for cx in all_complexes(3) if cx.facets]
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cx=st.sampled_from(complexes),
+                      c=st.sampled_from(list(all_collapsings(space))),
+                      cells=st.lists(st.integers(0, space.size - 1), min_size=1, max_size=4),
+                      data=st.data())
+    def check(cx, c, cells, data):
+        counts = [0] * space.size
+        for ix in cells:
+            counts[ix] += 1
+        u = ContingencyTable(space, tuple(counts))
+        v = data.draw(st.sampled_from(enumerate_fiber(cx, space, marginal_map(cx, u)).tables))
+        assert collapse_commutes(cx, c, u, v)
+
+    check()

@@ -29,6 +29,7 @@ from margo.spaces import MarginalVector, layout
 from conftest import (
     all_complexes,
     naive_fiber,
+    naive_kernel_vectors,
     naive_min_binomial_degree,
     naive_verify_markov,
     random_complex,
@@ -208,11 +209,15 @@ def test_verify_markov_ceiling_covers_fibers_too():
     # the checked fibers hold 8 + 36 + 120 tables at degrees 2, 4 and 6
     run = kernel.used + 164
     assert verify_markov_basis(cx, sp, moves, 6, ceiling=run).passed
-    with pytest.raises(ResourceCeilingError, match=f"more than {run - 1} enumerated tables"):
+    with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
+                                                   r" \(fiber enumeration, degree 6\)$"):
         verify_markov_basis(cx, sp, moves, 6, ceiling=run - 1)
-    # the kernel search alone fits, and leaves no room for any fiber
-    with pytest.raises(ResourceCeilingError, match="more than 0 fiber assignments"):
-        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used)
+    # the kernel search alone fits and leaves no room for any fiber; the error
+    # names the run's ceiling and the phase, at any worker count
+    for workers in (1, 2):
+        with pytest.raises(ResourceCeilingError, match=rf"more than {kernel.used} enumerated"
+                                                       r" tables \(fiber enumeration, degree 2\)$"):
+            verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used, workers=workers)
 
 
 def test_min_binomial_degree_independence():
@@ -302,3 +307,55 @@ def test_tableau():
     assert tableau(u) == "000\n110\n111\n111\n"
     assert tableau(ContingencyTable.zero(B3)) == ""
     assert tableau(ContingencyTable.indicator(B2, (0, 1))) == "01\n"
+
+
+@pytest.mark.parametrize("space", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_kernel_vectors_match_oracle_on_small_complexes(space):
+    sp = ConfigSpace(space)
+    for cx in all_complexes(3):
+        if not cx.facets:
+            continue
+        lay = layout(cx, sp)
+        for bound in range(1, 5):
+            got = list(fiber._kernel_vectors(lay, bound, Budget(None)))
+            assert len(got) == len(set(got))
+            assert set(got) == naive_kernel_vectors(cx, sp, bound), (cx, space, bound)
+
+
+def test_kernel_vectors_match_oracle_on_interval_complements():
+    sp = binary_space(4)
+    for g in (g for r in range(1, 5) for g in combinations(range(1, 5), r)):
+        cx = interval_complement(4, g)
+        lay = layout(cx, sp)
+        for bound in range(1, 5):
+            got = set(fiber._kernel_vectors(lay, bound, Budget(None)))
+            assert got == naive_kernel_vectors(cx, sp, bound), (g, bound)
+
+
+def test_kernel_walk_order():
+    sp5 = binary_space(5)
+    assert fiber._walk_order(layout(interval_complement(5, {1, 2}), sp5)) == (3, 4, 5, 1, 2)
+    # equal weights keep index order, and the walk is lex order
+    lay = layout(uniform_complex(4, 2), binary_space(4))
+    assert fiber._walk_order(lay) == (1, 2, 3, 4)
+    assert fiber._walk(lay) == list(range(16))
+    # a non-lex walk: variable 3 lies in both facets and leads
+    lay = layout(from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((3, 2, 2)))
+    assert fiber._walk_order(lay) == (3, 1, 2)
+    assert sorted(fiber._walk(lay)) == list(range(12))
+
+
+def test_kernel_vector_search_nodes_on_interval_complement():
+    # lex order took 372,560 assignments here
+    budget = Budget(None)
+    vectors = list(fiber._kernel_vectors(layout(interval_complement(5, {1, 2}),
+                                                binary_space(5)), 6, budget))
+    assert len(vectors) == 832
+    assert budget.used == 10_624
+
+
+def test_enumerate_fiber_on_ten_binary_variables():
+    # 1024 configurations, more than the default recursion limit
+    cx, sp = interval_complement(10, {1, 2}), binary_space(10)
+    u = ContingencyTable.indicator(sp, (0,) * 10)
+    assert enumerate_fiber(cx, sp, marginal_map(cx, u)).tables == (u,)
