@@ -26,6 +26,7 @@ bounded-degree tables and lives in the test suite as the oracle.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
@@ -232,6 +233,8 @@ def _walk(lay: MarginalLayout) -> list[int]:
 def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator[tuple[int, ...]]:
     """All nonzero integer kernel vectors with both support degrees <= bound.
 
+    A lazy generator: each vector is yielded as the search reaches it, so a
+    caller that stops at the first one pays only for the search up to it.
     Depth-first over the configurations in lex order of the variables sorted
     by ascending weight, where variable i weighs sum |X_F| over the facets F
     not containing i (`_walk_order`); that order closes every marginal row
@@ -252,7 +255,6 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
     psum = [0] * lay.nrows
     excess = [0] * len(lay.facet_members)  # per facet, the sum of its positive row sums
     vec = [0] * size
-    found: list[tuple[int, ...]] = []
 
     def apply(p: int, v: int) -> None:
         for r, f in rows_at[p]:
@@ -271,7 +273,7 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
         if opening:
             if p == size:
                 if any(vec):
-                    found.append(tuple(vec))
+                    yield tuple(vec)
                 p -= 1
                 opening = False
                 continue
@@ -309,7 +311,6 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
             p += 1
             pos_before[p] = pos_used
             neg_before[p] = neg_used
-    return iter(found)
 
 
 def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
@@ -318,6 +319,18 @@ def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
             raise ValueError("move space does not match the model's space")
         if any(v != 0 for v in lay.marginal_entries(m.vector)):
             raise ValueError("move is not in the kernel of the marginal map")
+
+
+@contextmanager
+def _phase(budget: Budget, phase: str, degree: int) -> Iterator[None]:
+    """Re-raise a ceiling error from the block as one that names the run's
+    ceiling, the phase and the degree reached."""
+    try:
+        yield
+    except ResourceCeilingError:
+        raise ResourceCeilingError(
+            f"resource ceiling exceeded: more than {budget.ceiling} {budget.what}"
+            f" ({phase}, degree {degree})") from None
 
 
 def _check_fiber(cx: SimplicialComplex, space: ConfigSpace, moves: tuple[Move, ...],
@@ -345,8 +358,8 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     first, every checked fiber is then charged its size in task order, and
     each fiber's own enumeration is capped at what was left when its degree
     began, so verdicts and ceiling errors do not depend on the worker count.
-    A ceiling error in the fiber phase names the run's ceiling and the
-    degree reached.
+    A ceiling error names the run's ceiling, the phase and the degree: the
+    search's degree limit, or the degree of the fibers being checked.
     """
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
@@ -359,23 +372,20 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
         raise ValueError("cannot verify a model with no facets: every fiber is infinite")
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
-    for vec in _kernel_vectors(lay, degree_limit, budget):
-        plus = tuple(max(v, 0) for v in vec)
-        deg = sum(plus)
-        if 0 < deg <= degree_limit:
-            by_degree.setdefault(deg, set()).add(lay.marginal_entries(plus))
+    with _phase(budget, "kernel-vector search", degree_limit):
+        for vec in _kernel_vectors(lay, degree_limit, budget):
+            plus = tuple(max(v, 0) for v in vec)
+            deg = sum(plus)
+            if 0 < deg <= degree_limit:
+                by_degree.setdefault(deg, set()).add(lay.marginal_entries(plus))
 
     fibers_checked = 0
     for deg in sorted(by_degree):
         task = partial(_check_fiber, cx, space, moves, blocks, budget.ceiling - budget.used)
-        try:
+        with _phase(budget, "fiber enumeration", deg):
             results = run_ordered(task, sorted(by_degree[deg]), workers)
             for size, _ in results:
                 budget.spend(size)
-        except ResourceCeilingError:
-            raise ResourceCeilingError(
-                f"resource ceiling exceeded: more than {budget.ceiling} enumerated tables"
-                f" (fiber enumeration, degree {deg})") from None
         fibers_checked += len(results)
         for _, bad in results:
             if bad is not None:
@@ -413,11 +423,18 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
                         *, ceiling: int | None = None) -> tuple[int, Move] | None:
     """Smallest degree k <= k_max carrying a disjoint-support binomial pair.
 
-    Each degree scans the square-free tables (k-subsets of configurations in
-    lex order) first and then every table of degree k (increasing lex order
-    of counts); the witness is the first pair a scan meets, as the move
-    u - v with u the earlier table.  Every scanned table is charged to the
-    ceiling once.
+    A pair of degree-k tables with equal marginals and disjoint supports is
+    exactly the positive and negative part of a kernel vector of degree k.
+    So each degree first asks the lazy kernel-vector search for one vector
+    with both parts of degree <= k, and skips the degree when there is none;
+    the first degree with a vector is the answer.  Only that degree is
+    scanned for the witness: the square-free tables (k-subsets of
+    configurations in lex order) first and then every table of degree k
+    (increasing lex order of counts); the witness is the first pair the scan
+    meets, as the move u - v with u the earlier table.  The search needs a
+    facet, so a facet-free complex is scanned at every degree.  The ceiling
+    counts search assignments and scanned tables against one budget, and
+    its error names the phase and the degree reached.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -425,16 +442,21 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     budget = Budget(ceiling, "enumerated tables")
     size = space.size
     for k in range(1, k_max + 1):
+        if lay.nrows:
+            with _phase(budget, "kernel-vector search", k):
+                if next(_kernel_vectors(lay, k, budget), None) is None:
+                    continue
         # A degree-k marginal packed into one integer, k.bit_length() bits per
         # row: no entry exceeds k, so equal keys mean equal marginals.
         width = k.bit_length()
         weights = [sum(1 << (width * r) for r in rows) for rows in lay.rows_of]
         square_free = (tuple(int(ix in combo) for ix in range(size))
                        for combo in combinations(range(size), k))
-        for tables in (square_free, _tables_of_degree(size, k)):
-            vec = _first_disjoint_pair(tables, weights, budget)
-            if vec is not None:
-                return k, Move(space, vec)
+        with _phase(budget, "binomial scan", k):
+            for tables in (square_free, _tables_of_degree(size, k)):
+                vec = _first_disjoint_pair(tables, weights, budget)
+                if vec is not None:
+                    return k, Move(space, vec)
     return None
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from margo import binary_space, cli, fiber, interval_complement, interval_moves, polytope
+from margo import (binary_space, cli, fiber, interval_complement, interval_moves, polytope,
+                   uniform_complex)
 from margo.guards import Budget
 from margo.spaces import config_str, layout
 
@@ -142,6 +143,28 @@ def test_verify_markov_ceiling_is_run_wide(capsys):
     assert code1 == code2 == 2
     assert out1 == out2 == ""
     assert err1 == err2 and err1.startswith("margo: resource ceiling exceeded")
+
+
+def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
+    prefix = "margo: resource ceiling exceeded: more than"
+    argv = ["verify-markov", "--space", "2,2,2,2", "--G", "1", "--degree-limit", "4",
+            "--ceiling", "10"]
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, argv + ["--workers", workers])
+        assert code == 2 and out == ""
+        assert err == f"{prefix} 10 enumerated tables (kernel-vector search, degree 4)\n"
+
+    argv = ["degree-bound", "--complex", d2_path, "--space", "2,2,2"]
+    code, out, err = run(capsys, argv + ["--ceiling", "10"])
+    assert code == 2 and out == ""
+    assert err == f"{prefix} 10 enumerated tables (kernel-vector search, degree 1)\n"
+    # room for the searches of degrees 1..4 but not for the degree-4 scan
+    lay, searched = layout(uniform_complex(3, 2), binary_space(3)), Budget(None)
+    for k in (1, 2, 3, 4):
+        next(fiber._kernel_vectors(lay, k, searched), None)
+    code, out, err = run(capsys, argv + ["--ceiling", str(searched.used)])
+    assert code == 2 and out == ""
+    assert err == f"{prefix} {searched.used} enumerated tables (binomial scan, degree 4)\n"
 
 
 def test_ceiling_env_var_default(capsys, monkeypatch):

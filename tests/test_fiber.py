@@ -1,5 +1,5 @@
+import time
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -287,12 +287,64 @@ def test_min_binomial_degree_matches_oracle():
 
 
 def test_min_binomial_degree_charges_each_scanned_table_once():
-    # no binomial of degree <= 3 on d2: every square-free and every general
-    # table of degrees 1..3 on 8 cells is scanned
-    scanned = sum(comb(8, k) + comb(k + 7, 7) for k in (1, 2, 3))
-    assert min_binomial_degree(D2_3, B3, 3, ceiling=scanned) is None
-    with pytest.raises(ResourceCeilingError):
-        min_binomial_degree(D2_3, B3, 3, ceiling=scanned - 1)
+    # no binomial of degree <= 3 on d2: the kernel-vector search runs to its
+    # end at each degree 1..3, finds nothing, and no table is scanned
+    lay = layout(D2_3, B3)
+    searched = Budget(None)
+    for k in (1, 2, 3):
+        assert next(fiber._kernel_vectors(lay, k, searched), None) is None
+    assert min_binomial_degree(D2_3, B3, 3, ceiling=searched.used) is None
+    with pytest.raises(ResourceCeilingError, match=r"\(kernel-vector search, degree 3\)$"):
+        min_binomial_degree(D2_3, B3, 3, ceiling=searched.used - 1)
+
+    # u(4,3) over 2^4: the searches at degrees 1..7 find nothing, the one at
+    # degree 8 stops at its first vector, and the degree-8 square-free scan
+    # charges every 8-subset up to the witness's negative part
+    cx, sp = uniform_complex(4, 3), binary_space(4)
+    lay = layout(cx, sp)
+    searched = Budget(None)
+    for k in range(1, 8):
+        assert next(fiber._kernel_vectors(lay, k, searched), None) is None
+    assert next(fiber._kernel_vectors(lay, 8, searched), None) is not None
+    k, move = min_binomial_degree(cx, sp, 8)
+    negative = tuple(ix for ix, v in enumerate(move.vector) if v < 0)
+    assert k == 8 and len(negative) == 8 and all(abs(v) == 1 for v in move.vector)
+    run = searched.used + list(combinations(range(16), 8)).index(negative) + 1
+    assert min_binomial_degree(cx, sp, 8, ceiling=run) == (8, move)
+    with pytest.raises(ResourceCeilingError, match=r"\(binomial scan, degree 8\)$"):
+        min_binomial_degree(cx, sp, 8, ceiling=run - 1)
+
+
+def test_min_binomial_degree_agrees_with_oracle_on_four_variables():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # every complex on 4 indices, the facet-free one and {empty set} included
+    complexes = [*all_complexes(4), from_facets(4, [set()])]
+    spaces = [(2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 2), (2, 2, 2, 3)]
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cx=st.sampled_from(complexes), cards=st.sampled_from(spaces),
+                      k_max=st.integers(1, 4))
+    def check(cx, cards, k_max):
+        sp = ConfigSpace(cards)
+        got = min_binomial_degree(cx, sp, k_max)
+        want = naive_min_binomial_degree(cx, sp, k_max)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0] and got[1].vector == want[1].vector
+
+    check()
+
+
+def test_min_binomial_degree_on_ten_binary_variables():
+    # a large kernel: the existence check stops at its first vector
+    cx, sp = from_facets(10, [{1, 2}]), binary_space(10)
+    start = time.perf_counter()
+    for k_max in (1, 2):
+        k, move = min_binomial_degree(cx, sp, k_max)
+        assert k == 1
+        assert marginal_map(cx, move.positive) == marginal_map(cx, move.negative)
+    assert time.perf_counter() - start < 1
 
 
 def test_min_binomial_degree_witness_is_fiber_pair():

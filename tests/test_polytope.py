@@ -258,6 +258,22 @@ def test_reduced_sweep_matches_unreduced_oracle():
             assert neighborliness(cx, space, 4) == naive_neighborliness(cx, space, 4), (cx, sizes)
 
 
+def test_reduced_sweep_agrees_with_oracle_on_random_complexes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    complexes = list(all_complexes(3))  # the facet-free one included
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cx=st.sampled_from(complexes),
+                      sizes=st.tuples(*[st.sampled_from([2, 3])] * 3),
+                      k_max=st.integers(1, 3))
+    def check(cx, sizes, k_max):
+        space = ConfigSpace(sizes)
+        assert neighborliness(cx, space, k_max) == naive_neighborliness(cx, space, k_max)
+
+    check()
+
+
 def test_orbit_representatives_counts():
     cases = [
         (D2_3, ConfigSpace((3, 3, 2)), [1, 5, 12, 40]),
