@@ -3,7 +3,7 @@
 Exit codes: 0 success or PASS, 1 theorem-check counterexample, 2 resource
 ceiling hit, 64 usage error, 70 internal error (a bug, never a verdict).
 Reports are plain text with a stable schema; identical inputs and flags
-produce byte-identical reports regardless of the worker count.
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -82,13 +82,6 @@ def _configs_str(configs, space) -> str:
     return " ".join(spaces.config_str(x, space) for x in configs)
 
 
-def _table_configs(u: spaces.ContingencyTable) -> str:
-    parts = []
-    for x, c in zip(u.space.configs(), u.counts):
-        parts.extend([spaces.config_str(x, u.space)] * c)
-    return " ".join(parts)
-
-
 def _g_and_bound(cx) -> tuple[int | None, int | None]:
     try:
         g = cx.min_nonface_cardinality()
@@ -147,7 +140,7 @@ def _cmd_verify_markov(args) -> int:
             raise UsageError(f"--drop-move index out of range 0..{len(moves) - 1}")
         del moves[args.drop_move]
     report = fiber.verify_markov_basis(cx, space, moves, args.degree_limit,
-                                       ceiling=args.ceiling, workers=args.workers)
+                                       ceiling=args.ceiling)
     pairs = [
         ("command", "verify-markov"),
         ("complex", _complex_str(cx)),
@@ -176,8 +169,8 @@ def _cmd_verify_markov(args) -> int:
             ("witness-marginal", rendered),
             ("witness-fiber-size", str(bad.fiber.size)),
             ("witness-components", str(bad.report.components)),
-            ("witness-u", _table_configs(u)),
-            ("witness-v", _table_configs(v)),
+            ("witness-u", " ".join(fiber.tableau(u).splitlines())),
+            ("witness-v", " ".join(fiber.tableau(v).splitlines())),
         ])
     _emit(args, _render(args, pairs))
     return 0 if report.passed else 1
@@ -229,8 +222,7 @@ def _cmd_neighborly(args) -> int:
         kmax = bound  # one past the guaranteed neighborliness, to probe sharpness
     else:
         kmax = space.size
-    report = polytope.neighborliness(cx, space, kmax, ceiling=args.ceiling,
-                                     workers=args.workers)
+    report = polytope.neighborliness(cx, space, kmax, ceiling=args.ceiling)
     pairs = [
         ("command", "neighborly"),
         ("complex", _complex_str(cx)),
@@ -358,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--drop-move", type=int, metavar="I", help="remove move I before verifying")
     sp.add_argument("--degree-limit", type=int, required=True, metavar="T")
     sp.add_argument("--ceiling", type=int)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--kv", action="store_true", help="emit key=value lines")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_verify_markov)
@@ -379,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--G", metavar="I,J,...")
     sp.add_argument("--kmax", type=int)
     sp.add_argument("--ceiling", type=int)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--kv", action="store_true")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_neighborly)

@@ -22,13 +22,21 @@ disconnected ones among these, so verdict and least witness agree with
 the literal definition: enumerate every table of degree <= T, bucket by
 marginal, check each bucket.  That sweep costs the number of all
 bounded-degree tables and lives in the test suite as the oracle.
+
+The same induction settles most checked fibers without a move.  When the
+run reaches degree t, every fiber of lower degree is connected, or it would
+have stopped.  Join two tables of a degree-t fiber when their supports
+share a cell; the components of the fiber graph are unions of the classes
+of this relation (the shared-support graph G(b) of Charalambous, Katsabekis
+and Thoma, Proc. AMS 2007; the lower-degree equivalence of Takemura and
+Aoki, AISM 2004).  A fiber with one class is connected, and only fibers
+with two or more classes run the move search, whose report and witness
+are therefore those of the plain search.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, product
 from math import prod
 from operator import mul, sub
@@ -36,8 +44,7 @@ from typing import Iterator, Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
-from .guards import Budget, ResourceCeilingError
-from .parallel import run_ordered
+from .guards import Budget, phase
 from .spaces import (
     ConfigSpace,
     ContingencyTable,
@@ -321,32 +328,32 @@ def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
             raise ValueError("move is not in the kernel of the marginal map")
 
 
-@contextmanager
-def _phase(budget: Budget, phase: str, degree: int) -> Iterator[None]:
-    """Re-raise a ceiling error from the block as one that names the run's
-    ceiling, the phase and the degree reached."""
-    try:
-        yield
-    except ResourceCeilingError:
-        raise ResourceCeilingError(
-            f"resource ceiling exceeded: more than {budget.ceiling} {budget.what}"
-            f" ({phase}, degree {degree})") from None
+def _one_support_class(fiber: Fiber) -> bool:
+    """Whether the tables of a fiber form one class under "share a support cell".
 
+    A union-find over the cells joins the cells of each table's support; the
+    tables form one class when every table's support lands in one set.
+    """
+    parent = list(range(fiber.space.size))
 
-def _check_fiber(cx: SimplicialComplex, space: ConfigSpace, moves: tuple[Move, ...],
-                 blocks: tuple, ceiling: int,
-                 entries: tuple[int, ...]) -> tuple[int, DisconnectedFiber | None]:
-    """The fiber's size, and the fiber with its report when it is disconnected."""
-    fiber = enumerate_fiber(cx, space, MarginalVector(entries, blocks), ceiling=ceiling)
-    if fiber.size <= 1:
-        return fiber.size, None
-    report = fiber_connected(fiber, moves)
-    return fiber.size, None if report.connected else DisconnectedFiber(fiber, report)
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    firsts = []
+    for t in fiber.tables:
+        cells = [ix for ix, v in enumerate(t.counts) if v]
+        root = find(cells[0])
+        for c in cells[1:]:
+            parent[find(c)] = root
+        firsts.append(cells[0])
+    return len({find(c) for c in firsts}) == 1
 
 
 def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequence[Move],
-                        degree_limit: int, *, ceiling: int | None = None,
-                        workers: int = 1) -> MarkovReport:
+                        degree_limit: int, *, ceiling: int | None = None) -> MarkovReport:
     """Check that the moves connect every fiber of degree <= degree_limit.
 
     Passing is evidence up to the stated bound, not a proof for all degrees.
@@ -354,12 +361,17 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     degree, then lexicographically least marginal) and a witness pair of
     tables in distinct components.
 
+    Each fiber whose tables form one shared-support class is connected by
+    the induction in the module docstring; only the others run the move
+    search of `fiber_connected`.  Every fiber of a degree is enumerated,
+    charged and checked before a disconnected one is reported.
+
     One ceiling bounds the whole run: the kernel-vector search spends it
-    first, every checked fiber is then charged its size in task order, and
-    each fiber's own enumeration is capped at what was left when its degree
-    began, so verdicts and ceiling errors do not depend on the worker count.
-    A ceiling error names the run's ceiling, the phase and the degree: the
-    search's degree limit, or the degree of the fibers being checked.
+    first, every checked fiber is then charged its size in marginal order,
+    and each fiber's own enumeration is capped at what was left when its
+    degree began.  A ceiling error names the run's ceiling, the phase and
+    the degree: the search's degree limit, or the degree of the fibers being
+    checked.
     """
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
@@ -372,7 +384,7 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
         raise ValueError("cannot verify a model with no facets: every fiber is infinite")
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
-    with _phase(budget, "kernel-vector search", degree_limit):
+    with phase(budget, f"kernel-vector search, degree {degree_limit}"):
         for vec in _kernel_vectors(lay, degree_limit, budget):
             plus = tuple(max(v, 0) for v in vec)
             deg = sum(plus)
@@ -381,15 +393,20 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
 
     fibers_checked = 0
     for deg in sorted(by_degree):
-        task = partial(_check_fiber, cx, space, moves, blocks, budget.ceiling - budget.used)
-        with _phase(budget, "fiber enumeration", deg):
-            results = run_ordered(task, sorted(by_degree[deg]), workers)
-            for size, _ in results:
-                budget.spend(size)
-        fibers_checked += len(results)
-        for _, bad in results:
-            if bad is not None:
-                return MarkovReport(False, degree_limit, fibers_checked, bad)
+        cap = budget.ceiling - budget.used
+        bad = None
+        with phase(budget, f"fiber enumeration, degree {deg}"):
+            for entries in sorted(by_degree[deg]):
+                fiber = enumerate_fiber(cx, space, MarginalVector(entries, blocks), ceiling=cap)
+                budget.spend(fiber.size)
+                if _one_support_class(fiber):
+                    continue
+                report = fiber_connected(fiber, moves)
+                if bad is None and not report.connected:
+                    bad = DisconnectedFiber(fiber, report)
+        fibers_checked += len(by_degree[deg])
+        if bad is not None:
+            return MarkovReport(False, degree_limit, fibers_checked, bad)
     return MarkovReport(True, degree_limit, fibers_checked, None)
 
 
@@ -443,7 +460,7 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     size = space.size
     for k in range(1, k_max + 1):
         if lay.nrows:
-            with _phase(budget, "kernel-vector search", k):
+            with phase(budget, f"kernel-vector search, degree {k}"):
                 if next(_kernel_vectors(lay, k, budget), None) is None:
                     continue
         # A degree-k marginal packed into one integer, k.bit_length() bits per
@@ -452,7 +469,7 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
         weights = [sum(1 << (width * r) for r in rows) for rows in lay.rows_of]
         square_free = (tuple(int(ix in combo) for ix in range(size))
                        for combo in combinations(range(size), k))
-        with _phase(budget, "binomial scan", k):
+        with phase(budget, f"binomial scan, degree {k}"):
             for tables in (square_free, _tables_of_degree(size, k)):
                 vec = _first_disjoint_pair(tables, weights, budget)
                 if vec is not None:

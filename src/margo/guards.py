@@ -8,6 +8,8 @@ The default comes from the MARGO_CEILING environment variable when set.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import Iterator
 
 DEFAULT_CEILING = 10_000_000
 
@@ -43,3 +45,14 @@ class Budget:
                 f"resource ceiling exceeded: more than {self.ceiling} {self.what}"
             )
 
+
+@contextmanager
+def phase(budget: Budget, where: str) -> Iterator[None]:
+    """Re-raise a ceiling error from the block as one that names the run's
+    ceiling and `where` the run was: the phase and the degree or level reached."""
+    try:
+        yield
+    except ResourceCeilingError:
+        raise ResourceCeilingError(
+            f"resource ceiling exceeded: more than {budget.ceiling} {budget.what} ({where})"
+        ) from None

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
-from .guards import Budget
-from .parallel import run_ordered
+from .guards import Budget, phase
 from .spaces import (Config, ConfigSpace, MarginalMatrix, layout, marginal_matrix,
                      symmetry_generators)
 
@@ -305,12 +303,6 @@ class NeighborlinessReport:
     witness: FacialityCertificate | None
 
 
-def _facial_verdict(cx: SimplicialComplex, space: ConfigSpace,
-                    combo: tuple[int, ...]) -> FacialityCertificate | None:
-    cert = is_facial(cx, space, [space.config(ix) for ix in combo])
-    return None if cert.is_face else cert
-
-
 def _orbit_representatives(generators: Sequence[Sequence[int]], size: int,
                            k: int) -> list[tuple[int, ...]]:
     """The lex-least k-subset of range(size) in each orbit, in lex order.
@@ -338,7 +330,7 @@ def _orbit_representatives(generators: Sequence[Sequence[int]], size: int,
 
 
 def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
-                   *, ceiling: int | None = None, workers: int = 1) -> NeighborlinessReport:
+                   *, ceiling: int | None = None) -> NeighborlinessReport:
     """Largest k <= k_max such that every set of <= k columns spans a face.
 
     Sweeps set sizes in increasing order and, within a size, subsets in
@@ -351,7 +343,7 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     non-facial subset holds only non-facial subsets, none of them earlier,
     so that subset is the lex-least member of its orbit and is tested.
     The ceiling counts every k-subset of a level, charged before the level
-    is enumerated.
+    is enumerated; its error names the level reached.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -359,13 +351,13 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     size = space.size
     generators = None
     for k in range(1, min(k_max, size) + 1):
-        budget.spend(comb(size, k))
+        with phase(budget, f"neighborliness sweep, level {k}"):
+            budget.spend(comb(size, k))
         if generators is None:  # each holds `size` entries: build once k=1 is paid for
             generators = symmetry_generators(cx, space)
-        reps = _orbit_representatives(generators, size, k)
-        verdicts = run_ordered(partial(_facial_verdict, cx, space), reps, workers)
-        for cert in verdicts:
-            if cert is not None:
+        for combo in _orbit_representatives(generators, size, k):
+            cert = is_facial(cx, space, [space.config(ix) for ix in combo])
+            if not cert.is_face:
                 if not cert.recheck(marginal_matrix(cx, space)):
                     raise AssertionError(
                         f"non-face certificate for k={k} failed its exact re-check")

@@ -340,10 +340,7 @@ def test_criterion_10_determinism(capsys, d2_path):
             ["neighborly", "--complex", d2_path, "--space", "3,3,3", "--kmax", "4"],
         ]
         for argv in commands:
-            # degree-bound is serial and takes no --workers: it simply runs twice
-            flags = ([], []) if argv[0] == "degree-bound" else (["--workers", "1"],
-                                                                 ["--workers", "8"])
-            code1, out1 = run_cli(capsys, argv + flags[0])
-            code8, out8 = run_cli(capsys, argv + flags[1])
-            assert code1 == code8
-            assert out1 == out8, argv
+            code1, out1 = run_cli(capsys, argv)
+            code2, out2 = run_cli(capsys, argv)
+            assert code1 == code2
+            assert out1 == out2, argv

@@ -116,7 +116,10 @@ def test_removed_flags_are_usage_errors(capsys, ind_path):
     for argv in (["verify-markov", "--space", "2,2,2", "--G", "1,2,3",
                   "--degree-limit", "6", "--method", "tables"],
                  ["matrix", "--complex", ind_path, "--space", "2,2", "--seed", "1"],
-                 ["degree-bound", "--complex", ind_path, "--space", "2,2", "--workers", "2"]):
+                 ["degree-bound", "--complex", ind_path, "--space", "2,2", "--workers", "2"],
+                 ["verify-markov", "--space", "2,2,2", "--G", "1,2,3", "--degree-limit", "6",
+                  "--workers", "2"],
+                 ["neighborly", "--complex", ind_path, "--space", "2,2", "--workers", "2"]):
         code, out, err = run(capsys, argv)
         assert code == 64 and out == ""
         assert err.startswith("margo: usage error: unrecognized arguments")
@@ -138,21 +141,19 @@ def test_verify_markov_ceiling_is_run_wide(capsys):
                                6, kernel))
     argv = ["verify-markov", "--space", "2,2,2,2,2", "--G", "1,2",
             "--degree-limit", "6", "--ceiling", str(kernel.used)]
-    code1, out1, err1 = run(capsys, argv + ["--workers", "1"])
-    code2, out2, err2 = run(capsys, argv + ["--workers", "2"])
-    assert code1 == code2 == 2
-    assert out1 == out2 == ""
-    assert err1 == err2 and err1.startswith("margo: resource ceiling exceeded")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("margo: resource ceiling exceeded")
 
 
 def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
     prefix = "margo: resource ceiling exceeded: more than"
     argv = ["verify-markov", "--space", "2,2,2,2", "--G", "1", "--degree-limit", "4",
             "--ceiling", "10"]
-    for workers in ("1", "2"):
-        code, out, err = run(capsys, argv + ["--workers", workers])
-        assert code == 2 and out == ""
-        assert err == f"{prefix} 10 enumerated tables (kernel-vector search, degree 4)\n"
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"{prefix} 10 enumerated tables (kernel-vector search, degree 4)\n"
 
     argv = ["degree-bound", "--complex", d2_path, "--space", "2,2,2"]
     code, out, err = run(capsys, argv + ["--ceiling", "10"])
@@ -165,6 +166,13 @@ def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
     code, out, err = run(capsys, argv + ["--ceiling", str(searched.used)])
     assert code == 2 and out == ""
     assert err == f"{prefix} {searched.used} enumerated tables (binomial scan, degree 4)\n"
+
+    # 27 configurations fit under the ceiling at level 1, their 351 pairs do not
+    argv = ["neighborly", "--complex", d2_path, "--space", "3,3,3", "--kmax", "4",
+            "--ceiling", "100"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"{prefix} 100 subsets tested (neighborliness sweep, level 2)\n"
 
 
 def test_ceiling_env_var_default(capsys, monkeypatch):
@@ -199,17 +207,6 @@ def test_neighborly_report(capsys, d2_path):
     assert "witness: 000 011 101 110" in out
     assert "certificate: 001=1/4 010=1/4 100=1/4 111=1/4" in out
     assert "status: PASS" in out
-
-
-def test_worker_count_does_not_change_reports(capsys, d2_path):
-    code1, out1, _ = run(capsys, ["neighborly", "--complex", d2_path,
-                                  "--space", "2,2,2", "--kmax", "4",
-                                  "--workers", "1"])
-    code2, out2, _ = run(capsys, ["neighborly", "--complex", d2_path,
-                                  "--space", "2,2,2", "--kmax", "4",
-                                  "--workers", "4"])
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_internal_errors_exit_70(capsys, d2_path, monkeypatch):

@@ -190,6 +190,45 @@ def test_verify_markov_agrees_with_table_sweep_on_interval_move_subsets():
     check()
 
 
+def test_verify_markov_agrees_with_table_sweep_off_binary_interval_models():
+    # moves drawn from the kernel vectors of the least degree carrying any:
+    # 4 for d2 over 3,2,2 (it has none of degree 2), 2 for independence over 3,3
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = []
+    for cx, sp, degree in ((D2_3, ConfigSpace((3, 2, 2)), 4),
+                           (INDEPENDENCE, ConfigSpace((3, 3)), 2)):
+        vectors = sorted(naive_kernel_vectors(cx, sp, degree))
+        cases.append((cx, sp, [Move(sp, v) for v in vectors]))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(case=st.sampled_from(cases), limit=st.integers(1, 6), data=st.data())
+    def check(case, limit, data):
+        cx, sp, moves = case
+        keep = data.draw(st.lists(st.booleans(), min_size=len(moves), max_size=len(moves)))
+        chosen = [m for m, k in zip(moves, keep) if k]
+        assert_matches_table_sweep(cx, sp, chosen, limit)
+
+    check()
+
+
+def test_one_support_class_fibers_are_connected():
+    # the induction behind the class check, on every fiber verify_markov_basis
+    # checks for the interval moves of 2^4 G={1,2} up to degree 6
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    lay, moves = layout(cx, sp), interval_moves(4, {1, 2})
+    marginals = {lay.marginal_entries(tuple(max(v, 0) for v in vec))
+                 for vec in fiber._kernel_vectors(lay, 6, Budget(None))}
+    accepted = 0
+    for entries in marginals:
+        fib = enumerate_fiber(cx, sp, MarginalVector(entries, lay.blocks()))
+        if fiber._one_support_class(fib):
+            accepted += 1
+            assert fiber_connected(fib, moves).connected
+    # 4 of the 34 fibers keep two or more classes and need the move search
+    assert (accepted, len(marginals)) == (30, 34)
+
+
 def test_verify_markov_rejects_non_kernel_move():
     with pytest.raises(ValueError, match="kernel"):
         verify_markov_basis(INDEPENDENCE, B2, [Move(B2, (1, 0, 0, 0))], 4)
@@ -213,11 +252,10 @@ def test_verify_markov_ceiling_covers_fibers_too():
                                                    r" \(fiber enumeration, degree 6\)$"):
         verify_markov_basis(cx, sp, moves, 6, ceiling=run - 1)
     # the kernel search alone fits and leaves no room for any fiber; the error
-    # names the run's ceiling and the phase, at any worker count
-    for workers in (1, 2):
-        with pytest.raises(ResourceCeilingError, match=rf"more than {kernel.used} enumerated"
-                                                       r" tables \(fiber enumeration, degree 2\)$"):
-            verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used, workers=workers)
+    # names the run's ceiling and the phase
+    with pytest.raises(ResourceCeilingError, match=rf"more than {kernel.used} enumerated"
+                                                   r" tables \(fiber enumeration, degree 2\)$"):
+        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used)
 
 
 def test_min_binomial_degree_independence():
