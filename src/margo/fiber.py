@@ -32,18 +32,30 @@ and Thoma, Proc. AMS 2007; the lower-degree equivalence of Takemura and
 Aoki, AISM 2004).  A fiber with one class is connected, and only fibers
 with two or more classes run the move search, whose report and witness
 are therefore those of the plain search.
+
+Fibers of cone-point complexes
+------------------------------
+When two or more facets all contain a nonempty set S of variables, a table
+splits into slices, one per value of x_S, and the marginal of each facet F
+splits the same way into the marginals of the slice model with facets
+F minus S.  The fiber is therefore the product of the slice fibers (the
+toric fiber product of Sullivant, J. Algebra 2007; used for Markov bases
+by Dobra and Sullivant, Comput. Stat. 2004).  `enumerate_fiber` walks each
+distinct slice marginal once and assembles the product; every
+`interval_complement(n, G)` is such a complex, with S = [n] minus G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache, reduce
+from itertools import chain, combinations, product, repeat
 from math import prod
-from operator import mul, sub
+from operator import and_, itemgetter, lshift, sub
 from typing import Iterator, Sequence
 
 from .characters import Move
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, from_facets
 from .guards import Budget, phase
 from .spaces import (
     ConfigSpace,
@@ -52,6 +64,7 @@ from .spaces import (
     MarginalVector,
     config_str,
     layout,
+    sub_space,
 )
 
 
@@ -106,37 +119,62 @@ def _completions(lay: MarginalLayout, walk: Sequence[int]) -> list[tuple[int, ..
     return [tuple(sorted(rs)) for rs in out]
 
 
-def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector,
-                    *, ceiling: int | None = None) -> Fiber:
-    """All nonnegative integer tables with the given marginal vector.
+@lru_cache(maxsize=None)
+def _slices(lay: MarginalLayout
+            ) -> tuple[MarginalLayout, tuple[tuple[int, ...], ...], itemgetter] | None:
+    """A model whose two or more facets all contain the variables S, cut into slices.
+
+    None when the facets share no variable (or are fewer than two).  Else the
+    layout of the slice model, with the facets F minus S on the other
+    variables; per value of x_S in lex order, the full model's row for each
+    row of the slice model; and a getter that maps the slice tables,
+    concatenated in that order, to a full table.  Cached per layout, and so
+    per (complex, space) like `layout` itself.
+    """
+    cx, space = lay.complex, lay.space
+    common = reduce(and_, cx.facet_masks) if len(cx.facet_masks) >= 2 else 0
+    if not common:
+        return None
+    cone = [i for i in range(1, cx.n + 1) if common >> (i - 1) & 1]
+    rest = [i for i in range(1, cx.n + 1) if not common >> (i - 1) & 1]
+    renumber = {i: k for k, i in enumerate(rest, start=1)}
+    faces = [frozenset(renumber[i] for i in f if i in renumber) for f in cx.facets]
+    part = MarginalLayout(from_facets(len(rest), faces), sub_space(space, rest))
+    facet_of = [faces.index(frozenset(members)) for members in part.facet_members]
+    cone_space = sub_space(space, cone)
+    rows = [[0] * part.nrows for _ in range(cone_space.size)]
+    position = [0] * space.size
+    for ix, x in enumerate(space.configs()):
+        s = cone_space.index([x[i - 1] for i in cone])
+        j = part.space.index([x[i - 1] for i in rest])
+        position[ix] = s * part.space.size + j
+        for f, r in enumerate(part.rows_of[j]):
+            rows[s][r] = lay.rows_of[ix][facet_of[f]]
+    return part, tuple(map(tuple, rows)), itemgetter(*position)
+
+
+def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tuple[int, ...]]:
+    """The counts of every table with the given marginal entries, in lex order.
 
     Depth-first assignment over configurations in lex order; each facet row
     keeps a remaining budget, and a row's last configuration is forced to
-    spend the remainder exactly.  The walk keeps an explicit stack (the
-    value at each configuration and its upper end), so its depth is not
-    bounded by the interpreter's recursion limit.
+    spend the remainder exactly.  Every assignment is charged to the budget.
+    The walk keeps an explicit stack (the value at each configuration and
+    its upper end), so its depth is not bounded by the recursion limit.
     """
-    lay = layout(cx, space)
-    if lay.nrows == 0:
-        raise ValueError("fiber is infinite: complex has no facets")
-    if b.blocks != lay.blocks():
-        raise ValueError("marginal blocks do not match the complex and space")
-    if not b.is_consistent():
-        raise ValueError("inconsistent marginal: facet blocks sum to different totals")
-    budget = Budget(ceiling, "fiber assignments")
-    size = space.size
+    size = lay.space.size
     rows_of = lay.rows_of
     completions = _completions(lay, range(size))
-    remaining = list(b.entries)
+    remaining = list(entries)
     counts = [0] * size
     top = [0] * size
-    tables: list[ContingencyTable] = []
+    tables: list[tuple[int, ...]] = []
 
     ix = 0
     while True:
         # open configuration ix at the lowest value of its range
         if ix == size:
-            tables.append(ContingencyTable(space, tuple(counts)))
+            tables.append(tuple(counts))
         else:
             rows = rows_of[ix]
             hi = min(remaining[r] for r in rows)
@@ -165,7 +203,7 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
             counts[ix] = 0
             ix -= 1
         if ix < 0:
-            return Fiber(cx, space, b, tuple(tables))
+            return tables
         budget.spend()
         counts[ix] += 1
         for r in rows_of[ix]:
@@ -173,38 +211,105 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
         ix += 1
 
 
+def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector,
+                    *, ceiling: int | None = None) -> Fiber:
+    """All nonnegative integer tables with the given marginal vector, in lex order.
+
+    When two or more facets all contain a nonempty set S of variables (every
+    `interval_complement(n, G)`, with S = [n] minus G), the fiber is the
+    product, over the values s of x_S, of the fibers of the slice model: the
+    facets F minus S on the other variables, with the marginal entries of
+    the rows at x_S = s (the toric fiber product of Sullivant, J. Algebra
+    2007).  Each distinct slice marginal is enumerated once by the
+    depth-first walk of `_dfs`; the product is then assembled into full
+    tables and sorted.  Every other complex runs the walk on the full model.
+
+    The ceiling counts fiber assignments: the walk's assignments on the
+    full model, or the slice walks' assignments and then the product's size,
+    charged before any table of the product is assembled.
+    """
+    lay = layout(cx, space)
+    if lay.nrows == 0:
+        raise ValueError("fiber is infinite: complex has no facets")
+    if b.blocks != lay.blocks():
+        raise ValueError("marginal blocks do not match the complex and space")
+    if not b.is_consistent():
+        raise ValueError("inconsistent marginal: facet blocks sum to different totals")
+    budget = Budget(ceiling, "fiber assignments")
+    slices = _slices(lay)
+    if slices is None:
+        tables = _dfs(lay, b.entries, budget)
+    else:
+        part, slice_rows, assemble = slices
+        walks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        parts = []
+        for rows in slice_rows:
+            entries = tuple(b.entries[r] for r in rows)
+            if entries not in walks:
+                walks[entries] = _dfs(part, entries, budget)
+            parts.append(walks[entries])
+        budget.spend(prod(map(len, parts)))
+        joined: list[tuple[int, ...]] = [()]
+        for slice_tables in parts:
+            joined = [head + t for head in joined for t in slice_tables]
+        tables = sorted(map(assemble, joined))
+    return Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
+
+
 def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     """Connected components of the fiber graph under the given moves.
 
     Edges join tables differing by plus or minus one move when the step stays
     nonnegative.  Rejects moves outside the kernel of the marginal map.
+
+    Each table is packed into one integer, `width` bits per cell with cell 0
+    lowest: enough bits for the largest entry a step can reach (the largest
+    table degree plus the largest move entry) and one guard bit on top, and
+    at least 8, so that small entries pack a byte each.
+    Each signed move is precomputed as its packed delta and its packed
+    negative part N.  A step applies when the table covers N: adding the
+    guard bits and subtracting N borrows across no field, and leaves a
+    field's guard bit set exactly when its entry covers that field of N.
+    The neighbour's key is then the table's key plus the delta, looked up
+    among the fiber's keys.  This is a plain search over the whole fiber,
+    with no induction hypothesis; components and witness are those of the
+    tables themselves.
     """
     _validate_moves(layout(fiber.complex, fiber.space), moves)
+    tables = [t.counts for t in fiber.tables]
+    reach = max((abs(v) for m in moves for v in m.vector), default=0)
+    width = max(8, (max(map(sum, tables), default=0) + reach).bit_length() + 1)
+    shifts = [width * i for i in range(fiber.space.size)]
+
+    def pack(vec: Sequence[int]) -> int:
+        return sum(map(lshift, vec, shifts))
+
+    guard = pack([1 << (width - 1)] * fiber.space.size)
     steps = []
     for m in moves:
-        steps.append(m.vector)
-        steps.append(tuple(-v for v in m.vector))
+        for vec in (m.vector, tuple(-v for v in m.vector)):
+            steps.append((guard - pack([max(-v, 0) for v in vec]), pack(vec)))
 
-    tables = [t.counts for t in fiber.tables]
-    index = {t: i for i, t in enumerate(tables)}
+    if width == 8:  # bytes() packs 8-bit cells in C
+        keys = [int.from_bytes(bytes(t), "little") for t in tables]
+    else:
+        keys = list(map(pack, tables))
+    index = {key: i for i, key in enumerate(keys)}
     component = [-1] * len(tables)
     ncomp = 0
     for start in range(len(tables)):
         if component[start] != -1:
             continue
         component[start] = ncomp
-        stack = [start]
+        stack = [keys[start]]
         while stack:
-            i = stack.pop()
-            base = tables[i]
-            for step in steps:
-                w = tuple(a + d for a, d in zip(base, step))
-                if any(v < 0 for v in w):
-                    continue
-                j = index.get(w)
-                if j is not None and component[j] == -1:
-                    component[j] = ncomp
-                    stack.append(j)
+            key = stack.pop()
+            for cover, delta in steps:
+                if (key + cover) & guard == guard:
+                    j = index.get(key + delta)
+                    if j is not None and component[j] == -1:
+                        component[j] = ncomp
+                        stack.append(keys[j])
         ncomp += 1
 
     witness = None
@@ -411,28 +516,33 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
 
 
 def _tables_of_degree(size: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every table of degree k on `size` cells, in increasing lex order (stars and bars)."""
-    steps = range(size - 1)
+    """Every table of degree k on `size` cells, in increasing lex order of counts
+    (stars and bars), each as the tuple of its cells repeated by their counts."""
+    steps, cells = range(size - 1), range(size)
     for bars in combinations(range(k + size - 1), size - 1):
         cuts = (0, *map(sub, bars, steps), k)  # stars left of each bar
-        yield tuple(map(sub, cuts[1:], cuts))
+        yield tuple(chain.from_iterable(map(repeat, cells, map(sub, cuts[1:], cuts))))
 
 
 def _first_disjoint_pair(tables: Iterator[tuple[int, ...]], weights: Sequence[int],
-                         budget: Budget) -> tuple[int, ...] | None:
-    """u - v for the first table v sharing its marginal with an earlier u of disjoint support.
+                         budget: Budget) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(u, v) for the first table v sharing its marginal with an earlier u of disjoint support.
 
-    Tables are bucketed by the key sum(counts * weights), which stands for the
+    A table comes as the tuple of its cells, each repeated by its count.  Tables
+    are bucketed by the key sum of their cells' weights, which stands for the
     marginal (see `min_binomial_degree`).
     """
+    weight = weights.__getitem__
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for counts in tables:
+    for cells in tables:
         budget.spend()
-        bucket = buckets.setdefault(sum(map(mul, counts, weights)), [])
-        for other in bucket:
-            if not any(map(mul, other, counts)):
-                return tuple(map(sub, other, counts))
-        bucket.append(counts)
+        bucket = buckets.setdefault(sum(map(weight, cells)), [])
+        if bucket:
+            support = set(cells)
+            for other in bucket:
+                if support.isdisjoint(other):
+                    return other, cells
+        bucket.append(cells)
     return None
 
 
@@ -448,7 +558,10 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     scanned for the witness: the square-free tables (k-subsets of
     configurations in lex order) first and then every table of degree k
     (increasing lex order of counts); the witness is the first pair the scan
-    meets, as the move u - v with u the earlier table.  The search needs a
+    meets, as the move u - v with u the earlier table.  The scan holds each
+    table as the tuple of its cells (a k-subset, or a multiset): its key is
+    the sum of its cells' weights and disjointness is a set test, so the
+    move's vector is built for the witness alone.  The search needs a
     facet, so a facet-free complex is scanned at every degree.  The ceiling
     counts search assignments and scanned tables against one budget, and
     its error names the phase and the degree reached.
@@ -467,13 +580,16 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
         # row: no entry exceeds k, so equal keys mean equal marginals.
         width = k.bit_length()
         weights = [sum(1 << (width * r) for r in rows) for rows in lay.rows_of]
-        square_free = (tuple(int(ix in combo) for ix in range(size))
-                       for combo in combinations(range(size), k))
         with phase(budget, f"binomial scan, degree {k}"):
-            for tables in (square_free, _tables_of_degree(size, k)):
-                vec = _first_disjoint_pair(tables, weights, budget)
-                if vec is not None:
-                    return k, Move(space, vec)
+            for tables in (combinations(range(size), k), _tables_of_degree(size, k)):
+                pair = _first_disjoint_pair(tables, weights, budget)
+                if pair is not None:
+                    vec = [0] * size
+                    for ix in pair[0]:
+                        vec[ix] += 1
+                    for ix in pair[1]:
+                        vec[ix] -= 1
+                    return k, Move(space, tuple(vec))
     return None
 
 

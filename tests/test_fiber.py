@@ -27,6 +27,7 @@ from margo.guards import Budget
 from margo.spaces import MarginalVector, layout
 
 from conftest import (
+    _components,
     all_complexes,
     naive_fiber,
     naive_kernel_vectors,
@@ -445,7 +446,115 @@ def test_kernel_vector_search_nodes_on_interval_complement():
 
 
 def test_enumerate_fiber_on_ten_binary_variables():
-    # 1024 configurations, more than the default recursion limit
-    cx, sp = interval_complement(10, {1, 2}), binary_space(10)
+    # 1024 configurations, more than the default recursion limit: the slice
+    # product of 2^10 G={1,2}, and the full walk on a complex without a cone point
+    sp = binary_space(10)
     u = ContingencyTable.indicator(sp, (0,) * 10)
-    assert enumerate_fiber(cx, sp, marginal_map(cx, u)).tables == (u,)
+    sliced, walked = interval_complement(10, {1, 2}), uniform_complex(10, 1)
+    assert fiber._slices(layout(sliced, sp)) is not None
+    assert fiber._slices(layout(walked, sp)) is None
+    for cx in (sliced, walked):
+        assert enumerate_fiber(cx, sp, marginal_map(cx, u)).tables == (u,)
+
+
+def cone_point_complexes():
+    """Every complex on <= 4 indices with two or more facets sharing an index."""
+    for n in (3, 4):
+        for cx in all_complexes(n):
+            common = set.intersection(*map(set, cx.facets)) if cx.facets else set()
+            if len(cx.facets) >= 2 and common:
+                yield cx
+
+
+def test_enumerate_fiber_matches_naive_on_cone_point_complexes(rng):
+    # each complex over the binary cube and with one ternary variable, which
+    # is the cone point, another variable of a facet or one in no facet
+    complexes = list(cone_point_complexes())
+    assert len(complexes) == 41
+    for i, cx in enumerate(complexes):
+        ternary = tuple(3 if v == i % cx.n else 2 for v in range(cx.n))
+        for cards in ((2,) * cx.n, ternary):
+            sp = ConfigSpace(cards)
+            assert fiber._slices(layout(cx, sp)) is not None
+            for degree in (0, 2, 3):
+                b = marginal_map(cx, random_table(rng, sp, degree))
+                got = [t.counts for t in enumerate_fiber(cx, sp, b).tables]
+                assert got == [t.counts for t in naive_fiber(cx, sp, b)], (cx, cards, b)
+
+
+def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
+    # 2^4 G={1,2}: the slices at x3x4 = 00 and 11 share a marginal, so three
+    # distinct slice marginals are walked; the product holds 3 * 2 * 2 * 3 tables
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    u = ContingencyTable(sp, (1, 1, 2, 2, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2))
+    b = marginal_map(cx, u)
+    part, slice_rows, _ = fiber._slices(layout(cx, sp))
+    marginals = [tuple(b.entries[r] for r in rows) for rows in slice_rows]
+    assert len(set(marginals)) == 3
+    walked = Budget(None)
+    for entries in set(marginals):
+        fiber._dfs(part, entries, walked)
+    size = enumerate_fiber(cx, sp, b).size
+    assert size == 36
+    full = Budget(None)
+    assert len(fiber._dfs(layout(cx, sp), b.entries, full)) == size
+    assert walked.used + size < full.used
+
+    assert enumerate_fiber(cx, sp, b, ceiling=walked.used + size).size == size
+    built = []
+    monkeypatch.setattr(fiber, "ContingencyTable",
+                        lambda *args: built.append(args) or ContingencyTable(*args))
+    for ceiling in (walked.used, walked.used + size - 1):
+        with pytest.raises(ResourceCeilingError,
+                           match=rf"^resource ceiling exceeded: more than {ceiling} fiber assignments$"):
+            enumerate_fiber(cx, sp, b, ceiling=ceiling)
+    assert built == []
+
+
+def test_fiber_connected_agrees_with_component_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # moves drawn from the kernel vectors with both parts of degree <= 4, which
+    # include entries of +-2 (twice a 2x2 swap, or two swaps sharing a cell)
+    cases = []
+    for cx, sp in ((INDEPENDENCE, B2), (INDEPENDENCE, ConfigSpace((2, 3))),
+                   (interval_complement(3, {1, 2}), B3)):
+        vectors = sorted(naive_kernel_vectors(cx, sp, 4))
+        assert any(2 in map(abs, v) for v in vectors)
+        cases.append((cx, sp, [Move(sp, v) for v in vectors]))
+
+    def assert_matches_oracle(fib, moves):
+        tables = list(fib.tables)
+        steps = {m.vector for m in moves} | {tuple(-v for v in m.vector) for m in moves}
+        components = _components(tables, steps)
+        report = fiber_connected(fib, moves)
+        assert (report.size, report.components) == (len(tables), len(components))
+        want = None
+        if len(components) > 1:
+            want = (tables[0], next(v for v in tables if v.counts not in components[0]))
+        assert report.witness == want
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(case=st.sampled_from(cases), data=st.data())
+    def check(case, data):
+        cx, sp, moves = case
+        cells = data.draw(st.lists(st.integers(0, sp.size - 1), max_size=6))
+        u = ContingencyTable(sp, tuple(cells.count(ix) for ix in range(sp.size)))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(moves), max_size=len(moves)))
+        chosen = [m for m, k in zip(moves, keep) if k]
+        fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
+        for subset in (chosen, []):
+            assert_matches_oracle(fib, subset)
+
+    check()
+    # the degree-0 fiber, and entries above 127, which need cells wider than a byte
+    for cx, sp, moves in cases:
+        zero = enumerate_fiber(cx, sp, marginal_map(cx, ContingencyTable.zero(sp)))
+        assert_matches_oracle(zero, moves)
+        assert fiber_connected(zero, moves).components == 1
+    wide = enumerate_fiber(INDEPENDENCE, B2, marginal_map(
+        INDEPENDENCE, ContingencyTable(B2, (150, 10, 10, 0))))
+    assert wide.size == 11
+    for moves in ([], cases[0][2], [Move(B2, (2, -2, -2, 2))]):
+        assert_matches_oracle(wide, moves)
+    assert fiber_connected(wide, [interval_move(2, {1, 2}, ())]).components == 1
