@@ -222,11 +222,14 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     the rows at x_S = s (the toric fiber product of Sullivant, J. Algebra
     2007).  Each distinct slice marginal is enumerated once by the
     depth-first walk of `_dfs`; the product is then assembled into full
-    tables and sorted.  Every other complex runs the walk on the full model.
+    tables and sorted.  A marginal whose facet blocks agree can still have
+    a slice with no table; the fiber is then empty, and the slices after
+    it are not walked.  Every other complex runs the walk on the full model.
 
     The ceiling counts fiber assignments: the walk's assignments on the
     full model, or the slice walks' assignments and then the product's size,
-    charged before any table of the product is assembled.
+    charged before any table of the product is assembled.  The product path
+    charges less than the full walk on the same fiber.
     """
     lay = layout(cx, space)
     if lay.nrows == 0:
@@ -247,12 +250,17 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
             entries = tuple(b.entries[r] for r in rows)
             if entries not in walks:
                 walks[entries] = _dfs(part, entries, budget)
+            if not walks[entries]:
+                parts = []  # an empty slice fiber empties the product
+                break
             parts.append(walks[entries])
-        budget.spend(prod(map(len, parts)))
-        joined: list[tuple[int, ...]] = [()]
-        for slice_tables in parts:
-            joined = [head + t for head in joined for t in slice_tables]
-        tables = sorted(map(assemble, joined))
+        tables = []
+        if parts:
+            budget.spend(prod(map(len, parts)))
+            joined: list[tuple[int, ...]] = [()]
+            for slice_tables in parts:
+                joined = [head + t for head in joined for t in slice_tables]
+            tables = sorted(map(assemble, joined))
     return Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
 
 

@@ -241,7 +241,7 @@ def test_fiber_method_respects_ceiling():
                             interval_moves(4, {1}), 4, ceiling=50)
 
 
-def test_verify_markov_ceiling_covers_fibers_too():
+def test_verify_markov_ceiling_covers_fibers_too(monkeypatch):
     cx, sp = interval_complement(4, {1, 2}), binary_space(4)
     moves = interval_moves(4, {1, 2})
     kernel = Budget(None)
@@ -257,6 +257,17 @@ def test_verify_markov_ceiling_covers_fibers_too():
     with pytest.raises(ResourceCeilingError, match=rf"more than {kernel.used} enumerated"
                                                    r" tables \(fiber enumeration, degree 2\)$"):
         verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used)
+    # at degree limit 4 a ceiling that just fits the kernel search and the
+    # 8 + 36 tables passes on slice products; walked whole, a degree-4 fiber's
+    # enumeration costs more than the 36 left for it
+    kernel = Budget(None)
+    list(fiber._kernel_vectors(layout(cx, sp), 4, kernel))
+    run = kernel.used + 44
+    assert verify_markov_basis(cx, sp, moves, 4, ceiling=run).passed
+    monkeypatch.setattr(fiber, "_slices", lambda lay: None)
+    with pytest.raises(ResourceCeilingError, match=rf"more than {run} enumerated tables"
+                                                   r" \(fiber enumeration, degree 4\)$"):
+        verify_markov_basis(cx, sp, moves, 4, ceiling=run)
 
 
 def test_min_binomial_degree_independence():
@@ -509,6 +520,36 @@ def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
                            match=rf"^resource ceiling exceeded: more than {ceiling} fiber assignments$"):
             enumerate_fiber(cx, sp, b, ceiling=ceiling)
     assert built == []
+
+
+def infeasible_slices(cx, sp, u):
+    """The marginal of u with one unit of a facet row moved from the last slice
+    to the one before it: the facet blocks still agree, but those two slices'
+    marginals do not, so they hold no table."""
+    b = marginal_map(cx, u)
+    _, slice_rows, _ = fiber._slices(layout(cx, sp))
+    entries = list(b.entries)
+    entries[slice_rows[-1][0]] -= 1
+    entries[slice_rows[-2][0]] += 1
+    b = MarginalVector(tuple(entries), b.blocks)
+    assert b.is_consistent()
+    return b
+
+
+def test_enumerate_fiber_with_an_empty_slice_is_empty():
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    # one unit at x1 = x2 = 0 in each slice x3x4
+    b = infeasible_slices(cx, sp, ContingencyTable(sp, (1, 1, 1, 1) + (0,) * 12))
+    assert enumerate_fiber(cx, sp, b).tables == ()
+    assert naive_fiber(cx, sp, b) == []
+    # 2^10 G={1,2}: 256 slices of two tables each.  The fiber of u holds 2^256
+    # tables, which its ceiling refuses; with an empty slice, the product of
+    # the 254 slices before it is never built, and little is charged
+    cx, sp = interval_complement(10, {1, 2}), binary_space(10)
+    u = ContingencyTable(sp, tuple(int(x[0] == x[1]) for x in sp.configs()))
+    with pytest.raises(ResourceCeilingError, match="fiber assignments"):
+        enumerate_fiber(cx, sp, marginal_map(cx, u), ceiling=10 ** 6)
+    assert enumerate_fiber(cx, sp, infeasible_slices(cx, sp, u), ceiling=100).tables == ()
 
 
 def test_fiber_connected_agrees_with_component_oracle():
