@@ -4,6 +4,9 @@ Exit codes: 0 success or PASS, 1 theorem-check counterexample, 2 resource
 ceiling hit, 64 usage error, 70 internal error (a bug, never a verdict).
 Reports are plain text with a stable schema; identical inputs and flags
 produce byte-identical reports.
+
+The command table `_COMMANDS` (with the flag table `_FLAGS`) is the one
+place that lists the subcommands, their handlers and their flags.
 """
 
 from __future__ import annotations
@@ -51,20 +54,23 @@ def _load_complex(args) -> complexes.SimplicialComplex:
 
 
 def _load_space(args) -> spaces.ConfigSpace:
-    if not getattr(args, "space", None):
+    if not args.space:
         raise UsageError("--space q1,q2,... is required")
     return spaces.ConfigSpace(_parse_int_list(args.space, "--space"))
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+    if args.out:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
 def _render(args, pairs: list[tuple[str, str]]) -> str:
-    if getattr(args, "kv", False):
+    if args.kv:
         return "".join(f"{k}={v}\n" for k, v in pairs)
     return "".join(f"{k}: {v}\n" for k, v in pairs)
 
@@ -316,99 +322,76 @@ def _cmd_tableau(args) -> int:
 
 # ------------------------------------------------------------------- parsing
 
-def _add_common(sp):
-    sp.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+# Each flag's add_argument keywords, declared once.
+_FLAGS = {
+    "--complex": {"metavar": "FILE"},
+    "--space": {},
+    "--G": {"metavar": "I,J,..."},
+    "--moves": {"metavar": "FILE", "help": "move set in matrix text format"},
+    "--drop-move": {"type": int, "metavar": "I", "help": "remove move I before verifying"},
+    "--degree-limit": {"type": int, "metavar": "T"},
+    "--kmax": {"type": int},
+    "--ceiling": {"type": int},
+    "--map": {"metavar": "FILE"},
+    "--table": {"metavar": "FILE"},
+    "--density": {"metavar": "FILE"},
+    "--theta": {"metavar": "FILE"},
+    "--kv": {"action": "store_true", "help": "emit key=value lines"},
+    "--out": {"metavar": "FILE", "help": "write output to FILE instead of stdout"},
+}
+
+# Subcommand -> (handler, help, flags in usage order; "!" marks a required
+# flag).  Every subcommand also takes --out.
+_COMMANDS = {
+    "matrix": (_cmd_matrix, "emit the marginal matrix of a complex",
+               "--complex! --space!"),
+    "moves": (_cmd_moves, "emit the interval moves of an interval-complement model",
+              "--space! --G!"),
+    "kernel-basis": (_cmd_kernel_basis, "emit the character kernel basis of a complex",
+                     "--complex!"),
+    "verify-markov": (_cmd_verify_markov, "verify a move set connects all bounded fibers",
+                      "--complex --space! --G --moves --drop-move --degree-limit! "
+                      "--ceiling --kv"),
+    "degree-bound": (_cmd_degree_bound, "minimal binomial degree vs the 2^(g-1) bound",
+                     "--complex --space! --G --kmax --ceiling --kv"),
+    "neighborly": (_cmd_neighborly, "exact LP-certified neighborliness sweep",
+                   "--complex --space! --G --kmax --ceiling --kv"),
+    "collapse": (_cmd_collapse, "collapse a table to binary and check the lemmas",
+                 "--space! --map! --table! --kv"),
+    "mi": (_cmd_mi, "multiinformation of a density", "--space! --density! --kv"),
+    "density": (_cmd_density, "exponential family density for a parameter vector",
+                "--complex! --space! --theta! --kv"),
+    "tableau": (_cmd_tableau, "pretty-print a table as its configuration multiset",
+                "--table!"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`: every subcommand name, flags only on the named one.
+
+    The top-level parser takes no option with a value, so the first argument
+    not starting with "-" names the subcommand; help and error output are
+    those of a parser carrying every subcommand's flags.
+    """
     parser = _Parser(prog="margo",
                      description="Marginal polytopes, Markov moves, and fiber checks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("matrix", help="emit the marginal matrix of a complex")
-    sp.add_argument("--complex", metavar="FILE", required=True)
-    sp.add_argument("--space", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_matrix)
-
-    sp = sub.add_parser("moves", help="emit the interval moves of an interval-complement model")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--G", metavar="I,J,...", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_moves)
-
-    sp = sub.add_parser("kernel-basis", help="emit the character kernel basis of a complex")
-    sp.add_argument("--complex", metavar="FILE", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_kernel_basis)
-
-    sp = sub.add_parser("verify-markov", help="verify a move set connects all bounded fibers")
-    sp.add_argument("--complex", metavar="FILE")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--G", metavar="I,J,...")
-    sp.add_argument("--moves", metavar="FILE", help="move set in matrix text format")
-    sp.add_argument("--drop-move", type=int, metavar="I", help="remove move I before verifying")
-    sp.add_argument("--degree-limit", type=int, required=True, metavar="T")
-    sp.add_argument("--ceiling", type=int)
-    sp.add_argument("--kv", action="store_true", help="emit key=value lines")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_verify_markov)
-
-    sp = sub.add_parser("degree-bound", help="minimal binomial degree vs the 2^(g-1) bound")
-    sp.add_argument("--complex", metavar="FILE")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--G", metavar="I,J,...")
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--ceiling", type=int)
-    sp.add_argument("--kv", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_degree_bound)
-
-    sp = sub.add_parser("neighborly", help="exact LP-certified neighborliness sweep")
-    sp.add_argument("--complex", metavar="FILE")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--G", metavar="I,J,...")
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--ceiling", type=int)
-    sp.add_argument("--kv", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_neighborly)
-
-    sp = sub.add_parser("collapse", help="collapse a table to binary and check the lemmas")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--map", metavar="FILE", required=True)
-    sp.add_argument("--table", metavar="FILE", required=True)
-    sp.add_argument("--kv", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_collapse)
-
-    sp = sub.add_parser("mi", help="multiinformation of a density")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--density", metavar="FILE", required=True)
-    sp.add_argument("--kv", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_mi)
-
-    sp = sub.add_parser("density", help="exponential family density for a parameter vector")
-    sp.add_argument("--complex", metavar="FILE", required=True)
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--theta", metavar="FILE", required=True)
-    sp.add_argument("--kv", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_density)
-
-    sp = sub.add_parser("tableau", help="pretty-print a table as its configuration multiset")
-    sp.add_argument("--table", metavar="FILE", required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_tableau)
-
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        if name == named:
+            for flag in flags.split() + ["--out"]:
+                option = flag.rstrip("!")
+                sp.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         print(f"margo: usage error: {exc}", file=sys.stderr)

@@ -71,21 +71,16 @@ class SimplicialComplex:
 
         Raises when the complex is the full power set, which has no non-face.
         """
-        for size in range(self.n + 1):
-            for combo in combinations(range(1, self.n + 1), size):
-                if not self.is_face(combo):
-                    return size
+        for combo in self.nonfaces():
+            return len(combo)
         raise ValueError("no non-face exists: complex is the full power set")
 
     def minimal_nonfaces(self) -> tuple[frozenset[int], ...]:
         """All inclusion-minimal non-faces, in (cardinality, lex) order."""
         found: list[frozenset[int]] = []
-        for combo in subsets(self.n):
-            if self.is_face(combo):
-                continue
-            if any(g <= combo for g in found):
-                continue
-            found.append(combo)
+        for combo in self.nonfaces():
+            if not any(g <= combo for g in found):
+                found.append(combo)
         if not found:
             raise ValueError("no non-face exists: complex is the full power set")
         return tuple(found)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget, phase
@@ -304,19 +304,19 @@ class NeighborlinessReport:
 
 
 def _orbit_representatives(generators: Sequence[Sequence[int]], size: int,
-                           k: int) -> list[tuple[int, ...]]:
-    """The lex-least k-subset of range(size) in each orbit, in lex order.
+                           k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the lex-least k-subset of range(size) in each orbit, in lex order.
 
     Walks the k-subsets in lex order; each one not yet seen is the lex-least
-    member of its orbit, and a search over the generators marks its whole
-    orbit seen.
+    member of its orbit and is yielded at once, and on resuming a search over
+    the generators marks its whole orbit seen.  A caller that stops early
+    walks no orbit past the last representative it took.
     """
     seen: set[tuple[int, ...]] = set()
-    reps = []
     for combo in combinations(range(size), k):
         if combo in seen:
             continue
-        reps.append(combo)
+        yield combo
         seen.add(combo)
         frontier = [combo]
         while frontier:
@@ -326,7 +326,6 @@ def _orbit_representatives(generators: Sequence[Sequence[int]], size: int,
                 if image not in seen:
                     seen.add(image)
                     frontier.append(image)
-    return reps
 
 
 def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from margo import (binary_space, cli, fiber, interval_complement, interval_moves, polytope,
@@ -287,6 +292,24 @@ def test_out_flag_writes_file(capsys, ind_path, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "4 4\n1 1 0 0\n0 0 1 1\n1 0 1 0\n0 1 0 1\n"
+
+
+def test_out_to_unwritable_path_is_usage_error(capsys, ind_path, tmp_path):
+    target = tmp_path / "no-such-dir" / "matrix.txt"
+    code, out, err = run(capsys, ["matrix", "--complex", ind_path,
+                                  "--space", "2,2", "--out", str(target)])
+    assert code == 64 and out == ""
+    assert err.startswith(f"margo: usage error: cannot write {target}: ")
+
+
+def test_module_entry_point_reads_sys_argv(ind_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "margo", "matrix", "--complex", ind_path,
+                           "--space", "2,2"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "4 4\n1 1 0 0\n0 0 1 1\n1 0 1 0\n0 1 0 1\n"
 
 
 def test_kv_mode(capsys, d2_path):

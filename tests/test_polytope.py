@@ -283,7 +283,7 @@ def test_orbit_representatives_counts():
     for cx, space, counts in cases:
         gens = symmetry_generators(cx, space)
         for k, count in enumerate(counts, start=1):
-            reps = _orbit_representatives(gens, space.size, k)
+            reps = list(_orbit_representatives(gens, space.size, k))
             assert len(reps) == count, (cx, space, k)
             assert reps[0] == tuple(range(k)) and reps == sorted(reps)
 
