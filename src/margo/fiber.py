@@ -500,9 +500,7 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     with phase(budget, f"kernel-vector search, degree {degree_limit}"):
         for vec in _kernel_vectors(lay, degree_limit, budget):
             plus = tuple(max(v, 0) for v in vec)
-            deg = sum(plus)
-            if 0 < deg <= degree_limit:
-                by_degree.setdefault(deg, set()).add(lay.marginal_entries(plus))
+            by_degree.setdefault(sum(plus), set()).add(lay.marginal_entries(plus))
 
     fibers_checked = 0
     for deg in sorted(by_degree):

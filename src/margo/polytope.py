@@ -8,6 +8,10 @@ The optimum is zero exactly when Y is facial.  Both verdicts come with
 certificates that re-check by exact arithmetic: a combination with outside
 mass for "not a face", a strictly separating functional for "face".
 
+`lp_solve` is a two-phase simplex on one rational tableau whose last row is
+the objective row; the optimum and the duals behind a face certificate are
+read off that row.  `polytope_dimension` shares its pivot step (`_pivot`).
+
 No floating point is used anywhere in a verdict path.
 """
 
@@ -33,15 +37,31 @@ class LPResult:
     dual: tuple[Fraction, ...] | None
 
 
+def _pivot(rows: list[list[Fraction]], r: int, j: int) -> None:
+    """Scale row r to a 1 in column j and clear column j from every other row, in place.
+
+    The rows are mostly zeros, so zero entries are carried over, not recomputed.
+    """
+    piv = rows[r][j]
+    top = rows[r] = [v / piv if v else v for v in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[j]
+        if f and i != r:
+            rows[i] = [a - f * b if b else a for a, b in zip(row, top)]
+
+
 def lp_solve(rows: Sequence[Sequence[Fraction | int]],
              rhs: Sequence[Fraction | int],
              objective: Sequence[Fraction | int]) -> LPResult:
     """Maximize objective.x subject to rows.x = rhs, x >= 0, exactly.
 
-    Two-phase simplex over rationals with Bland's smallest-index rule for
-    both the entering and the leaving variable, so cycling is impossible.
-    Returns the optimum, an optimal basic solution, and a dual vector (one
-    multiplier per input row; redundant rows get multiplier zero).
+    Two-phase simplex on one rational tableau, with Bland's smallest-index
+    rule for both the entering and the leaving variable, so cycling is
+    impossible.  Each constraint row starts with an artificial column of its
+    own; the last row is the objective row: the reduced costs, then minus
+    the objective value, updated by every pivot.  Returns the optimum, an
+    optimal basic solution, and a dual vector (one multiplier per input row,
+    read off the objective row's artificial columns).
     """
     m = len(rows)
     n = len(objective)
@@ -64,50 +84,38 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
         tab.append(row + art + [b])
     basis = [n + i for i in range(m)]
 
-    def pivot(r: int, j: int) -> None:
-        piv = tab[r][j]
-        tab[r] = [v / piv for v in tab[r]]
-        for i in range(len(tab)):
-            if i != r and tab[i][j]:
-                f = tab[i][j]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
-        basis[r] = j
+    def price(costs: list[Fraction]) -> None:
+        """Append the objective row of `costs` priced out against the basis."""
+        z = costs + [Fraction(0)]
+        for row, bi in zip(tab, basis):
+            if costs[bi]:
+                z = [a - costs[bi] * b for a, b in zip(z, row)]
+        tab.append(z)
 
-    def reduced_costs(costs: list[Fraction], allowed: int) -> list[Fraction]:
-        z = costs[:allowed].copy()
-        for i, bi in enumerate(basis):
-            cb = costs[bi] if bi < len(costs) else Fraction(0)
-            if cb:
-                row = tab[i]
-                for j in range(allowed):
-                    z[j] -= cb * row[j]
-        return z
-
-    def run(costs: list[Fraction], allowed: int) -> str:
+    def run(allowed: int) -> str:
         while True:
-            z = reduced_costs(costs, allowed)
-            enter = next((j for j in range(allowed)
-                          if j not in basis and z[j] > 0), None)
+            z = tab[-1]
+            enter = next((j for j in range(allowed) if z[j] > 0), None)
             if enter is None:
                 return "optimal"
             leave = None
-            best = None
-            for i in range(len(tab)):
+            for i in range(len(tab) - 1):
                 a = tab[i][enter]
                 if a > 0:
                     ratio = tab[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                         best = ratio
                         leave = i
             if leave is None:
                 return "unbounded"
-            pivot(leave, enter)
+            _pivot(tab, leave, enter)
+            basis[leave] = enter
 
-    # phase 1: maximize minus the sum of artificials
-    costs1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    run(costs1, n + m)
-    infeasibility = sum(tab[i][-1] for i in range(len(tab)) if basis[i] >= n)
-    if infeasibility > 0:
+    # phase 1: maximize minus the sum of artificials; the row's last entry
+    # is then what the artificials still carry
+    price([Fraction(0)] * n + [Fraction(-1)] * m)
+    run(n + m)
+    if tab.pop()[-1] > 0:
         return LPResult("infeasible", None, None, None)
     # drive remaining artificials out of the basis or drop redundant rows
     for i in reversed(range(len(tab))):
@@ -115,28 +123,25 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
             continue
         enter = next((j for j in range(n) if tab[i][j] != 0), None)
         if enter is not None:
-            pivot(i, enter)
+            _pivot(tab, i, enter)
+            basis[i] = enter
         else:
             del tab[i]
             del basis[i]
 
-    status = run(cost + [Fraction(0)] * m, n)
-    if status == "unbounded":
+    price(cost + [Fraction(0)] * m)
+    if run(n) == "unbounded":
         return LPResult("unbounded", None, None, None)
 
+    z = tab.pop()
     solution = [Fraction(0)] * n
-    value = Fraction(0)
-    for i, bi in enumerate(basis):
-        solution[bi] = tab[i][-1]
-        value += cost[bi] * tab[i][-1]
-    # y = c_B^T R, where R (the artificial block) maps original rows to the
-    # final tableau rows; redundant rows may still carry nonzero multipliers
-    # because pivots mix their artificial columns before they are dropped
-    dual = []
-    for i0 in range(m):
-        y = sum(cost[basis[i]] * tab[i][n + i0] for i in range(len(tab)))
-        dual.append(y * flip[i0])
-    return LPResult("optimal", value, tuple(solution), tuple(dual))
+    for row, bi in zip(tab, basis):
+        solution[bi] = row[-1]
+    # y = c_B^T R, where R (the artificial block) maps input rows to tableau
+    # rows; the objective row holds -y there.  A dropped redundant row may
+    # keep a nonzero multiplier, since pivots mixed in its artificial column
+    dual = tuple(-z[n + i] * flip[i] for i in range(m))
+    return LPResult("optimal", -z[-1], tuple(solution), dual)
 
 
 @dataclass(frozen=True)
@@ -241,8 +246,10 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
 
     zero_rows = [r for r in range(lay.nrows) if bary[r] == 0]
     zero_set = set(zero_rows)
-    survivors = [ix for ix in range(size)
-                 if all(r not in zero_set for r in lay.rows_of[ix])]
+    survivors: list[int] = []
+    killed: list[int] = []
+    for ix in range(size):
+        (survivors if zero_set.isdisjoint(lay.rows_of[ix]) else killed).append(ix)
     outside = [ix for ix in survivors if ix not in y_set]
 
     if not outside:
@@ -254,13 +261,10 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
                                     separation_value=Fraction(0))
 
     kept_rows = [r for r in range(lay.nrows) if bary[r] != 0]
-    a_rows: list[list[Fraction]] = []
-    for r in kept_rows:
-        a_rows.append([Fraction(1) if r in lay.rows_of[ix] else Fraction(0)
-                       for ix in survivors])
-    a_rows.append([Fraction(1)] * len(survivors))
+    a_rows = [[int(r in lay.rows_of[ix]) for ix in survivors] for r in kept_rows]
+    a_rows.append([1] * len(survivors))
     rhs = [bary[r] for r in kept_rows] + [Fraction(1)]
-    objective = [Fraction(0) if ix in y_set else Fraction(1) for ix in survivors]
+    objective = [int(ix not in y_set) for ix in survivors]
     res = lp_solve(a_rows, rhs, objective)
     if res.status != "optimal":
         raise AssertionError(f"faciality LP unexpectedly {res.status}")
@@ -280,7 +284,6 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
     for pos, r in enumerate(kept_rows):
         theta[r] = -w[pos]
     c0 = w0
-    killed = [ix for ix in range(size) if ix not in set(survivors)]
     if killed:
         scale = Fraction(1)
         for ix in killed:
@@ -372,22 +375,14 @@ def polytope_dimension(cx: SimplicialComplex, space: ConfigSpace) -> int:
     base = matrix.column(0)
     vecs = [[Fraction(a - b) for a, b in zip(matrix.column(j), base)]
             for j in range(1, matrix.ncols)]
-    rank = 0
-    ncoords = matrix.nrows
-    row = 0
-    for col in range(ncoords):
-        pivot_row = next((i for i in range(row, len(vecs)) if vecs[i][col] != 0), None)
+    rank = 0  # rows 0..rank-1 are pivoted
+    for col in range(matrix.nrows):
+        pivot_row = next((i for i in range(rank, len(vecs)) if vecs[i][col] != 0), None)
         if pivot_row is None:
             continue
-        vecs[row], vecs[pivot_row] = vecs[pivot_row], vecs[row]
-        pv = vecs[row][col]
-        vecs[row] = [v / pv for v in vecs[row]]
-        for i in range(len(vecs)):
-            if i != row and vecs[i][col]:
-                f = vecs[i][col]
-                vecs[i] = [a - f * b for a, b in zip(vecs[i], vecs[row])]
-        row += 1
+        vecs[rank], vecs[pivot_row] = vecs[pivot_row], vecs[rank]
+        _pivot(vecs, rank, col)
         rank += 1
-        if row == len(vecs):
+        if rank == len(vecs):
             break
     return rank

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import chain, combinations, product
+from typing import Sequence
 
 import pytest
 
@@ -12,6 +14,7 @@ from margo import (
     ConnectivityReport,
     ContingencyTable,
     Fiber,
+    LPResult,
     MarkovReport,
     Move,
     NeighborlinessReport,
@@ -143,6 +146,115 @@ def naive_marginal(u: ContingencyTable, members) -> tuple[int, ...]:
                 total += c
         out.append(total)
     return tuple(out)
+
+
+def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
+                   rhs: Sequence[Fraction | int],
+                   objective: Sequence[Fraction | int]) -> LPResult:
+    """Maximize objective.x subject to rows.x = rhs, x >= 0, exactly.
+
+    The simplex that `lp_solve` replaced, kept as its oracle: the objective
+    row is rebuilt from the tableau before every pivot instead of carried.
+
+    Two-phase simplex over rationals with Bland's smallest-index rule for
+    both the entering and the leaving variable, so cycling is impossible.
+    Returns the optimum, an optimal basic solution, and a dual vector (one
+    multiplier per input row).
+    """
+    m = len(rows)
+    n = len(objective)
+    cost = [Fraction(c) for c in objective]
+    flip = []
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]]
+        if len(row) != n:
+            raise ValueError("constraint row length does not match objective")
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+            flip.append(-1)
+        else:
+            flip.append(1)
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tab.append(row + art + [b])
+    basis = [n + i for i in range(m)]
+
+    def pivot(r: int, j: int) -> None:
+        piv = tab[r][j]
+        tab[r] = [v / piv for v in tab[r]]
+        for i in range(len(tab)):
+            if i != r and tab[i][j]:
+                f = tab[i][j]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+        basis[r] = j
+
+    def reduced_costs(costs: list[Fraction], allowed: int) -> list[Fraction]:
+        z = costs[:allowed].copy()
+        for i, bi in enumerate(basis):
+            cb = costs[bi] if bi < len(costs) else Fraction(0)
+            if cb:
+                row = tab[i]
+                for j in range(allowed):
+                    z[j] -= cb * row[j]
+        return z
+
+    def run(costs: list[Fraction], allowed: int) -> str:
+        while True:
+            z = reduced_costs(costs, allowed)
+            enter = next((j for j in range(allowed)
+                          if j not in basis and z[j] > 0), None)
+            if enter is None:
+                return "optimal"
+            leave = None
+            best = None
+            for i in range(len(tab)):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][-1] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                return "unbounded"
+            pivot(leave, enter)
+
+    # phase 1: maximize minus the sum of artificials
+    costs1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    run(costs1, n + m)
+    infeasibility = sum(tab[i][-1] for i in range(len(tab)) if basis[i] >= n)
+    if infeasibility > 0:
+        return LPResult("infeasible", None, None, None)
+    # drive remaining artificials out of the basis or drop redundant rows
+    for i in reversed(range(len(tab))):
+        if basis[i] < n:
+            continue
+        enter = next((j for j in range(n) if tab[i][j] != 0), None)
+        if enter is not None:
+            pivot(i, enter)
+        else:
+            del tab[i]
+            del basis[i]
+
+    status = run(cost + [Fraction(0)] * m, n)
+    if status == "unbounded":
+        return LPResult("unbounded", None, None, None)
+
+    solution = [Fraction(0)] * n
+    value = Fraction(0)
+    for i, bi in enumerate(basis):
+        solution[bi] = tab[i][-1]
+        value += cost[bi] * tab[i][-1]
+    # y = c_B^T R, where R (the artificial block) maps original rows to the
+    # final tableau rows; redundant rows may still carry nonzero multipliers
+    # because pivots mix their artificial columns before they are dropped
+    dual = []
+    for i0 in range(m):
+        y = sum(cost[basis[i]] * tab[i][n + i0] for i in range(len(tab)))
+        dual.append(y * flip[i0])
+    return LPResult("optimal", value, tuple(solution), tuple(dual))
 
 
 def naive_neighborliness(cx, space: ConfigSpace, k_max: int) -> NeighborlinessReport:

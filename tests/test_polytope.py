@@ -2,6 +2,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -23,7 +24,7 @@ from margo import (
 from margo.polytope import _orbit_representatives
 from margo.spaces import symmetry_generators
 
-from conftest import all_complexes, naive_neighborliness
+from conftest import all_complexes, naive_lp_solve, naive_neighborliness
 
 INDEPENDENCE = from_facets(2, [{1}, {2}])
 B2 = binary_space(2)
@@ -89,6 +90,46 @@ def test_lp_solve_faciality_of_square_diagonal():
     assert res.solution == (0, Fraction(1, 2), Fraction(1, 2), 0)
 
 
+def test_lp_solve_matches_oracle_on_random_lps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    statuses = set()
+
+    @st.composite
+    def lps(draw):
+        n = draw(st.integers(1, 7))
+        m = draw(st.integers(0, 5))
+        entry = st.integers(-3, 3)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+        # redundant rows: multiples (0 included) of rows already drawn
+        for _ in range(draw(st.integers(0, 2)) if m else 0):
+            i, c = draw(st.integers(0, m - 1)), draw(entry)
+            rows.append([c * v for v in rows[i]])
+            rhs.append(c * rhs[i])
+        return rows, rhs, draw(st.lists(entry, min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(lp=lps())
+    def check(lp):
+        rows, rhs, obj = lp
+        res = lp_solve(rows, rhs, obj)
+        assert res == naive_lp_solve(rows, rhs, obj)
+        statuses.add(res.status)
+        if res.status != "optimal":
+            return
+        x, y = res.solution, res.dual
+        assert all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
+        assert sum(c * v for c, v in zip(obj, x)) == res.optimum
+        for j in range(len(obj)):
+            assert obj[j] - sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
+        assert sum(yi * b for yi, b in zip(y, rhs)) == res.optimum
+
+    check()
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
 def test_is_facial_vertices():
     for x in B2.configs():
         cert = is_facial(INDEPENDENCE, B2, [x])
@@ -149,6 +190,22 @@ def test_certificates_do_not_recheck_when_tampered():
     assert not broken.recheck(mat)
     broken = replace(face_cert, members=((0, 2),))
     assert not broken.recheck(mat)
+
+
+def test_every_small_face_certificate_rechecks():
+    # every set of one or two configurations, on every complex on 3 indices
+    # (the facet-free one included): both kinds of certificate re-check
+    faces = 0
+    for sizes in [(2, 2, 2), (3, 2, 2)]:
+        space = ConfigSpace(sizes)
+        for cx in all_complexes(3):
+            mat = marginal_matrix(cx, space)
+            for k in (1, 2):
+                for combo in combinations(space.configs(), k):
+                    cert = is_facial(cx, space, combo)
+                    assert cert.recheck(mat), (cx, sizes, combo)
+                    faces += cert.is_face
+    assert faces == 842
 
 
 def test_face_certificate_is_strictly_separating():
@@ -292,3 +349,11 @@ def test_polytope_dimension():
     assert polytope_dimension(INDEPENDENCE, B2) == 2
     assert polytope_dimension(full_simplex(2), B2) == 3
     assert polytope_dimension(D2_3, B3) == 6
+    # every complex on 3 indices: the sum over nonempty faces S of
+    # prod_{i in S} (q_i - 1)
+    for sizes in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2)]:
+        space = ConfigSpace(sizes)
+        for cx in all_complexes(3):
+            faces = [s for r in (1, 2, 3) for s in combinations((1, 2, 3), r) if cx.is_face(s)]
+            expected = sum(prod(sizes[i - 1] - 1 for i in s) for s in faces)
+            assert polytope_dimension(cx, space) == expected, (cx, sizes)
