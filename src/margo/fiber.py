@@ -43,6 +43,16 @@ toric fiber product of Sullivant, J. Algebra 2007; used for Markov bases
 by Dobra and Sullivant, Comput. Stat. 2004).  `enumerate_fiber` walks each
 distinct slice marginal once and assembles the product; every
 `interval_complement(n, G)` is such a complex, with S = [n] minus G.
+
+The fiber graph splits the same way when every move's support lies in one
+slice, as every interval move's does.  A step by such a move changes that
+slice alone, so two tables are adjacent exactly when they agree on every
+other slice and their projections onto this one are adjacent in the slice
+graph: the fiber graph is the Cartesian product of the slice graphs.  The
+components of a Cartesian product are the products of the factors'
+components, so `fiber_connected` searches each slice's distinct tables and
+multiplies the counts, and two tables share a component exactly when
+their projections share one in every slice.
 """
 
 from __future__ import annotations
@@ -120,16 +130,18 @@ def _completions(lay: MarginalLayout, walk: Sequence[int]) -> list[tuple[int, ..
 
 
 @lru_cache(maxsize=None)
-def _slices(lay: MarginalLayout
-            ) -> tuple[MarginalLayout, tuple[tuple[int, ...], ...], itemgetter] | None:
+def _slices(lay: MarginalLayout) -> tuple[MarginalLayout, tuple[tuple[int, ...], ...], itemgetter,
+                                          tuple[tuple[int, ...], ...]] | None:
     """A model whose two or more facets all contain the variables S, cut into slices.
 
     None when the facets share no variable (or are fewer than two).  Else the
     layout of the slice model, with the facets F minus S on the other
     variables; per value of x_S in lex order, the full model's row for each
-    row of the slice model; and a getter that maps the slice tables,
-    concatenated in that order, to a full table.  Cached per layout, and so
-    per (complex, space) like `layout` itself.
+    row of the slice model; a getter that maps the slice tables,
+    concatenated in that order, to a full table; and per value of x_S, the
+    full model's cell for each cell of the slice model, which inverts that
+    getter slice by slice.  Cached per layout, and so per (complex, space)
+    like `layout` itself.
     """
     cx, space = lay.complex, lay.space
     common = reduce(and_, cx.facet_masks) if len(cx.facet_masks) >= 2 else 0
@@ -143,14 +155,16 @@ def _slices(lay: MarginalLayout
     facet_of = [faces.index(frozenset(members)) for members in part.facet_members]
     cone_space = sub_space(space, cone)
     rows = [[0] * part.nrows for _ in range(cone_space.size)]
+    cells = [[0] * part.space.size for _ in range(cone_space.size)]
     position = [0] * space.size
     for ix, x in enumerate(space.configs()):
         s = cone_space.index([x[i - 1] for i in cone])
         j = part.space.index([x[i - 1] for i in rest])
         position[ix] = s * part.space.size + j
+        cells[s][j] = ix
         for f, r in enumerate(part.rows_of[j]):
             rows[s][r] = lay.rows_of[ix][facet_of[f]]
-    return part, tuple(map(tuple, rows)), itemgetter(*position)
+    return part, tuple(map(tuple, rows)), itemgetter(*position), tuple(map(tuple, cells))
 
 
 def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tuple[int, ...]]:
@@ -243,7 +257,7 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     if slices is None:
         tables = _dfs(lay, b.entries, budget)
     else:
-        part, slice_rows, assemble = slices
+        part, slice_rows, assemble, _ = slices
         walks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         parts = []
         for rows in slice_rows:
@@ -264,39 +278,36 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     return Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
 
 
-def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
-    """Connected components of the fiber graph under the given moves.
+def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple[int, ...]]
+                      ) -> tuple[int, list[int]]:
+    """The number of components of the tables' graph under the vectors, and
+    each table's component, numbered in order of the table that opens it.
 
-    Edges join tables differing by plus or minus one move when the step stays
-    nonnegative.  Rejects moves outside the kernel of the marginal map.
-
-    Each table is packed into one integer, `width` bits per cell with cell 0
-    lowest: enough bits for the largest entry a step can reach (the largest
-    table degree plus the largest move entry) and one guard bit on top, and
-    at least 8, so that small entries pack a byte each.
-    Each signed move is precomputed as its packed delta and its packed
-    negative part N.  A step applies when the table covers N: adding the
-    guard bits and subtracting N borrows across no field, and leaves a
-    field's guard bit set exactly when its entry covers that field of N.
-    The neighbour's key is then the table's key plus the delta, looked up
-    among the fiber's keys.  This is a plain search over the whole fiber,
-    with no induction hypothesis; components and witness are those of the
-    tables themselves.
+    Edges join tables differing by plus or minus one vector; a neighbour is
+    searched for among the given tables only.  Each table is packed into one
+    integer, `width` bits per cell with cell 0 lowest: enough bits for the
+    largest entry a step can reach (the largest table degree plus the largest
+    vector entry) and one guard bit on top, and at least 8, so that small
+    entries pack a byte each.  Each signed vector is precomputed as its
+    packed delta and its packed negative part N.  A step applies when the
+    table covers N: adding the guard bits and subtracting N borrows across no
+    field, and leaves a field's guard bit set exactly when its entry covers
+    that field of N.  The neighbour's key is then the table's key plus the
+    delta, looked up among the tables' keys.
     """
-    _validate_moves(layout(fiber.complex, fiber.space), moves)
-    tables = [t.counts for t in fiber.tables]
-    reach = max((abs(v) for m in moves for v in m.vector), default=0)
+    size = len(tables[0]) if tables else 0
+    reach = max((abs(v) for vec in vectors for v in vec), default=0)
     width = max(8, (max(map(sum, tables), default=0) + reach).bit_length() + 1)
-    shifts = [width * i for i in range(fiber.space.size)]
+    shifts = [width * i for i in range(size)]
 
     def pack(vec: Sequence[int]) -> int:
         return sum(map(lshift, vec, shifts))
 
-    guard = pack([1 << (width - 1)] * fiber.space.size)
+    guard = pack([1 << (width - 1)] * size)
     steps = []
-    for m in moves:
-        for vec in (m.vector, tuple(-v for v in m.vector)):
-            steps.append((guard - pack([max(-v, 0) for v in vec]), pack(vec)))
+    for vec in vectors:
+        for signed in (vec, tuple(-v for v in vec)):
+            steps.append((guard - pack([max(-v, 0) for v in signed]), pack(signed)))
 
     if width == 8:  # bytes() packs 8-bit cells in C
         keys = [int.from_bytes(bytes(t), "little") for t in tables]
@@ -319,11 +330,83 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
                         component[j] = ncomp
                         stack.append(keys[j])
         ncomp += 1
+    return ncomp, component
 
-    witness = None
-    if ncomp > 1:
-        other = next(i for i, c in enumerate(component) if c != component[0])
-        witness = (fiber.tables[0], fiber.tables[other])
+
+def _slice_components(lay: MarginalLayout, tables: Sequence[tuple[int, ...]],
+                      vectors: Sequence[tuple[int, ...]]) -> tuple[int, int | None] | None:
+    """The number of components and the witness index, slice by slice, or None.
+
+    None unless the model is cut into slices (`_slices`), every vector's
+    support lies in one slice, and the tables are the product of their
+    slice projections.  The tables, which are distinct, all lie in the
+    product of their distinct projections, so they fill it when there are
+    as many tables as the product holds.  (The search over the whole fiber
+    assumes distinct tables too: it looks each neighbour up by its key.)
+    Then a step changes one slice, the graph is the Cartesian product of
+    the slice graphs on the distinct projections, and its components are
+    the products of theirs.  The witness index is that of the first table
+    whose slice components differ from table 0's, or None when there is
+    one component.
+    """
+    slices = _slices(lay)
+    if slices is None:
+        return None
+    getters = [itemgetter(*cells) for cells in slices[3]]
+    slice_vectors: list[list[tuple[int, ...]]] = [[] for _ in getters]
+    for vec in vectors:
+        touched = [s for s, get in enumerate(getters) if any(get(vec))]
+        if len(touched) > 1:
+            return None
+        s = touched[0]
+        slice_vectors[s].append(getters[s](vec))
+    if not tables:
+        return 0, None
+    columns = list(zip(*tables))  # a slice's projections are the zip of its columns
+    projections = [list(dict.fromkeys(zip(*get(columns)))) for get in getters]
+    if prod(map(len, projections)) != len(tables):
+        return None
+    ncomp, others = 1, []
+    for get, slice_tables, vecs in zip(getters, projections, slice_vectors):
+        count, component = _label_components(slice_tables, vecs)
+        ncomp *= count
+        if count > 1:
+            component_of = dict(zip(slice_tables, component))
+            first = component_of[get(tables[0])]
+            others.append(next(i for i, p in enumerate(map(get, tables))
+                               if component_of[p] != first))
+    return ncomp, min(others, default=None)
+
+
+def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
+    """Connected components of the fiber graph under the given moves.
+
+    Edges join tables differing by plus or minus one move when the step stays
+    nonnegative.  Rejects moves outside the kernel of the marginal map, and
+    ignores zero moves.  The witness pairs the first table with the first
+    table, in fiber order, outside its component.
+
+    On a model cut into slices by a cone point (`_slices`, as for every
+    `interval_complement(n, G)`), when every move's support lies in one
+    slice and the fiber's tables are the product of their slice projections
+    (the product of the numbers of distinct projections equals the fiber's
+    size), the components are found slice by slice on the distinct
+    projections (`_slice_components`): the fiber graph is the Cartesian
+    product of the slice graphs.  Otherwise the packed search of
+    `_label_components` runs over the whole fiber.  Both read only the
+    tables given, which are distinct as a fiber's tables are, with no
+    induction hypothesis and no ceiling, and give the same report.
+    """
+    lay = layout(fiber.complex, fiber.space)
+    _validate_moves(lay, moves)
+    tables = [t.counts for t in fiber.tables]
+    vectors = [m.vector for m in moves if any(m.vector)]
+    found = _slice_components(lay, tables, vectors)
+    if found is None:
+        ncomp, component = _label_components(tables, vectors)
+        found = ncomp, next((i for i, c in enumerate(component) if c != component[0]), None)
+    ncomp, other = found
+    witness = None if other is None else (fiber.tables[0], fiber.tables[other])
     return ConnectivityReport(len(tables), ncomp, witness)
 
 
@@ -497,9 +580,12 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
         raise ValueError("cannot verify a model with no facets: every fiber is infinite")
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
+    zeros = (0,) * space.size
     with phase(budget, f"kernel-vector search, degree {degree_limit}"):
         for vec in _kernel_vectors(lay, degree_limit, budget):
-            plus = tuple(max(v, 0) for v in vec)
+            if next(filter(None, vec)) < 0:
+                continue  # its twin -vec has the same marginal and degree
+            plus = tuple(map(max, vec, zeros))
             by_degree.setdefault(sum(plus), set()).add(lay.marginal_entries(plus))
 
     fibers_checked = 0

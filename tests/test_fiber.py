@@ -1,11 +1,14 @@
 import time
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
 import pytest
 
 from margo import (
     ConfigSpace,
+    ConnectivityReport,
     ContingencyTable,
+    Fiber,
     Move,
     ResourceCeilingError,
     binary_space,
@@ -499,7 +502,7 @@ def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
     cx, sp = interval_complement(4, {1, 2}), binary_space(4)
     u = ContingencyTable(sp, (1, 1, 2, 2, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2))
     b = marginal_map(cx, u)
-    part, slice_rows, _ = fiber._slices(layout(cx, sp))
+    part, slice_rows, *_ = fiber._slices(layout(cx, sp))
     marginals = [tuple(b.entries[r] for r in rows) for rows in slice_rows]
     assert len(set(marginals)) == 3
     walked = Budget(None)
@@ -527,7 +530,7 @@ def infeasible_slices(cx, sp, u):
     to the one before it: the facet blocks still agree, but those two slices'
     marginals do not, so they hold no table."""
     b = marginal_map(cx, u)
-    _, slice_rows, _ = fiber._slices(layout(cx, sp))
+    _, slice_rows, *_ = fiber._slices(layout(cx, sp))
     entries = list(b.entries)
     entries[slice_rows[-1][0]] -= 1
     entries[slice_rows[-2][0]] += 1
@@ -552,6 +555,18 @@ def test_enumerate_fiber_with_an_empty_slice_is_empty():
     assert enumerate_fiber(cx, sp, infeasible_slices(cx, sp, u), ceiling=100).tables == ()
 
 
+def assert_matches_oracle(fib, moves):
+    tables = list(fib.tables)
+    steps = {m.vector for m in moves} | {tuple(-v for v in m.vector) for m in moves}
+    components = _components(tables, steps)
+    report = fiber_connected(fib, moves)
+    assert (report.size, report.components) == (len(tables), len(components))
+    want = None
+    if len(components) > 1:
+        want = (tables[0], next(v for v in tables if v.counts not in components[0]))
+    assert report.witness == want
+
+
 def test_fiber_connected_agrees_with_component_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -563,17 +578,6 @@ def test_fiber_connected_agrees_with_component_oracle():
         vectors = sorted(naive_kernel_vectors(cx, sp, 4))
         assert any(2 in map(abs, v) for v in vectors)
         cases.append((cx, sp, [Move(sp, v) for v in vectors]))
-
-    def assert_matches_oracle(fib, moves):
-        tables = list(fib.tables)
-        steps = {m.vector for m in moves} | {tuple(-v for v in m.vector) for m in moves}
-        components = _components(tables, steps)
-        report = fiber_connected(fib, moves)
-        assert (report.size, report.components) == (len(tables), len(components))
-        want = None
-        if len(components) > 1:
-            want = (tables[0], next(v for v in tables if v.counts not in components[0]))
-        assert report.witness == want
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @hypothesis.given(case=st.sampled_from(cases), data=st.data())
@@ -599,3 +603,122 @@ def test_fiber_connected_agrees_with_component_oracle():
     for moves in ([], cases[0][2], [Move(B2, (2, -2, -2, 2))]):
         assert_matches_oracle(wide, moves)
     assert fiber_connected(wide, [interval_move(2, {1, 2}, ())]).components == 1
+
+
+def count_whole_fiber_searches(monkeypatch, sp):
+    """Record each call of the packed search on tables of the full space:
+    the whole-fiber search, as opposed to a slice's."""
+    calls = []
+    search = fiber._label_components
+
+    def counted(tables, vectors):
+        if tables and len(tables[0]) == sp.size:
+            calls.append(len(tables))
+        return search(tables, vectors)
+
+    monkeypatch.setattr(fiber, "_label_components", counted)
+    return calls
+
+
+def slice_cells(cx, sp):
+    return fiber._slices(layout(cx, sp))[3]
+
+
+def test_slices_round_trip():
+    # the per-slice cells partition the full cells, and projecting a table
+    # onto them and assembling the projections gives the table back
+    for cx, sp in ((interval_complement(3, {1, 2}), B3),
+                   (interval_complement(4, {1, 2}), binary_space(4)),
+                   (interval_complement(4, {1, 2, 3}), binary_space(4)),
+                   (from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((2, 2, 3)))):
+        _, _, assemble, cells = fiber._slices(layout(cx, sp))
+        assert sorted(chain.from_iterable(cells)) == list(range(sp.size))
+        u = ContingencyTable(sp, tuple(ix % 3 for ix in range(sp.size)))
+        fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
+        assert fib.size > 1
+        for t in fib.tables:
+            joined = tuple(chain.from_iterable(itemgetter(*c)(t.counts) for c in cells))
+            assert assemble(joined) == t.counts
+
+
+def test_fiber_connected_product_path_agrees_with_component_oracle(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # cone complexes; moves drawn from the kernel vectors of degree <= 4 whose
+    # support lies in one slice (entries of +-2 among them), and optionally one
+    # more vector that spans two slices, which sends the search to the whole fiber
+    cases = []
+    for cx, sp in ((interval_complement(3, {1, 2}), B3),
+                   (interval_complement(4, {1, 2}), binary_space(4)),
+                   (from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((2, 2, 3)))):
+        cells = [set(c) for c in slice_cells(cx, sp)]
+        single, spanning = [], []
+        for v in sorted(naive_kernel_vectors(cx, sp, 4)):
+            support = {ix for ix, x in enumerate(v) if x}
+            (single if any(support <= c for c in cells) else spanning).append(Move(sp, v))
+        assert any(2 in map(abs, m.vector) for m in single) and spanning
+        cases.append((cx, sp, single, spanning))
+    paths = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(case=st.sampled_from(cases), data=st.data())
+    def check(case, data):
+        cx, sp, single, spanning = case
+        cells = data.draw(st.lists(st.integers(0, sp.size - 1), max_size=8))
+        u = ContingencyTable(sp, tuple(cells.count(ix) for ix in range(sp.size)))
+        # few moves, so that often two or more slices are disconnected at once
+        moves = data.draw(st.lists(st.sampled_from(single), max_size=4, unique=True))
+        if data.draw(st.booleans()):
+            moves.append(data.draw(st.sampled_from(spanning)))
+        fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
+        with monkeypatch.context() as patch:
+            whole = count_whole_fiber_searches(patch, sp)
+            assert_matches_oracle(fib, moves)
+        plain = any(m in spanning for m in moves)
+        assert whole == ([fib.size] if plain else [])
+        paths.add(plain)
+
+    check()
+    assert paths == {False, True}
+
+
+def test_fiber_connected_edge_cases_on_both_paths(monkeypatch):
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    moves = interval_moves(4, {1, 2})
+    spanning = Move(sp, tuple(map(sum, zip(*(m.vector for m in moves)))))
+    whole = count_whole_fiber_searches(monkeypatch, sp)
+    u = ContingencyTable(sp, (1, 1, 2, 2, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2))
+    fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
+    assert fib.size == 36
+
+    # the empty fiber has no component on either path
+    empty = enumerate_fiber(cx, sp, infeasible_slices(cx, sp, u))
+    assert empty.tables == ()
+    for chosen in (moves, [spanning]):
+        assert fiber_connected(empty, chosen) == ConnectivityReport(0, 0, None)
+    lay = layout(cx, sp)
+    assert fiber._slice_components(lay, [], [m.vector for m in moves]) == (0, None)
+    assert fiber._slice_components(lay, [], [spanning.vector]) is None
+
+    # without moves, every table is its own component on either path: a
+    # strict subset that is not the product of its slice projections takes
+    # the whole-fiber search, a sub-box of the product the slice path
+    subset = Fiber(cx, sp, fib.marginal, fib.tables[1:])
+    for f in (fib, subset):
+        assert fiber_connected(f, []) == ConnectivityReport(f.size, f.size, f.tables[:2])
+    assert whole == [35]
+    whole.clear()
+    first_slice = itemgetter(*slice_cells(cx, sp)[0])
+    box = Fiber(cx, sp, fib.marginal, tuple(
+        t for t in fib.tables if first_slice(t.counts) == first_slice(u.counts)))
+    assert 1 < box.size < fib.size
+    for chosen in ([], moves[:1], moves[1:], moves):
+        assert_matches_oracle(subset, chosen)
+        assert whole == [subset.size]
+        whole.clear()
+        assert_matches_oracle(box, chosen)
+        assert whole == []
+
+    # no ceiling applies to the connectivity search
+    monkeypatch.setenv("MARGO_CEILING", "1")
+    assert fiber_connected(fib, moves) == ConnectivityReport(36, 1, None)
