@@ -50,14 +50,15 @@ slice alone, so two tables are adjacent exactly when they agree on every
 other slice and their projections onto this one are adjacent in the slice
 graph: the fiber graph is the Cartesian product of the slice graphs.  The
 components of a Cartesian product are the products of the factors'
-components, so `fiber_connected` searches each slice's distinct tables and
-multiplies the counts, and two tables share a component exactly when
-their projections share one in every slice.
+components, so `fiber_connected` searches each slice's tables, which the
+fiber keeps from its construction, and multiplies the counts, and two
+tables share a component exactly when their projections share one in
+every slice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product, repeat
 from math import prod
@@ -80,12 +81,21 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class Fiber:
-    """All nonnegative tables with a fixed marginal, in lexicographic order."""
+    """All nonnegative tables with a fixed marginal, in lexicographic order.
+
+    A fiber built by `enumerate_fiber` as a product of slice fibers also
+    keeps those slice fibers: per value of x_S, the counts of the slice
+    model's tables in lex order.  They are set only there, so a fiber made
+    by hand or by `dataclasses.replace` has none, and they take no part in
+    equality, hashing or the repr.
+    """
 
     complex: SimplicialComplex
     space: ConfigSpace
     marginal: MarginalVector
     tables: tuple[ContingencyTable, ...]
+    _slice_fibers: tuple[list[tuple[int, ...]], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -243,7 +253,8 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     The ceiling counts fiber assignments: the walk's assignments on the
     full model, or the slice walks' assignments and then the product's size,
     charged before any table of the product is assembled.  The product path
-    charges less than the full walk on the same fiber.
+    charges less than the full walk on the same fiber.  A nonempty product
+    keeps its slice fibers, which `fiber_connected` searches.
     """
     lay = layout(cx, space)
     if lay.nrows == 0:
@@ -254,12 +265,12 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
         raise ValueError("inconsistent marginal: facet blocks sum to different totals")
     budget = Budget(ceiling, "fiber assignments")
     slices = _slices(lay)
+    parts: list[list[tuple[int, ...]]] = []
     if slices is None:
         tables = _dfs(lay, b.entries, budget)
     else:
         part, slice_rows, assemble, _ = slices
         walks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        parts = []
         for rows in slice_rows:
             entries = tuple(b.entries[r] for r in rows)
             if entries not in walks:
@@ -275,7 +286,10 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
             for slice_tables in parts:
                 joined = [head + t for head in joined for t in slice_tables]
             tables = sorted(map(assemble, joined))
-    return Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
+    fib = Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
+    if parts:
+        object.__setattr__(fib, "_slice_fibers", tuple(parts))
+    return fib
 
 
 def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple[int, ...]]
@@ -333,26 +347,20 @@ def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple
     return ncomp, component
 
 
-def _slice_components(lay: MarginalLayout, tables: Sequence[tuple[int, ...]],
+def _slice_components(lay: MarginalLayout, fiber: Fiber,
                       vectors: Sequence[tuple[int, ...]]) -> tuple[int, int | None] | None:
     """The number of components and the witness index, slice by slice, or None.
 
-    None unless the model is cut into slices (`_slices`), every vector's
-    support lies in one slice, and the tables are the product of their
-    slice projections.  The tables, which are distinct, all lie in the
-    product of their distinct projections, so they fill it when there are
-    as many tables as the product holds.  (The search over the whole fiber
-    assumes distinct tables too: it looks each neighbour up by its key.)
-    Then a step changes one slice, the graph is the Cartesian product of
-    the slice graphs on the distinct projections, and its components are
-    the products of theirs.  The witness index is that of the first table
-    whose slice components differ from table 0's, or None when there is
-    one component.
+    None unless the fiber keeps the slice fibers it was built from
+    (`enumerate_fiber`) and every vector's support lies in one slice.  Then
+    a step changes one slice, the graph is the Cartesian product of the
+    slice graphs, and its components are the products of theirs.  The
+    witness index is that of the first table whose slice components differ
+    from table 0's, or None when there is one component.
     """
-    slices = _slices(lay)
-    if slices is None:
+    if fiber._slice_fibers is None:
         return None
-    getters = [itemgetter(*cells) for cells in slices[3]]
+    getters = [itemgetter(*cells) for cells in _slices(lay)[3]]
     slice_vectors: list[list[tuple[int, ...]]] = [[] for _ in getters]
     for vec in vectors:
         touched = [s for s, get in enumerate(getters) if any(get(vec))]
@@ -360,21 +368,15 @@ def _slice_components(lay: MarginalLayout, tables: Sequence[tuple[int, ...]],
             return None
         s = touched[0]
         slice_vectors[s].append(getters[s](vec))
-    if not tables:
-        return 0, None
-    columns = list(zip(*tables))  # a slice's projections are the zip of its columns
-    projections = [list(dict.fromkeys(zip(*get(columns)))) for get in getters]
-    if prod(map(len, projections)) != len(tables):
-        return None
     ncomp, others = 1, []
-    for get, slice_tables, vecs in zip(getters, projections, slice_vectors):
+    for get, slice_tables, vecs in zip(getters, fiber._slice_fibers, slice_vectors):
         count, component = _label_components(slice_tables, vecs)
         ncomp *= count
         if count > 1:
             component_of = dict(zip(slice_tables, component))
-            first = component_of[get(tables[0])]
-            others.append(next(i for i, p in enumerate(map(get, tables))
-                               if component_of[p] != first))
+            first = component_of[get(fiber.tables[0].counts)]
+            others.append(next(i for i, t in enumerate(fiber.tables)
+                               if component_of[get(t.counts)] != first))
     return ncomp, min(others, default=None)
 
 
@@ -386,28 +388,26 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     ignores zero moves.  The witness pairs the first table with the first
     table, in fiber order, outside its component.
 
-    On a model cut into slices by a cone point (`_slices`, as for every
-    `interval_complement(n, G)`), when every move's support lies in one
-    slice and the fiber's tables are the product of their slice projections
-    (the product of the numbers of distinct projections equals the fiber's
-    size), the components are found slice by slice on the distinct
-    projections (`_slice_components`): the fiber graph is the Cartesian
-    product of the slice graphs.  Otherwise the packed search of
-    `_label_components` runs over the whole fiber.  Both read only the
-    tables given, which are distinct as a fiber's tables are, with no
-    induction hypothesis and no ceiling, and give the same report.
+    A fiber that `enumerate_fiber` built as a product of slice fibers, on
+    a model cut into slices by a cone point (`_slices`, as for every
+    `interval_complement(n, G)`), keeps those slice fibers.  When every
+    move's support lies in one slice, the components are found slice by
+    slice on them (`_slice_components`): the fiber graph is the Cartesian
+    product of the slice graphs.  Otherwise, and for every fiber built by
+    hand, the packed search of `_label_components` runs over the whole
+    fiber.  Both give the same report, with no induction hypothesis and no
+    ceiling.
     """
     lay = layout(fiber.complex, fiber.space)
     _validate_moves(lay, moves)
-    tables = [t.counts for t in fiber.tables]
     vectors = [m.vector for m in moves if any(m.vector)]
-    found = _slice_components(lay, tables, vectors)
+    found = _slice_components(lay, fiber, vectors)
     if found is None:
-        ncomp, component = _label_components(tables, vectors)
+        ncomp, component = _label_components([t.counts for t in fiber.tables], vectors)
         found = ncomp, next((i for i, c in enumerate(component) if c != component[0]), None)
     ncomp, other = found
     witness = None if other is None else (fiber.tables[0], fiber.tables[other])
-    return ConnectivityReport(len(tables), ncomp, witness)
+    return ConnectivityReport(fiber.size, ncomp, witness)
 
 
 def _walk_order(lay: MarginalLayout) -> tuple[int, ...]:

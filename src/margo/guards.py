@@ -19,15 +19,20 @@ class ResourceCeilingError(RuntimeError):
 
 
 def resolve_ceiling(ceiling: int | None) -> int:
-    if ceiling is not None:
-        return ceiling
-    env = os.environ.get("MARGO_CEILING")
-    if env is not None:
+    """The ceiling given, else MARGO_CEILING, else the default; never negative."""
+    source = "ceiling"
+    if ceiling is None:
+        env = os.environ.get("MARGO_CEILING")
+        if env is None:
+            return DEFAULT_CEILING
+        source = "MARGO_CEILING"
         try:
-            return int(env)
+            ceiling = int(env)
         except ValueError:
             raise ValueError(f"MARGO_CEILING must be an integer, got {env!r}") from None
-    return DEFAULT_CEILING
+    if ceiling < 0:
+        raise ValueError(f"{source} must be nonnegative, got {ceiling}")
+    return ceiling
 
 
 class Budget:

@@ -190,6 +190,17 @@ def test_ceiling_env_var_default(capsys, monkeypatch):
                                 "--G", "1", "--degree-limit", "4",
                                 "--ceiling", "10000000"])
     assert code == 0 and "status: PASS" in out
+    # a negative or non-integer ceiling is a usage error that names its source
+    argv = ["verify-markov", "--space", "2,2,2", "--G", "1,2", "--degree-limit", "2"]
+    code, out, err = run(capsys, argv + ["--ceiling", "-1"])
+    assert (code, out) == (64, "")
+    assert err == "margo: usage error: ceiling must be nonnegative, got -1\n"
+    for env, message in (("-1", "must be nonnegative, got -1"),
+                         ("abc", "must be an integer, got 'abc'")):
+        monkeypatch.setenv("MARGO_CEILING", env)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (64, "")
+        assert err == f"margo: usage error: MARGO_CEILING {message}\n"
 
 
 def test_degree_bound_report(capsys, d2_path):

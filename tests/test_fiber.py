@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from itertools import chain, combinations
 from operator import itemgetter
@@ -482,18 +483,34 @@ def cone_point_complexes():
 
 def test_enumerate_fiber_matches_naive_on_cone_point_complexes(rng):
     # each complex over the binary cube and with one ternary variable, which
-    # is the cone point, another variable of a facet or one in no facet
+    # is the cone point, another variable of a facet or one in no facet; the
+    # fiber keeps, per slice, the distinct projections of its tables in lex order
     complexes = list(cone_point_complexes())
     assert len(complexes) == 41
     for i, cx in enumerate(complexes):
         ternary = tuple(3 if v == i % cx.n else 2 for v in range(cx.n))
         for cards in ((2,) * cx.n, ternary):
             sp = ConfigSpace(cards)
-            assert fiber._slices(layout(cx, sp)) is not None
+            slices = fiber._slices(layout(cx, sp))
+            assert slices is not None
             for degree in (0, 2, 3):
                 b = marginal_map(cx, random_table(rng, sp, degree))
-                got = [t.counts for t in enumerate_fiber(cx, sp, b).tables]
+                fib = enumerate_fiber(cx, sp, b)
+                got = [t.counts for t in fib.tables]
                 assert got == [t.counts for t in naive_fiber(cx, sp, b)], (cx, cards, b)
+                projections = [sorted({itemgetter(*cells)(t) for t in got})
+                               for cells in slices[3]]
+                assert list(fib._slice_fibers) == projections, (cx, cards, b)
+    # no slice fibers on an empty fiber, or on a complex without a cone point
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    empty = enumerate_fiber(cx, sp, infeasible_slices(
+        cx, sp, ContingencyTable(sp, (1, 1, 1, 1) + (0,) * 12)))
+    assert empty.tables == () and empty._slice_fibers is None
+    walked = uniform_complex(3, 1)
+    assert fiber._slices(layout(walked, B3)) is None
+    u = ContingencyTable(B3, (1, 0, 0, 1, 0, 1, 1, 0))
+    fib = enumerate_fiber(walked, B3, marginal_map(walked, u))
+    assert fib.size > 1 and fib._slice_fibers is None
 
 
 def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
@@ -691,18 +708,23 @@ def test_fiber_connected_edge_cases_on_both_paths(monkeypatch):
     fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
     assert fib.size == 36
 
-    # the empty fiber has no component on either path
+    # the empty fiber keeps no slice fibers and has no component, with moves
+    # in one slice or spanning two
     empty = enumerate_fiber(cx, sp, infeasible_slices(cx, sp, u))
-    assert empty.tables == ()
+    assert empty.tables == () and empty._slice_fibers is None
     for chosen in (moves, [spanning]):
         assert fiber_connected(empty, chosen) == ConnectivityReport(0, 0, None)
-    lay = layout(cx, sp)
-    assert fiber._slice_components(lay, [], [m.vector for m in moves]) == (0, None)
-    assert fiber._slice_components(lay, [], [spanning.vector]) is None
 
-    # without moves, every table is its own component on either path: a
-    # strict subset that is not the product of its slice projections takes
-    # the whole-fiber search, a sub-box of the product the slice path
+    # the slice fibers are not part of a fiber's value: the same tables built
+    # by hand compare and print alike, but carry none
+    by_hand = Fiber(cx, sp, fib.marginal, fib.tables)
+    assert fib == by_hand and hash(fib) == hash(by_hand) and repr(fib) == repr(by_hand)
+    assert fib._slice_fibers is not None and by_hand._slice_fibers is None
+
+    # without moves, every table is its own component on either path; a
+    # fiber that enumerate_fiber did not build takes the whole-fiber search:
+    # one built by hand (a strict subset, or a sub-box of the product), or
+    # one copied with other tables by dataclasses.replace
     subset = Fiber(cx, sp, fib.marginal, fib.tables[1:])
     for f in (fib, subset):
         assert fiber_connected(f, []) == ConnectivityReport(f.size, f.size, f.tables[:2])
@@ -712,12 +734,13 @@ def test_fiber_connected_edge_cases_on_both_paths(monkeypatch):
     box = Fiber(cx, sp, fib.marginal, tuple(
         t for t in fib.tables if first_slice(t.counts) == first_slice(u.counts)))
     assert 1 < box.size < fib.size
+    replaced = dataclasses.replace(fib, tables=fib.tables[1:])
+    assert replaced._slice_fibers is None
     for chosen in ([], moves[:1], moves[1:], moves):
-        assert_matches_oracle(subset, chosen)
-        assert whole == [subset.size]
-        whole.clear()
-        assert_matches_oracle(box, chosen)
-        assert whole == []
+        for f in (subset, box, replaced):
+            assert_matches_oracle(f, chosen)
+            assert whole == [f.size]
+            whole.clear()
 
     # no ceiling applies to the connectivity search
     monkeypatch.setenv("MARGO_CEILING", "1")
