@@ -54,28 +54,42 @@ components, so `fiber_connected` searches each slice's tables, which the
 fiber keeps from its construction, and multiplies the counts, and two
 tables share a component exactly when their projections share one in
 every slice.
+
+So `verify_markov_basis` decides such a model on the slice model alone.
+The marginal matrix is block diagonal, one copy of the slice model's per
+slice, so the kernel is the direct sum of the slice kernels: the marginal
+of a kernel vector's positive part picks, per slice, nothing or one slice
+marginal P of that kind, and the number of marginals of degree d is the
+coefficient of x^d in (1 + sum over P of x^deg P) to the power of the
+number of slices.  A fiber is connected exactly when each of its slice
+fibers is, under that slice's moves.  Group the slices by their moves and
+run the degree loop on the slice model once per group.  The least of the
+degrees at which the groups first fail is the whole model's, and its
+disconnected fibers of that degree are exactly the failing slice marginals
+of those groups, each placed in one slice of its group with every other
+slice zero.  Only the least of these is built in full, as the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
 from itertools import chain, combinations, product, repeat
 from math import prod
-from operator import and_, itemgetter, lshift, sub
+from operator import itemgetter, lshift, sub
 from typing import Iterator, Sequence
 
 from .characters import Move
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex
 from .guards import Budget, phase
 from .spaces import (
     ConfigSpace,
     ContingencyTable,
     MarginalLayout,
     MarginalVector,
+    _ConeSplit,
+    _slices,
     config_str,
     layout,
-    sub_space,
 )
 
 
@@ -137,44 +151,6 @@ def _completions(lay: MarginalLayout, walk: Sequence[int]) -> list[tuple[int, ..
     for r, p in last.items():
         out[p].append(r)
     return [tuple(sorted(rs)) for rs in out]
-
-
-@lru_cache(maxsize=None)
-def _slices(lay: MarginalLayout) -> tuple[MarginalLayout, tuple[tuple[int, ...], ...], itemgetter,
-                                          tuple[tuple[int, ...], ...]] | None:
-    """A model whose two or more facets all contain the variables S, cut into slices.
-
-    None when the facets share no variable (or are fewer than two).  Else the
-    layout of the slice model, with the facets F minus S on the other
-    variables; per value of x_S in lex order, the full model's row for each
-    row of the slice model; a getter that maps the slice tables,
-    concatenated in that order, to a full table; and per value of x_S, the
-    full model's cell for each cell of the slice model, which inverts that
-    getter slice by slice.  Cached per layout, and so per (complex, space)
-    like `layout` itself.
-    """
-    cx, space = lay.complex, lay.space
-    common = reduce(and_, cx.facet_masks) if len(cx.facet_masks) >= 2 else 0
-    if not common:
-        return None
-    cone = [i for i in range(1, cx.n + 1) if common >> (i - 1) & 1]
-    rest = [i for i in range(1, cx.n + 1) if not common >> (i - 1) & 1]
-    renumber = {i: k for k, i in enumerate(rest, start=1)}
-    faces = [frozenset(renumber[i] for i in f if i in renumber) for f in cx.facets]
-    part = MarginalLayout(from_facets(len(rest), faces), sub_space(space, rest))
-    facet_of = [faces.index(frozenset(members)) for members in part.facet_members]
-    cone_space = sub_space(space, cone)
-    rows = [[0] * part.nrows for _ in range(cone_space.size)]
-    cells = [[0] * part.space.size for _ in range(cone_space.size)]
-    position = [0] * space.size
-    for ix, x in enumerate(space.configs()):
-        s = cone_space.index([x[i - 1] for i in cone])
-        j = part.space.index([x[i - 1] for i in rest])
-        position[ix] = s * part.space.size + j
-        cells[s][j] = ix
-        for f, r in enumerate(part.rows_of[j]):
-            rows[s][r] = lay.rows_of[ix][facet_of[f]]
-    return part, tuple(map(tuple, rows)), itemgetter(*position), tuple(map(tuple, cells))
 
 
 def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tuple[int, ...]]:
@@ -269,12 +245,11 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     if slices is None:
         tables = _dfs(lay, b.entries, budget)
     else:
-        part, slice_rows, assemble, _ = slices
         walks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for rows in slice_rows:
+        for rows in slices.rows:
             entries = tuple(b.entries[r] for r in rows)
             if entries not in walks:
-                walks[entries] = _dfs(part, entries, budget)
+                walks[entries] = _dfs(slices.part, entries, budget)
             if not walks[entries]:
                 parts = []  # an empty slice fiber empties the product
                 break
@@ -285,7 +260,7 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
             joined: list[tuple[int, ...]] = [()]
             for slice_tables in parts:
                 joined = [head + t for head in joined for t in slice_tables]
-            tables = sorted(map(assemble, joined))
+            tables = sorted(map(slices.assemble, joined))
     fib = Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
     if parts:
         object.__setattr__(fib, "_slice_fibers", tuple(parts))
@@ -347,6 +322,21 @@ def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple
     return ncomp, component
 
 
+def _moves_by_slice(split: _ConeSplit, vectors: Sequence[tuple[int, ...]]
+                    ) -> list[list[tuple[int, ...]]] | None:
+    """Per slice, the projections of the nonzero vectors whose support lies in
+    it, or None when some vector's support spans two slices."""
+    getters = [itemgetter(*cells) for cells in split.cells]
+    slice_vectors: list[list[tuple[int, ...]]] = [[] for _ in getters]
+    for vec in vectors:
+        touched = [s for s, get in enumerate(getters) if any(get(vec))]
+        if len(touched) > 1:
+            return None
+        s = touched[0]
+        slice_vectors[s].append(getters[s](vec))
+    return slice_vectors
+
+
 def _slice_components(lay: MarginalLayout, fiber: Fiber,
                       vectors: Sequence[tuple[int, ...]]) -> tuple[int, int | None] | None:
     """The number of components and the witness index, slice by slice, or None.
@@ -360,16 +350,13 @@ def _slice_components(lay: MarginalLayout, fiber: Fiber,
     """
     if fiber._slice_fibers is None:
         return None
-    getters = [itemgetter(*cells) for cells in _slices(lay)[3]]
-    slice_vectors: list[list[tuple[int, ...]]] = [[] for _ in getters]
-    for vec in vectors:
-        touched = [s for s, get in enumerate(getters) if any(get(vec))]
-        if len(touched) > 1:
-            return None
-        s = touched[0]
-        slice_vectors[s].append(getters[s](vec))
+    split = _slices(lay)
+    slice_vectors = _moves_by_slice(split, vectors)
+    if slice_vectors is None:
+        return None
     ncomp, others = 1, []
-    for get, slice_tables, vecs in zip(getters, fiber._slice_fibers, slice_vectors):
+    for cells, slice_tables, vecs in zip(split.cells, fiber._slice_fibers, slice_vectors):
+        get = itemgetter(*cells)
         count, component = _label_components(slice_tables, vecs)
         ncomp *= count
         if count > 1:
@@ -400,7 +387,12 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     """
     lay = layout(fiber.complex, fiber.space)
     _validate_moves(lay, moves)
-    vectors = [m.vector for m in moves if any(m.vector)]
+    return _connectivity(lay, fiber, [m.vector for m in moves if any(m.vector)])
+
+
+def _connectivity(lay: MarginalLayout, fiber: Fiber,
+                  vectors: Sequence[tuple[int, ...]]) -> ConnectivityReport:
+    """`fiber_connected` under nonzero kernel vectors of the fiber's layout."""
     found = _slice_components(lay, fiber, vectors)
     if found is None:
         ncomp, component = _label_components([t.counts for t in fiber.tables], vectors)
@@ -548,6 +540,37 @@ def _one_support_class(fiber: Fiber) -> bool:
     return len({find(c) for c in firsts}) == 1
 
 
+def _least_failing_degree(lay: MarginalLayout, by_degree: dict[int, set[tuple[int, ...]]],
+                          vectors: Sequence[tuple[int, ...]], budget: Budget
+                          ) -> tuple[int | None, list[DisconnectedFiber]]:
+    """The least degree with a disconnected fiber, and all its disconnected
+    fibers in marginal order; (None, []) when every fiber is connected.
+
+    The fibers of each degree's marginals, in increasing degree, are
+    enumerated on the layout and charged their sizes; a fiber with one
+    shared-support class is connected by the induction in the module
+    docstring, and only the others are searched under the vectors.  Each
+    fiber's enumeration is capped at what was left when its degree began.
+    """
+    blocks = lay.blocks()
+    for deg in sorted(by_degree):
+        cap = budget.ceiling - budget.used
+        bad = []
+        with phase(budget, f"fiber enumeration, degree {deg}"):
+            for entries in sorted(by_degree[deg]):
+                fib = enumerate_fiber(lay.complex, lay.space, MarginalVector(entries, blocks),
+                                      ceiling=cap)
+                budget.spend(fib.size)
+                if _one_support_class(fib):
+                    continue
+                report = _connectivity(lay, fib, vectors)
+                if not report.connected:
+                    bad.append(DisconnectedFiber(fib, report))
+        if bad:
+            return deg, bad
+    return None, []
+
+
 def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequence[Move],
                         degree_limit: int, *, ceiling: int | None = None) -> MarkovReport:
     """Check that the moves connect every fiber of degree <= degree_limit.
@@ -555,56 +578,84 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     Passing is evidence up to the stated bound, not a proof for all degrees.
     On failure the report carries the first disconnected fiber (smallest
     degree, then lexicographically least marginal) and a witness pair of
-    tables in distinct components.
+    tables in distinct components; `fibers_checked` counts the marginals of
+    the positive parts of the kernel vectors of degree <= degree_limit, or
+    only of those up to the failing degree.
 
-    Each fiber whose tables form one shared-support class is connected by
-    the induction in the module docstring; only the others run the move
-    search of `fiber_connected`.  Every fiber of a degree is enumerated,
-    charged and checked before a disconnected one is reported.
-
-    One ceiling bounds the whole run: the kernel-vector search spends it
-    first, every checked fiber is then charged its size in marginal order,
-    and each fiber's own enumeration is capped at what was left when its
-    degree began.  A ceiling error names the run's ceiling, the phase and
-    the degree: the search's degree limit, or the degree of the fibers being
-    checked.
+    On a model cut into slices by a cone point (`_slices`, as every
+    `interval_complement(n, G)` is) whose every nonzero move lies in one
+    slice, the run is decided on the slice model, as the module docstring
+    explains; otherwise on the whole model.  One ceiling bounds the whole
+    run: the kernel-vector search spends it first, then every checked fiber
+    its size (`_least_failing_degree`), and on a FAIL through the slices
+    the witness fiber its size, its enumeration capped at what was left.
+    The marginals counted but never built cost nothing.  A ceiling error
+    names the run's ceiling, the phase and the degree: the search's degree
+    limit, or the degree of the fibers being checked.
     """
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
     lay = layout(cx, space)
     moves = tuple(moves)
     _validate_moves(lay, moves)
-    blocks = lay.blocks()
     budget = Budget(ceiling, "enumerated tables")
     if lay.nrows == 0:
         raise ValueError("cannot verify a model with no facets: every fiber is infinite")
+    vectors = [m.vector for m in moves if any(m.vector)]
+    split = _slices(lay)
+    slice_vectors = None if split is None else _moves_by_slice(split, vectors)
+    model = lay if slice_vectors is None else split.part
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
-    zeros = (0,) * space.size
+    zeros = (0,) * model.space.size
     with phase(budget, f"kernel-vector search, degree {degree_limit}"):
-        for vec in _kernel_vectors(lay, degree_limit, budget):
+        for vec in _kernel_vectors(model, degree_limit, budget):
             if next(filter(None, vec)) < 0:
                 continue  # its twin -vec has the same marginal and degree
             plus = tuple(map(max, vec, zeros))
-            by_degree.setdefault(sum(plus), set()).add(lay.marginal_entries(plus))
+            by_degree.setdefault(sum(plus), set()).add(model.marginal_entries(plus))
 
-    fibers_checked = 0
-    for deg in sorted(by_degree):
-        cap = budget.ceiling - budget.used
-        bad = None
-        with phase(budget, f"fiber enumeration, degree {deg}"):
-            for entries in sorted(by_degree[deg]):
-                fiber = enumerate_fiber(cx, space, MarginalVector(entries, blocks), ceiling=cap)
-                budget.spend(fiber.size)
-                if _one_support_class(fiber):
-                    continue
-                report = fiber_connected(fiber, moves)
-                if bad is None and not report.connected:
-                    bad = DisconnectedFiber(fiber, report)
-        fibers_checked += len(by_degree[deg])
-        if bad is not None:
-            return MarkovReport(False, degree_limit, fibers_checked, bad)
-    return MarkovReport(True, degree_limit, fibers_checked, None)
+    if slice_vectors is None:
+        deg, bad = _least_failing_degree(lay, by_degree, vectors, budget)
+        checked = sum(len(by_degree[d]) for d in by_degree if deg is None or d <= deg)
+        return MarkovReport(not bad, degree_limit, checked, bad[0] if bad else None)
+
+    # Each group of slices with one set of moves fails first at its own
+    # degree; the least of these is the whole model's, and there the
+    # disconnected fibers are the failing slice marginals, each in a
+    # slice of its group with every other slice zero.
+    groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
+    for s, vecs in enumerate(slice_vectors):
+        groups.setdefault(frozenset(vecs), []).append(s)
+    results = [(members, *_least_failing_degree(model, by_degree, list(vecs), budget))
+               for vecs, members in groups.items()]
+    deg = min((d for _, d, _ in results if d is not None), default=None)
+    # A marginal of degree d <= deg picks, per slice, zero or one of the
+    # slice marginals of some degree e, with the degrees adding up to d.
+    top = degree_limit if deg is None else deg
+    series = [1] + [len(by_degree.get(e, ())) for e in range(1, top + 1)]
+    power = [1] + [0] * top
+    for _ in split.rows:
+        power = [sum(power[i] * series[d - i] for i in range(d + 1)) for d in range(top + 1)]
+    checked = sum(power) - 1
+    if deg is None:
+        return MarkovReport(True, degree_limit, checked, None)
+
+    def lift(s: int, entries: tuple[int, ...]) -> list[int]:
+        full = [0] * lay.nrows
+        for r, v in zip(split.rows[s], entries):
+            full[r] = v
+        return full
+
+    least = min(lift(s, bad.fiber.marginal.entries)
+                for members, d, failing in results if d == deg
+                for bad in failing for s in members)
+    with phase(budget, f"fiber enumeration, degree {deg}"):
+        fib = enumerate_fiber(cx, space, MarginalVector(tuple(least), lay.blocks()),
+                              ceiling=budget.ceiling - budget.used)
+        budget.spend(fib.size)
+    return MarkovReport(False, degree_limit, checked,
+                        DisconnectedFiber(fib, fiber_connected(fib, moves)))
 
 
 def _tables_of_degree(size: int, k: int) -> Iterator[tuple[int, ...]]:

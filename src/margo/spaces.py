@@ -10,12 +10,13 @@ Python integer arithmetic and therefore exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from operator import and_, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, from_facets
 
 Config = tuple[int, ...]
 
@@ -219,6 +220,50 @@ class MarginalLayout:
 @lru_cache(maxsize=None)
 def layout(cx: SimplicialComplex, space: ConfigSpace) -> MarginalLayout:
     return MarginalLayout(cx, space)
+
+
+class _ConeSplit(NamedTuple):
+    """A model cut into slices, one per value of x_S in lex order (`_slices`)."""
+
+    part: MarginalLayout  # the slice model: the facets F minus S on the other variables
+    rows: tuple[tuple[int, ...], ...]  # per slice, the full row of each slice row
+    assemble: itemgetter  # the slice tables, concatenated in slice order, to a full table
+    cells: tuple[tuple[int, ...], ...]  # per slice, the full cell of each slice cell
+
+
+@lru_cache(maxsize=None)
+def _slices(lay: MarginalLayout) -> _ConeSplit | None:
+    """A model whose two or more facets all contain the variables S, cut into slices.
+
+    None when the facets share no variable (or are fewer than two).  The
+    marginal matrix is then block diagonal, one block per value of x_S, and
+    each block is the matrix of the slice model, whose facets F minus S share
+    no variable.  `cells` inverts `assemble` slice by slice.  Cached per
+    layout, and so per (complex, space) like `layout` itself.
+    """
+    cx, space = lay.complex, lay.space
+    common = reduce(and_, cx.facet_masks) if len(cx.facet_masks) >= 2 else 0
+    if not common:
+        return None
+    cone = [i for i in range(1, cx.n + 1) if common >> (i - 1) & 1]
+    rest = [i for i in range(1, cx.n + 1) if not common >> (i - 1) & 1]
+    renumber = {i: k for k, i in enumerate(rest, start=1)}
+    faces = [frozenset(renumber[i] for i in f if i in renumber) for f in cx.facets]
+    part = MarginalLayout(from_facets(len(rest), faces), sub_space(space, rest))
+    facet_of = [faces.index(frozenset(members)) for members in part.facet_members]
+    cone_space = sub_space(space, cone)
+    rows = [[0] * part.nrows for _ in range(cone_space.size)]
+    cells = [[0] * part.space.size for _ in range(cone_space.size)]
+    position = [0] * space.size
+    for ix, x in enumerate(space.configs()):
+        s = cone_space.index([x[i - 1] for i in cone])
+        j = part.space.index([x[i - 1] for i in rest])
+        position[ix] = s * part.space.size + j
+        cells[s][j] = ix
+        for f, r in enumerate(part.rows_of[j]):
+            rows[s][r] = lay.rows_of[ix][facet_of[f]]
+    return _ConeSplit(part, tuple(map(tuple, rows)), itemgetter(*position),
+                      tuple(map(tuple, cells)))
 
 
 def symmetry_generators(cx: SimplicialComplex,

@@ -139,17 +139,18 @@ def test_verify_markov_ceiling_exit(capsys):
 
 
 def test_verify_markov_ceiling_is_run_wide(capsys):
-    # a ceiling the kernel-vector search alone uses up; the 164 fibers
-    # checked after it must count against the same ceiling
+    # the run is decided on the slice model; a ceiling its kernel-vector
+    # search alone uses up leaves nothing for the slice fibers checked after it
+    split = fiber._slices(layout(interval_complement(5, {1, 2}), binary_space(5)))
     kernel = Budget(None)
-    list(fiber._kernel_vectors(layout(interval_complement(5, {1, 2}), binary_space(5)),
-                               6, kernel))
+    list(fiber._kernel_vectors(split.part, 6, kernel))
     argv = ["verify-markov", "--space", "2,2,2,2,2", "--G", "1,2",
             "--degree-limit", "6", "--ceiling", str(kernel.used)]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("margo: resource ceiling exceeded")
+    assert err == (f"margo: resource ceiling exceeded: more than {kernel.used} enumerated"
+                   " tables (fiber enumeration, degree 2)\n")
 
 
 def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import time
 from itertools import chain, combinations
+from math import comb
 from operator import itemgetter
 
 import pytest
@@ -10,6 +11,7 @@ from margo import (
     ConnectivityReport,
     ContingencyTable,
     Fiber,
+    MarkovReport,
     Move,
     ResourceCeilingError,
     binary_space,
@@ -246,8 +248,11 @@ def test_fiber_method_respects_ceiling():
 
 
 def test_verify_markov_ceiling_covers_fibers_too(monkeypatch):
+    # a move spanning two slices sends the run to the whole model: its kernel
+    # search and then the checked fibers count against one ceiling
     cx, sp = interval_complement(4, {1, 2}), binary_space(4)
     moves = interval_moves(4, {1, 2})
+    moves += (Move(sp, tuple(map(sum, zip(moves[0].vector, moves[1].vector)))),)
     kernel = Budget(None)
     list(fiber._kernel_vectors(layout(cx, sp), 6, kernel))
     # the checked fibers hold 8 + 36 + 120 tables at degrees 2, 4 and 6
@@ -272,6 +277,149 @@ def test_verify_markov_ceiling_covers_fibers_too(monkeypatch):
     with pytest.raises(ResourceCeilingError, match=rf"more than {run} enumerated tables"
                                                    r" \(fiber enumeration, degree 4\)$"):
         verify_markov_basis(cx, sp, moves, 4, ceiling=run)
+
+
+def test_verify_markov_slice_path_charges():
+    # 2^4 G={1,2} at degree limit 6 is decided on its slice model, the 2x2
+    # independence model, whose one marginal per degree d = 2, 4, 6 is
+    # (k, k, k, k) with k = d / 2: a fiber of k + 1 tables that the walk
+    # reaches in 4 (k + 1) assignments
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    moves = interval_moves(4, {1, 2})
+    part = fiber._slices(layout(cx, sp)).part
+
+    def walk(k):
+        budget = Budget(None)
+        assert len(fiber._dfs(part, (k,) * 4, budget)) == k + 1
+        return budget.used
+
+    kernel = Budget(None)
+    list(fiber._kernel_vectors(part, 6, kernel))
+    assert walk(3) == 16
+    # a PASS: the search, the 2 + 3 tables of degrees 2 and 4, and room for
+    # the degree-6 walk, which is capped at what is left (its 4 tables fit)
+    run = kernel.used + 2 + 3 + walk(3)
+    assert verify_markov_basis(cx, sp, moves, 6, ceiling=run).passed
+    with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
+                                                   r" \(fiber enumeration, degree 6\)$"):
+        verify_markov_basis(cx, sp, moves, 6, ceiling=run - 1)
+    with pytest.raises(ResourceCeilingError, match=rf"more than {kernel.used - 1} enumerated"
+                                                   r" tables \(kernel-vector search, degree 6\)$"):
+        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used - 1)
+    # a FAIL without moves: the slice fiber of degree 2 is charged its 2
+    # tables, then the witness, that marginal in slice 0 and zero in the
+    # other three, is walked slice by slice (its two distinct slice
+    # marginals), and its product of 2 tables is charged
+    rep = verify_markov_basis(cx, sp, [], 6)
+    assert rep.witness.fiber.size == 2 and rep.fibers_checked == 4
+    run = kernel.used + 2 + walk(1) + walk(0) + 2
+    assert not verify_markov_basis(cx, sp, [], 6, ceiling=run).passed
+    with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
+                                                   r" \(fiber enumeration, degree 2\)$"):
+        verify_markov_basis(cx, sp, [], 6, ceiling=run - 1)
+    # 34 marginals are counted, though only the 3 slice fibers charged
+    # above were built
+    assert verify_markov_basis(cx, sp, moves, 6).fibers_checked == 34
+
+
+def kernel_search_sizes(monkeypatch):
+    """Record the number of cells of each model the kernel-vector search runs
+    on: the slice model's on the slice path, the full model's otherwise."""
+    sizes = []
+    search = fiber._kernel_vectors
+
+    def counted(lay, bound, budget):
+        sizes.append(lay.space.size)
+        return search(lay, bound, budget)
+
+    monkeypatch.setattr(fiber, "_kernel_vectors", counted)
+    return sizes
+
+
+def whole_model_report(monkeypatch, cx, sp, moves, limit):
+    """`verify_markov_basis` with the cone split withheld: the whole-model path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fiber, "_slices", lambda lay: None)
+        return verify_markov_basis(cx, sp, moves, limit)
+
+
+def test_verify_markov_slice_path_matches_whole_model_on_interval_complements(monkeypatch):
+    # every interval_complement(n, G) with n <= 5 at criterion 6's degree
+    # limits, with all interval moves, none, and each one dropped; G of one
+    # index (one facet) or of every index (no shared variable) has no split
+    runs = 0
+    for n in (3, 4, 5):
+        sp = binary_space(n)
+        for g_size in range(1, n + 1):
+            for g in combinations(range(1, n + 1), g_size):
+                cx = interval_complement(n, g)
+                if fiber._slices(layout(cx, sp)) is None:
+                    assert g_size in (1, n)
+                    continue
+                limit = 2 ** g_size + 2
+                moves = interval_moves(n, g)
+                for chosen in [moves, ()] + [moves[:i] + moves[i + 1:]
+                                             for i in range(len(moves))]:
+                    want = whole_model_report(monkeypatch, cx, sp, chosen, limit)
+                    with monkeypatch.context() as patch:
+                        sizes = kernel_search_sizes(patch)
+                        assert verify_markov_basis(cx, sp, chosen, limit) == want
+                    assert sizes == [2 ** g_size]
+                    runs += 1
+    assert runs == 244
+
+
+def test_verify_markov_slice_path_matches_whole_model_on_move_subsets(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # cones over one variable, with moves drawn from the kernel vectors of
+    # degree <= 4 whose support lies in one slice (so slices may get unequal
+    # move sets), and optionally one vector that spans two slices, which
+    # sends the run to the whole model
+    cases = []
+    for facets in ([{1, 3}, {2, 3}], [{1, 2}, {1, 3}]):
+        cx = from_facets(3, facets)
+        for cards in ((3, 2, 3), (3, 3, 2), (2, 3, 2), (2, 2, 3)):
+            sp = ConfigSpace(cards)
+            split = fiber._slices(layout(cx, sp))
+            cells = [set(c) for c in split.cells]
+            single, spanning = [], []
+            for v in sorted(naive_kernel_vectors(cx, sp, 4)):
+                support = {ix for ix, x in enumerate(v) if x}
+                (single if any(support <= c for c in cells) else spanning).append(Move(sp, v))
+            assert single and spanning
+            cases.append((cx, sp, split.part.space.size, single, spanning))
+    outcomes = set()
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(case=st.sampled_from(cases), limit=st.integers(0, 5), data=st.data())
+    def check(case, limit, data):
+        cx, sp, part_size, single, spanning = case
+        moves = data.draw(st.lists(st.sampled_from(single), max_size=5, unique=True))
+        if data.draw(st.booleans()):
+            moves.append(data.draw(st.sampled_from(spanning)))
+        want = whole_model_report(monkeypatch, cx, sp, moves, limit)
+        with monkeypatch.context() as patch:
+            sizes = kernel_search_sizes(patch)
+            assert verify_markov_basis(cx, sp, moves, limit) == want
+        whole = any(m in spanning for m in moves)
+        assert sizes == [sp.size if whole else part_size]
+        outcomes.add((whole, want.passed))
+
+    check()
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_verify_markov_fibers_checked_closed_form():
+    # for G={1,2} the slice model is the 2x2 independence model, with one
+    # marginal per even degree, so the marginals of degree <= T number
+    # C(#slices + T/2, T/2) - 1: choose how many units of the slice
+    # marginal each slice takes
+    for n, limit, count in ((6, 8, 4_844), (10, 12, 424_067_747_648)):
+        assert count == comb(2 ** (n - 2) + limit // 2, limit // 2) - 1
+        rep = verify_markov_basis(interval_complement(n, {1, 2}), binary_space(n),
+                                  interval_moves(n, {1, 2}), limit)
+        assert rep == MarkovReport(True, limit, count, None)
 
 
 def test_min_binomial_degree_independence():
@@ -499,7 +647,7 @@ def test_enumerate_fiber_matches_naive_on_cone_point_complexes(rng):
                 got = [t.counts for t in fib.tables]
                 assert got == [t.counts for t in naive_fiber(cx, sp, b)], (cx, cards, b)
                 projections = [sorted({itemgetter(*cells)(t) for t in got})
-                               for cells in slices[3]]
+                               for cells in slices.cells]
                 assert list(fib._slice_fibers) == projections, (cx, cards, b)
     # no slice fibers on an empty fiber, or on a complex without a cone point
     cx, sp = interval_complement(4, {1, 2}), binary_space(4)
@@ -519,12 +667,12 @@ def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
     cx, sp = interval_complement(4, {1, 2}), binary_space(4)
     u = ContingencyTable(sp, (1, 1, 2, 2, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2))
     b = marginal_map(cx, u)
-    part, slice_rows, *_ = fiber._slices(layout(cx, sp))
-    marginals = [tuple(b.entries[r] for r in rows) for rows in slice_rows]
+    split = fiber._slices(layout(cx, sp))
+    marginals = [tuple(b.entries[r] for r in rows) for rows in split.rows]
     assert len(set(marginals)) == 3
     walked = Budget(None)
     for entries in set(marginals):
-        fiber._dfs(part, entries, walked)
+        fiber._dfs(split.part, entries, walked)
     size = enumerate_fiber(cx, sp, b).size
     assert size == 36
     full = Budget(None)
@@ -547,7 +695,7 @@ def infeasible_slices(cx, sp, u):
     to the one before it: the facet blocks still agree, but those two slices'
     marginals do not, so they hold no table."""
     b = marginal_map(cx, u)
-    _, slice_rows, *_ = fiber._slices(layout(cx, sp))
+    slice_rows = fiber._slices(layout(cx, sp)).rows
     entries = list(b.entries)
     entries[slice_rows[-1][0]] -= 1
     entries[slice_rows[-2][0]] += 1
@@ -638,7 +786,7 @@ def count_whole_fiber_searches(monkeypatch, sp):
 
 
 def slice_cells(cx, sp):
-    return fiber._slices(layout(cx, sp))[3]
+    return fiber._slices(layout(cx, sp)).cells
 
 
 def test_slices_round_trip():
@@ -648,14 +796,15 @@ def test_slices_round_trip():
                    (interval_complement(4, {1, 2}), binary_space(4)),
                    (interval_complement(4, {1, 2, 3}), binary_space(4)),
                    (from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((2, 2, 3)))):
-        _, _, assemble, cells = fiber._slices(layout(cx, sp))
+        split = fiber._slices(layout(cx, sp))
+        cells = split.cells
         assert sorted(chain.from_iterable(cells)) == list(range(sp.size))
         u = ContingencyTable(sp, tuple(ix % 3 for ix in range(sp.size)))
         fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
         assert fib.size > 1
         for t in fib.tables:
             joined = tuple(chain.from_iterable(itemgetter(*c)(t.counts) for c in cells))
-            assert assemble(joined) == t.counts
+            assert split.assemble(joined) == t.counts
 
 
 def test_fiber_connected_product_path_agrees_with_component_oracle(monkeypatch):
