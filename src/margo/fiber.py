@@ -35,10 +35,11 @@ are therefore those of the plain search.
 
 Fibers of cone-point complexes
 ------------------------------
-When two or more facets all contain a nonempty set S of variables, a table
-splits into slices, one per value of x_S, and the marginal of each facet F
-splits the same way into the marginals of the slice model with facets
-F minus S.  The fiber is therefore the product of the slice fibers (the
+When every facet contains a nonempty proper set S of the variables, a
+table splits into slices, one per value of x_S, and the marginal of each
+facet F splits the same way into the marginals of the slice model with
+facets F minus S (a lone facet leaves one empty facet, fixing each
+slice's total).  The fiber is therefore the product of the slice fibers (the
 toric fiber product of Sullivant, J. Algebra 2007; used for Markov bases
 by Dobra and Sullivant, Comput. Stat. 2004).  `enumerate_fiber` walks each
 distinct slice marginal once and assembles the product; every
@@ -67,7 +68,9 @@ run the degree loop on the slice model once per group.  The least of the
 degrees at which the groups first fail is the whole model's, and its
 disconnected fibers of that degree are exactly the failing slice marginals
 of those groups, each placed in one slice of its group with every other
-slice zero.  Only the least of these is built in full, as the witness.
+slice zero.  The witness is the least of these, its slice fiber lifted
+into its slice.  A model without a cone point, or with a move that spans
+two slices, is its own single slice, on which the same loop runs.
 """
 
 from __future__ import annotations
@@ -211,11 +214,35 @@ def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tu
         ix += 1
 
 
+def _fiber(lay: MarginalLayout, entries: Sequence[int], budget: Budget
+           ) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
+    """The counts of every table with the marginal entries, in lex order, and
+    the slice fibers of a nonempty product: `enumerate_fiber` after its input
+    checks, charging every walk assignment and product table to the budget."""
+    split = _slices(lay)
+    if split is None:
+        return _dfs(lay, entries, budget), []
+    walks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    parts = []
+    for rows in split.rows:
+        slice_entries = tuple(entries[r] for r in rows)
+        if slice_entries not in walks:
+            walks[slice_entries] = _dfs(split.part, slice_entries, budget)
+        if not walks[slice_entries]:
+            return [], []  # an empty slice fiber empties the product
+        parts.append(walks[slice_entries])
+    budget.spend(prod(map(len, parts)))
+    joined: list[tuple[int, ...]] = [()]
+    for slice_tables in parts:
+        joined = [head + t for head in joined for t in slice_tables]
+    return sorted(map(split.assemble, joined)), parts
+
+
 def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector,
                     *, ceiling: int | None = None) -> Fiber:
     """All nonnegative integer tables with the given marginal vector, in lex order.
 
-    When two or more facets all contain a nonempty set S of variables (every
+    When every facet contains a nonempty proper set S of the variables (every
     `interval_complement(n, G)`, with S = [n] minus G), the fiber is the
     product, over the values s of x_S, of the fibers of the slice model: the
     facets F minus S on the other variables, with the marginal entries of
@@ -239,28 +266,7 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
         raise ValueError("marginal blocks do not match the complex and space")
     if not b.is_consistent():
         raise ValueError("inconsistent marginal: facet blocks sum to different totals")
-    budget = Budget(ceiling, "fiber assignments")
-    slices = _slices(lay)
-    parts: list[list[tuple[int, ...]]] = []
-    if slices is None:
-        tables = _dfs(lay, b.entries, budget)
-    else:
-        walks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for rows in slices.rows:
-            entries = tuple(b.entries[r] for r in rows)
-            if entries not in walks:
-                walks[entries] = _dfs(slices.part, entries, budget)
-            if not walks[entries]:
-                parts = []  # an empty slice fiber empties the product
-                break
-            parts.append(walks[entries])
-        tables = []
-        if parts:
-            budget.spend(prod(map(len, parts)))
-            joined: list[tuple[int, ...]] = [()]
-            for slice_tables in parts:
-                joined = [head + t for head in joined for t in slice_tables]
-            tables = sorted(map(slices.assemble, joined))
+    tables, parts = _fiber(lay, b.entries, Budget(ceiling, "fiber assignments"))
     fib = Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
     if parts:
         object.__setattr__(fib, "_slice_fibers", tuple(parts))
@@ -387,12 +393,7 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     """
     lay = layout(fiber.complex, fiber.space)
     _validate_moves(lay, moves)
-    return _connectivity(lay, fiber, [m.vector for m in moves if any(m.vector)])
-
-
-def _connectivity(lay: MarginalLayout, fiber: Fiber,
-                  vectors: Sequence[tuple[int, ...]]) -> ConnectivityReport:
-    """`fiber_connected` under nonzero kernel vectors of the fiber's layout."""
+    vectors = [m.vector for m in moves if any(m.vector)]
     found = _slice_components(lay, fiber, vectors)
     if found is None:
         ncomp, component = _label_components([t.counts for t in fiber.tables], vectors)
@@ -516,13 +517,13 @@ def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
             raise ValueError("move is not in the kernel of the marginal map")
 
 
-def _one_support_class(fiber: Fiber) -> bool:
-    """Whether the tables of a fiber form one class under "share a support cell".
+def _one_support_class(tables: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the tables' counts form one class under "share a support cell".
 
     A union-find over the cells joins the cells of each table's support; the
     tables form one class when every table's support lands in one set.
     """
-    parent = list(range(fiber.space.size))
+    parent = list(range(len(tables[0])))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -531,8 +532,8 @@ def _one_support_class(fiber: Fiber) -> bool:
         return c
 
     firsts = []
-    for t in fiber.tables:
-        cells = [ix for ix, v in enumerate(t.counts) if v]
+    for t in tables:
+        cells = [ix for ix, v in enumerate(t) if v]
         root = find(cells[0])
         for c in cells[1:]:
             parent[find(c)] = root
@@ -542,33 +543,41 @@ def _one_support_class(fiber: Fiber) -> bool:
 
 def _least_failing_degree(lay: MarginalLayout, by_degree: dict[int, set[tuple[int, ...]]],
                           vectors: Sequence[tuple[int, ...]], budget: Budget
-                          ) -> tuple[int | None, list[DisconnectedFiber]]:
+                          ) -> tuple[int | None, list[tuple]]:
     """The least degree with a disconnected fiber, and all its disconnected
-    fibers in marginal order; (None, []) when every fiber is connected.
+    fibers in marginal order, each as (marginal entries, tables' counts,
+    component count, index of the first table outside table 0's component);
+    (None, []) when every fiber is connected.
 
-    The fibers of each degree's marginals, in increasing degree, are
-    enumerated on the layout and charged their sizes; a fiber with one
-    shared-support class is connected by the induction in the module
-    docstring, and only the others are searched under the vectors.  Each
-    fiber's enumeration is capped at what was left when its degree began.
+    The fibers of each degree's marginals, in increasing degree, are walked
+    by `_fiber` on the budget; a fiber with one shared-support class is
+    connected by the induction in the module docstring, and only the others
+    are searched, by `_label_components`: the layout is a slice model, which
+    has no cone point, or a whole model with none or with a move that spans
+    two slices, so the slice route of `fiber_connected` never applies.
     """
-    blocks = lay.blocks()
     for deg in sorted(by_degree):
-        cap = budget.ceiling - budget.used
         bad = []
         with phase(budget, f"fiber enumeration, degree {deg}"):
             for entries in sorted(by_degree[deg]):
-                fib = enumerate_fiber(lay.complex, lay.space, MarginalVector(entries, blocks),
-                                      ceiling=cap)
-                budget.spend(fib.size)
-                if _one_support_class(fib):
+                tables, _ = _fiber(lay, entries, budget)
+                if _one_support_class(tables):
                     continue
-                report = _connectivity(lay, fib, vectors)
-                if not report.connected:
-                    bad.append(DisconnectedFiber(fib, report))
+                ncomp, component = _label_components(tables, vectors)
+                if ncomp > 1:
+                    other = next(i for i, c in enumerate(component) if c != component[0])
+                    bad.append((entries, tables, ncomp, other))
         if bad:
             return deg, bad
     return None, []
+
+
+def _lift(positions: Sequence[int], values: Sequence[int], size: int) -> tuple[int, ...]:
+    """The values placed at the positions of a zero vector of the given size."""
+    full = [0] * size
+    for p, v in zip(positions, values):
+        full[p] = v
+    return tuple(full)
 
 
 def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequence[Move],
@@ -582,16 +591,16 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     the positive parts of the kernel vectors of degree <= degree_limit, or
     only of those up to the failing degree.
 
-    On a model cut into slices by a cone point (`_slices`, as every
-    `interval_complement(n, G)` is) whose every nonzero move lies in one
-    slice, the run is decided on the slice model, as the module docstring
-    explains; otherwise on the whole model.  One ceiling bounds the whole
-    run: the kernel-vector search spends it first, then every checked fiber
-    its size (`_least_failing_degree`), and on a FAIL through the slices
-    the witness fiber its size, its enumeration capped at what was left.
-    The marginals counted but never built cost nothing.  A ceiling error
-    names the run's ceiling, the phase and the degree: the search's degree
-    limit, or the degree of the fibers being checked.
+    The run is decided on the slices of a cone split (`_slices`, as for
+    every `interval_complement(n, G)`), as the module docstring explains.
+    A model without one, or with a nonzero move whose support spans two
+    slices, is its own single slice.  The witness fiber is the failing
+    slice fiber lifted into its slice, with that fiber's component count
+    and witness pair.  One ceiling bounds the run's work: every assignment
+    of the kernel-vector search and of the fiber walks, and every product
+    table assembled.  A ceiling error names the run's ceiling, the phase and
+    the degree: the search's degree limit, or the degree of the fibers being
+    checked.
     """
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
@@ -604,7 +613,12 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     vectors = [m.vector for m in moves if any(m.vector)]
     split = _slices(lay)
     slice_vectors = None if split is None else _moves_by_slice(split, vectors)
-    model = lay if slice_vectors is None else split.part
+    if slice_vectors is None:  # the whole model as its one slice
+        every = range(space.size)
+        split = _ConeSplit(lay, (tuple(range(lay.nrows)),), itemgetter(*every),
+                           (tuple(every),))
+        slice_vectors = [vectors]
+    model = split.part
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
     zeros = (0,) * model.space.size
@@ -614,11 +628,6 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
                 continue  # its twin -vec has the same marginal and degree
             plus = tuple(map(max, vec, zeros))
             by_degree.setdefault(sum(plus), set()).add(model.marginal_entries(plus))
-
-    if slice_vectors is None:
-        deg, bad = _least_failing_degree(lay, by_degree, vectors, budget)
-        checked = sum(len(by_degree[d]) for d in by_degree if deg is None or d <= deg)
-        return MarkovReport(not bad, degree_limit, checked, bad[0] if bad else None)
 
     # Each group of slices with one set of moves fails first at its own
     # degree; the least of these is the whole model's, and there the
@@ -641,21 +650,16 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     if deg is None:
         return MarkovReport(True, degree_limit, checked, None)
 
-    def lift(s: int, entries: tuple[int, ...]) -> list[int]:
-        full = [0] * lay.nrows
-        for r, v in zip(split.rows[s], entries):
-            full[r] = v
-        return full
-
-    least = min(lift(s, bad.fiber.marginal.entries)
-                for members, d, failing in results if d == deg
-                for bad in failing for s in members)
-    with phase(budget, f"fiber enumeration, degree {deg}"):
-        fib = enumerate_fiber(cx, space, MarginalVector(tuple(least), lay.blocks()),
-                              ceiling=budget.ceiling - budget.used)
-        budget.spend(fib.size)
-    return MarkovReport(False, degree_limit, checked,
-                        DisconnectedFiber(fib, fiber_connected(fib, moves)))
+    least, s, (_, tables, ncomp, other) = min(
+        ((_lift(split.rows[s], bad[0], lay.nrows), s, bad)
+         for members, d, failing in results if d == deg
+         for bad in failing for s in members), key=itemgetter(0))
+    # cells[s] is increasing, so the lifted tables stay in lex order
+    lifted = tuple(ContingencyTable(space, _lift(split.cells[s], t, space.size))
+                   for t in tables)
+    fib = Fiber(cx, space, MarginalVector(least, lay.blocks()), lifted)
+    report = ConnectivityReport(len(lifted), ncomp, (lifted[0], lifted[other]))
+    return MarkovReport(False, degree_limit, checked, DisconnectedFiber(fib, report))
 
 
 def _tables_of_degree(size: int, k: int) -> Iterator[tuple[int, ...]]:

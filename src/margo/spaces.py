@@ -233,17 +233,20 @@ class _ConeSplit(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _slices(lay: MarginalLayout) -> _ConeSplit | None:
-    """A model whose two or more facets all contain the variables S, cut into slices.
+    """A model whose facets all contain the variables S, cut into slices.
 
-    None when the facets share no variable (or are fewer than two).  The
-    marginal matrix is then block diagonal, one block per value of x_S, and
-    each block is the matrix of the slice model, whose facets F minus S share
-    no variable.  `cells` inverts `assemble` slice by slice.  Cached per
-    layout, and so per (complex, space) like `layout` itself.
+    None when the facets share no variable, or share every one (the
+    facet-free complex and the full simplex).  The marginal matrix is then
+    block diagonal, one block per value of x_S, and each block is the matrix
+    of the slice model, whose facets F minus S share no variable; a single
+    facet F leaves one empty facet, which fixes each slice's total.  `cells`
+    inverts `assemble` slice by slice.  Cached per layout, and so per
+    (complex, space) like `layout` itself.
     """
     cx, space = lay.complex, lay.space
-    common = reduce(and_, cx.facet_masks) if len(cx.facet_masks) >= 2 else 0
-    if not common:
+    full = (1 << cx.n) - 1
+    common = reduce(and_, cx.facet_masks, full)
+    if common in (0, full):
         return None
     cone = [i for i in range(1, cx.n + 1) if common >> (i - 1) & 1]
     rest = [i for i in range(1, cx.n + 1) if not common >> (i - 1) & 1]

@@ -229,7 +229,7 @@ def test_one_support_class_fibers_are_connected():
     accepted = 0
     for entries in marginals:
         fib = enumerate_fiber(cx, sp, MarginalVector(entries, lay.blocks()))
-        if fiber._one_support_class(fib):
+        if fiber._one_support_class([t.counts for t in fib.tables]):
             accepted += 1
             assert fiber_connected(fib, moves).connected
     # 4 of the 34 fibers keep two or more classes and need the move search
@@ -241,37 +241,68 @@ def test_verify_markov_rejects_non_kernel_move():
         verify_markov_basis(INDEPENDENCE, B2, [Move(B2, (1, 0, 0, 0))], 4)
 
 
+def fiber_charge(lay, entries):
+    """What walking one fiber on a layout charges: the assignments of its
+    walks and, on a cone split, the tables of the product."""
+    budget = Budget(None)
+    fiber._fiber(lay, entries, budget)
+    return budget.used
+
+
+def kernel_search_charge(lay, limit):
+    budget = Budget(None)
+    list(fiber._kernel_vectors(lay, limit, budget))
+    return budget.used
+
+
+def checked_marginals(lay, limit):
+    """The marginals of the positive parts of the kernel vectors of degree
+    <= limit, with their degrees: the fibers the degree loop walks."""
+    plus = [tuple(max(v, 0) for v in vec)
+            for vec in fiber._kernel_vectors(lay, limit, Budget(None))]
+    return {(sum(p), lay.marginal_entries(p)) for p in plus}
+
+
 def test_fiber_method_respects_ceiling():
-    with pytest.raises(ResourceCeilingError):
-        verify_markov_basis(interval_complement(4, {1}), binary_space(4),
-                            interval_moves(4, {1}), 4, ceiling=50)
+    # 2^4 G={1} splits at its one facet {2,3,4}: the slice model is one binary
+    # variable whose only facet is empty, with the marginal (k) at degree k
+    cx, sp = interval_complement(4, {1}), binary_space(4)
+    moves = interval_moves(4, {1})
+    part = fiber._slices(layout(cx, sp)).part
+    assert part.space.n == 1 and part.nrows == 1
+    run = kernel_search_charge(part, 4) + sum(fiber_charge(part, (k,)) for k in (1, 2, 3, 4))
+    assert verify_markov_basis(cx, sp, moves, 4, ceiling=run).passed
+    with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
+                                                   r" \(fiber enumeration, degree 4\)$"):
+        verify_markov_basis(cx, sp, moves, 4, ceiling=run - 1)
 
 
 def test_verify_markov_ceiling_covers_fibers_too(monkeypatch):
-    # a move spanning two slices sends the run to the whole model: its kernel
-    # search and then the checked fibers count against one ceiling
+    # a move spanning two slices makes the whole model its own slice: its
+    # kernel search, and then every checked fiber's slice walks and product
+    # tables, count against one ceiling
     cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    lay = layout(cx, sp)
     moves = interval_moves(4, {1, 2})
     moves += (Move(sp, tuple(map(sum, zip(moves[0].vector, moves[1].vector)))),)
-    kernel = Budget(None)
-    list(fiber._kernel_vectors(layout(cx, sp), 6, kernel))
-    # the checked fibers hold 8 + 36 + 120 tables at degrees 2, 4 and 6
-    run = kernel.used + 164
+    kernel = kernel_search_charge(lay, 6)
+    charges = {d: 0 for d in (2, 4, 6)}
+    for d, entries in checked_marginals(lay, 6):
+        charges[d] += fiber_charge(lay, entries)
+    run = kernel + sum(charges.values())
     assert verify_markov_basis(cx, sp, moves, 6, ceiling=run).passed
     with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
                                                    r" \(fiber enumeration, degree 6\)$"):
         verify_markov_basis(cx, sp, moves, 6, ceiling=run - 1)
     # the kernel search alone fits and leaves no room for any fiber; the error
     # names the run's ceiling and the phase
-    with pytest.raises(ResourceCeilingError, match=rf"more than {kernel.used} enumerated"
+    with pytest.raises(ResourceCeilingError, match=rf"more than {kernel} enumerated"
                                                    r" tables \(fiber enumeration, degree 2\)$"):
-        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used)
+        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel)
     # at degree limit 4 a ceiling that just fits the kernel search and the
-    # 8 + 36 tables passes on slice products; walked whole, a degree-4 fiber's
-    # enumeration costs more than the 36 left for it
-    kernel = Budget(None)
-    list(fiber._kernel_vectors(layout(cx, sp), 4, kernel))
-    run = kernel.used + 44
+    # slice products of degrees 2 and 4 passes; walked whole, the degree-4
+    # fibers cost more
+    run = kernel_search_charge(lay, 4) + charges[2] + charges[4]
     assert verify_markov_basis(cx, sp, moves, 4, ceiling=run).passed
     monkeypatch.setattr(fiber, "_slices", lambda lay: None)
     with pytest.raises(ResourceCeilingError, match=rf"more than {run} enumerated tables"
@@ -293,26 +324,23 @@ def test_verify_markov_slice_path_charges():
         assert len(fiber._dfs(part, (k,) * 4, budget)) == k + 1
         return budget.used
 
-    kernel = Budget(None)
-    list(fiber._kernel_vectors(part, 6, kernel))
+    kernel = kernel_search_charge(part, 6)
     assert walk(3) == 16
-    # a PASS: the search, the 2 + 3 tables of degrees 2 and 4, and room for
-    # the degree-6 walk, which is capped at what is left (its 4 tables fit)
-    run = kernel.used + 2 + 3 + walk(3)
+    # a PASS: the search and the walks of the slice fibers of degrees 2, 4 and 6
+    run = kernel + walk(1) + walk(2) + walk(3)
     assert verify_markov_basis(cx, sp, moves, 6, ceiling=run).passed
     with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
                                                    r" \(fiber enumeration, degree 6\)$"):
         verify_markov_basis(cx, sp, moves, 6, ceiling=run - 1)
-    with pytest.raises(ResourceCeilingError, match=rf"more than {kernel.used - 1} enumerated"
+    with pytest.raises(ResourceCeilingError, match=rf"more than {kernel - 1} enumerated"
                                                    r" tables \(kernel-vector search, degree 6\)$"):
-        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel.used - 1)
-    # a FAIL without moves: the slice fiber of degree 2 is charged its 2
-    # tables, then the witness, that marginal in slice 0 and zero in the
-    # other three, is walked slice by slice (its two distinct slice
-    # marginals), and its product of 2 tables is charged
+        verify_markov_basis(cx, sp, moves, 6, ceiling=kernel - 1)
+    # a FAIL without moves: the search and the walk of the slice fiber of
+    # degree 2; the witness is that fiber lifted into slice 0, with zeros in
+    # the other three, and costs nothing more
     rep = verify_markov_basis(cx, sp, [], 6)
     assert rep.witness.fiber.size == 2 and rep.fibers_checked == 4
-    run = kernel.used + 2 + walk(1) + walk(0) + 2
+    run = kernel + walk(1)
     assert not verify_markov_basis(cx, sp, [], 6, ceiling=run).passed
     with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
                                                    r" \(fiber enumeration, degree 2\)$"):
@@ -320,6 +348,61 @@ def test_verify_markov_slice_path_charges():
     # 34 marginals are counted, though only the 3 slice fibers charged
     # above were built
     assert verify_markov_basis(cx, sp, moves, 6).fibers_checked == 34
+
+
+def counted_work(monkeypatch):
+    """A counter of a run's work, kept apart from its budget: every
+    assignment of the kernel-vector search and of the fiber walks, and every
+    product table assembled on a cone split."""
+    work = [0]
+
+    class Tee:
+        def __init__(self, budget):
+            self.budget = budget
+
+        def spend(self, k=1):
+            work[0] += k
+            self.budget.spend(k)
+
+    for name in ("_kernel_vectors", "_dfs"):
+        search = getattr(fiber, name)
+        monkeypatch.setattr(fiber, name, lambda lay, arg, budget, search=search:
+                            search(lay, arg, Tee(budget)))
+    split_of = fiber._slices
+
+    def counted_split(lay):
+        split = split_of(lay)
+        if split is None:
+            return None
+
+        def assemble(joined):
+            work[0] += 1
+            return split.assemble(joined)
+
+        return split._replace(assemble=assemble)
+
+    monkeypatch.setattr(fiber, "_slices", counted_split)
+    return work
+
+
+def test_verify_markov_ceiling_bounds_the_work(monkeypatch):
+    # the least passing ceiling of a run is the work it does, on the slice
+    # path and on the whole model (the cone split withheld), PASS and FAIL
+    cx, sp = interval_complement(5, {1, 2}), binary_space(5)
+    moves = interval_moves(5, {1, 2})
+    for whole in (False, True):
+        with monkeypatch.context() as patch:
+            if whole:
+                patch.setattr(fiber, "_slices", lambda lay: None)
+            work = counted_work(patch)
+            for chosen in (moves, moves[1:]):
+                work[0] = 0
+                rep = verify_markov_basis(cx, sp, chosen, 6)
+                ceiling, work[0] = work[0], 0
+                assert verify_markov_basis(cx, sp, chosen, 6, ceiling=ceiling) == rep
+                assert work[0] <= ceiling
+                with pytest.raises(ResourceCeilingError, match=rf"more than {ceiling - 1} "):
+                    verify_markov_basis(cx, sp, chosen, 6, ceiling=ceiling - 1)
 
 
 def kernel_search_sizes(monkeypatch):
@@ -343,10 +426,21 @@ def whole_model_report(monkeypatch, cx, sp, moves, limit):
         return verify_markov_basis(cx, sp, moves, limit)
 
 
+def assert_witness_rebuilds(cx, sp, moves, rep):
+    """A FAIL's witness, lifted from a slice fiber, is the fiber the public
+    functions build for its marginal, tables in order, with their report."""
+    if not rep.passed:
+        fib = rep.witness.fiber
+        assert fib == enumerate_fiber(cx, sp, fib.marginal)
+        assert rep.witness.report == fiber_connected(fib, moves)
+
+
 def test_verify_markov_slice_path_matches_whole_model_on_interval_complements(monkeypatch):
     # every interval_complement(n, G) with n <= 5 at criterion 6's degree
-    # limits, with all interval moves, none, and each one dropped; G of one
-    # index (one facet) or of every index (no shared variable) has no split
+    # limits, with all interval moves, none, and each one dropped; G of every
+    # index has no shared variable and no split.  The five one-facet models
+    # on 2^5 relabel one another and take seconds per whole-model run, so
+    # only G={1} runs there, with all its moves and with its last one dropped
     runs = 0
     for n in (3, 4, 5):
         sp = binary_space(n)
@@ -354,19 +448,26 @@ def test_verify_markov_slice_path_matches_whole_model_on_interval_complements(mo
             for g in combinations(range(1, n + 1), g_size):
                 cx = interval_complement(n, g)
                 if fiber._slices(layout(cx, sp)) is None:
-                    assert g_size in (1, n)
+                    assert g_size == n
                     continue
                 limit = 2 ** g_size + 2
                 moves = interval_moves(n, g)
-                for chosen in [moves, ()] + [moves[:i] + moves[i + 1:]
-                                             for i in range(len(moves))]:
+                dropped = [moves[:i] + moves[i + 1:] for i in range(len(moves))]
+                choices = [moves, ()] + dropped
+                if (n, g_size) == (5, 1):
+                    if g != (1,):
+                        continue
+                    choices = [moves, dropped[-1]]
+                for chosen in choices:
                     want = whole_model_report(monkeypatch, cx, sp, chosen, limit)
                     with monkeypatch.context() as patch:
                         sizes = kernel_search_sizes(patch)
-                        assert verify_markov_basis(cx, sp, chosen, limit) == want
+                        got = verify_markov_basis(cx, sp, chosen, limit)
+                        assert got == want
                     assert sizes == [2 ** g_size]
+                    assert_witness_rebuilds(cx, sp, chosen, got)
                     runs += 1
-    assert runs == 244
+    assert runs == 304
 
 
 def test_verify_markov_slice_path_matches_whole_model_on_move_subsets(monkeypatch):
@@ -401,7 +502,9 @@ def test_verify_markov_slice_path_matches_whole_model_on_move_subsets(monkeypatc
         want = whole_model_report(monkeypatch, cx, sp, moves, limit)
         with monkeypatch.context() as patch:
             sizes = kernel_search_sizes(patch)
-            assert verify_markov_basis(cx, sp, moves, limit) == want
+            got = verify_markov_basis(cx, sp, moves, limit)
+            assert got == want
+        assert_witness_rebuilds(cx, sp, moves, got)
         whole = any(m in spanning for m in moves)
         assert sizes == [sp.size if whole else part_size]
         outcomes.add((whole, want.passed))
@@ -659,6 +762,26 @@ def test_enumerate_fiber_matches_naive_on_cone_point_complexes(rng):
     u = ContingencyTable(B3, (1, 0, 0, 1, 0, 1, 1, 0))
     fib = enumerate_fiber(walked, B3, marginal_map(walked, u))
     assert fib.size > 1 and fib._slice_fibers is None
+
+
+def test_enumerate_fiber_splits_one_facet_complexes(rng):
+    # a lone facet F splits at x_F over a slice model whose one facet is
+    # empty; the full simplex, the lone empty facet and the facet-free
+    # complex have no split
+    for n in (2, 3, 4):
+        assert fiber._slices(layout(from_facets(n, []), binary_space(n))) is None
+        for f in chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1)):
+            cx = from_facets(n, [f])
+            sp = ConfigSpace(tuple(3 if v == 0 else 2 for v in range(n)))
+            split = fiber._slices(layout(cx, sp))
+            if len(f) in (0, n):
+                assert split is None
+                continue
+            assert split.part.complex.facets == (frozenset(),)
+            for degree in (0, 2, 3):
+                b = marginal_map(cx, random_table(rng, sp, degree))
+                got = [t.counts for t in enumerate_fiber(cx, sp, b).tables]
+                assert got == [t.counts for t in naive_fiber(cx, sp, b)], (cx, b)
 
 
 def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
