@@ -54,7 +54,8 @@ components of a Cartesian product are the products of the factors'
 components, so `fiber_connected` searches each slice's tables, which the
 fiber keeps from its construction, and multiplies the counts, and two
 tables share a component exactly when their projections share one in
-every slice.
+every slice.  Every other fiber is searched on the identity split, whose
+one slice is the whole fiber, in the same loop.
 
 So `verify_markov_basis` decides such a model on the slice model alone.
 The marginal matrix is block diagonal, one copy of the slice model's per
@@ -63,14 +64,16 @@ of a kernel vector's positive part picks, per slice, nothing or one slice
 marginal P of that kind, and the number of marginals of degree d is the
 coefficient of x^d in (1 + sum over P of x^deg P) to the power of the
 number of slices.  A fiber is connected exactly when each of its slice
-fibers is, under that slice's moves.  Group the slices by their moves and
-run the degree loop on the slice model once per group.  The least of the
-degrees at which the groups first fail is the whole model's, and its
-disconnected fibers of that degree are exactly the failing slice marginals
-of those groups, each placed in one slice of its group with every other
-slice zero.  The witness is the least of these, its slice fiber lifted
-into its slice.  A model without a cone point, or with a move that spans
-two slices, is its own single slice, on which the same loop runs.
+fibers is, under that slice's moves.  Group the slices by their moves.
+One degree loop on the slice model walks each slice marginal once and
+searches it once per group, and stops at the first degree at which any
+group fails: no group failed below it, so the induction holds for all of
+them, and this degree is the whole model's.  Its disconnected fibers are
+exactly the failing slice marginals, each placed in one slice of a group
+it fails for, with every other slice zero.  The witness is the least of
+these, its slice fiber lifted into its slice.  A model without a cone
+point, or with a move that spans two slices, is its own single slice (the
+identity split), on which the same loop runs.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product, repeat
 from math import prod
-from operator import itemgetter, lshift, sub
+from operator import index, itemgetter, lshift, sub
 from typing import Iterator, Sequence
 
 from .characters import Move
@@ -102,9 +105,10 @@ class Fiber:
 
     A fiber built by `enumerate_fiber` as a product of slice fibers also
     keeps those slice fibers: per value of x_S, the counts of the slice
-    model's tables in lex order.  They are set only there, so a fiber made
-    by hand or by `dataclasses.replace` has none, and they take no part in
-    equality, hashing or the repr.
+    model's tables in lex order, which `fiber_connected` searches as the
+    parts of the fiber.  They are set only there, so a fiber made by hand or
+    by `dataclasses.replace` has none and is searched as one part, its own
+    tables; they take no part in equality, hashing or the repr.
     """
 
     complex: SimplicialComplex
@@ -264,9 +268,13 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
         raise ValueError("fiber is infinite: complex has no facets")
     if b.blocks != lay.blocks():
         raise ValueError("marginal blocks do not match the complex and space")
+    try:
+        entries = tuple(map(index, b.entries))
+    except TypeError:
+        raise ValueError("marginal entries must be integers") from None
     if not b.is_consistent():
         raise ValueError("inconsistent marginal: facet blocks sum to different totals")
-    tables, parts = _fiber(lay, b.entries, Budget(ceiling, "fiber assignments"))
+    tables, parts = _fiber(lay, entries, Budget(ceiling, "fiber assignments"))
     fib = Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
     if parts:
         object.__setattr__(fib, "_slice_fibers", tuple(parts))
@@ -328,49 +336,26 @@ def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple
     return ncomp, component
 
 
-def _moves_by_slice(split: _ConeSplit, vectors: Sequence[tuple[int, ...]]
-                    ) -> list[list[tuple[int, ...]]] | None:
-    """Per slice, the projections of the nonzero vectors whose support lies in
-    it, or None when some vector's support spans two slices."""
-    getters = [itemgetter(*cells) for cells in split.cells]
-    slice_vectors: list[list[tuple[int, ...]]] = [[] for _ in getters]
-    for vec in vectors:
-        touched = [s for s, get in enumerate(getters) if any(get(vec))]
-        if len(touched) > 1:
-            return None
-        s = touched[0]
-        slice_vectors[s].append(getters[s](vec))
-    return slice_vectors
-
-
-def _slice_components(lay: MarginalLayout, fiber: Fiber,
-                      vectors: Sequence[tuple[int, ...]]) -> tuple[int, int | None] | None:
-    """The number of components and the witness index, slice by slice, or None.
-
-    None unless the fiber keeps the slice fibers it was built from
-    (`enumerate_fiber`) and every vector's support lies in one slice.  Then
-    a step changes one slice, the graph is the Cartesian product of the
-    slice graphs, and its components are the products of theirs.  The
-    witness index is that of the first table whose slice components differ
-    from table 0's, or None when there is one component.
-    """
-    if fiber._slice_fibers is None:
-        return None
-    split = _slices(lay)
-    slice_vectors = _moves_by_slice(split, vectors)
-    if slice_vectors is None:
-        return None
-    ncomp, others = 1, []
-    for cells, slice_tables, vecs in zip(split.cells, fiber._slice_fibers, slice_vectors):
-        get = itemgetter(*cells)
-        count, component = _label_components(slice_tables, vecs)
-        ncomp *= count
-        if count > 1:
-            component_of = dict(zip(slice_tables, component))
-            first = component_of[get(fiber.tables[0].counts)]
-            others.append(next(i for i, t in enumerate(fiber.tables)
-                               if component_of[get(t.counts)] != first))
-    return ncomp, min(others, default=None)
+def _split_moves(lay: MarginalLayout, split: _ConeSplit | None,
+                 vectors: Sequence[tuple[int, ...]]
+                 ) -> tuple[_ConeSplit, list[list[tuple[int, ...]]]]:
+    """The cone split with, per slice, the projections of the nonzero vectors
+    whose support lies in it.  Without a split, or when some vector's support
+    spans two slices, the identity split instead: the model as its one slice
+    (its `part` is `lay` itself), with every vector."""
+    if split is not None:
+        getters = [itemgetter(*cells) for cells in split.cells]
+        slice_vectors: list[list[tuple[int, ...]]] = [[] for _ in getters]
+        for vec in vectors:
+            touched = [s for s, get in enumerate(getters) if any(get(vec))]
+            if len(touched) > 1:
+                break
+            slice_vectors[touched[0]].append(getters[touched[0]](vec))
+        else:
+            return split, slice_vectors
+    every = tuple(range(lay.space.size))
+    return (_ConeSplit(lay, (tuple(range(lay.nrows)),), itemgetter(*every), (every,)),
+            [list(vectors)])
 
 
 def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
@@ -381,24 +366,35 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     ignores zero moves.  The witness pairs the first table with the first
     table, in fiber order, outside its component.
 
-    A fiber that `enumerate_fiber` built as a product of slice fibers, on
-    a model cut into slices by a cone point (`_slices`, as for every
-    `interval_complement(n, G)`), keeps those slice fibers.  When every
-    move's support lies in one slice, the components are found slice by
-    slice on them (`_slice_components`): the fiber graph is the Cartesian
-    product of the slice graphs.  Otherwise, and for every fiber built by
-    hand, the packed search of `_label_components` runs over the whole
-    fiber.  Both give the same report, with no induction hypothesis and no
-    ceiling.
+    The components are found slice by slice (`_split_moves`).  A fiber that
+    `enumerate_fiber` built as a product of slice fibers, on a model cut
+    into slices by a cone point (`_slices`, as for every
+    `interval_complement(n, G)`), keeps those slice fibers; when every
+    move's support lies in one slice, they are the parts, and the fiber
+    graph is the Cartesian product of their graphs.  Otherwise, and for
+    every fiber built by hand, the identity split's one part is the fiber's
+    own tables.  `_label_components` searches each part under its moves;
+    the component count is the product of the parts' counts, and the
+    witness is the first table whose component in some part differs from
+    table 0's.  No induction hypothesis and no ceiling apply.
     """
     lay = layout(fiber.complex, fiber.space)
     _validate_moves(lay, moves)
     vectors = [m.vector for m in moves if any(m.vector)]
-    found = _slice_components(lay, fiber, vectors)
-    if found is None:
-        ncomp, component = _label_components([t.counts for t in fiber.tables], vectors)
-        found = ncomp, next((i for i, c in enumerate(component) if c != component[0]), None)
-    ncomp, other = found
+    split, slice_vectors = _split_moves(
+        lay, None if fiber._slice_fibers is None else _slices(lay), vectors)
+    parts = [[t.counts for t in fiber.tables]] if split.part is lay else fiber._slice_fibers
+    ncomp, others = 1, []
+    for cells, slice_tables, vecs in zip(split.cells, parts, slice_vectors):
+        count, component = _label_components(slice_tables, vecs)
+        ncomp *= count
+        if count > 1:
+            get = itemgetter(*cells)
+            component_of = dict(zip(slice_tables, component))
+            first = component_of[get(fiber.tables[0].counts)]
+            others.append(next(i for i, t in enumerate(fiber.tables)
+                               if component_of[get(t.counts)] != first))
+    other = min(others, default=None)
     witness = None if other is None else (fiber.tables[0], fiber.tables[other])
     return ConnectivityReport(fiber.size, ncomp, witness)
 
@@ -541,37 +537,6 @@ def _one_support_class(tables: Sequence[tuple[int, ...]]) -> bool:
     return len({find(c) for c in firsts}) == 1
 
 
-def _least_failing_degree(lay: MarginalLayout, by_degree: dict[int, set[tuple[int, ...]]],
-                          vectors: Sequence[tuple[int, ...]], budget: Budget
-                          ) -> tuple[int | None, list[tuple]]:
-    """The least degree with a disconnected fiber, and all its disconnected
-    fibers in marginal order, each as (marginal entries, tables' counts,
-    component count, index of the first table outside table 0's component);
-    (None, []) when every fiber is connected.
-
-    The fibers of each degree's marginals, in increasing degree, are walked
-    by `_fiber` on the budget; a fiber with one shared-support class is
-    connected by the induction in the module docstring, and only the others
-    are searched, by `_label_components`: the layout is a slice model, which
-    has no cone point, or a whole model with none or with a move that spans
-    two slices, so the slice route of `fiber_connected` never applies.
-    """
-    for deg in sorted(by_degree):
-        bad = []
-        with phase(budget, f"fiber enumeration, degree {deg}"):
-            for entries in sorted(by_degree[deg]):
-                tables, _ = _fiber(lay, entries, budget)
-                if _one_support_class(tables):
-                    continue
-                ncomp, component = _label_components(tables, vectors)
-                if ncomp > 1:
-                    other = next(i for i, c in enumerate(component) if c != component[0])
-                    bad.append((entries, tables, ncomp, other))
-        if bad:
-            return deg, bad
-    return None, []
-
-
 def _lift(positions: Sequence[int], values: Sequence[int], size: int) -> tuple[int, ...]:
     """The values placed at the positions of a zero vector of the given size."""
     full = [0] * size
@@ -594,13 +559,14 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     The run is decided on the slices of a cone split (`_slices`, as for
     every `interval_complement(n, G)`), as the module docstring explains.
     A model without one, or with a nonzero move whose support spans two
-    slices, is its own single slice.  The witness fiber is the failing
-    slice fiber lifted into its slice, with that fiber's component count
-    and witness pair.  One ceiling bounds the run's work: every assignment
-    of the kernel-vector search and of the fiber walks, and every product
-    table assembled.  A ceiling error names the run's ceiling, the phase and
-    the degree: the search's degree limit, or the degree of the fibers being
-    checked.
+    slices, is its own single slice.  Each slice marginal is walked once
+    per degree, for every group of slices with one set of moves.  The
+    witness fiber is the failing slice fiber lifted into its slice, with
+    that fiber's component count and witness pair.  One ceiling bounds the
+    run's work: every assignment of the kernel-vector search and of the
+    fiber walks, and every product table assembled.  A ceiling error names
+    the run's ceiling, the phase and the degree: the search's degree limit,
+    or the degree of the fibers being checked.
     """
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
@@ -611,13 +577,7 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     if lay.nrows == 0:
         raise ValueError("cannot verify a model with no facets: every fiber is infinite")
     vectors = [m.vector for m in moves if any(m.vector)]
-    split = _slices(lay)
-    slice_vectors = None if split is None else _moves_by_slice(split, vectors)
-    if slice_vectors is None:  # the whole model as its one slice
-        every = range(space.size)
-        split = _ConeSplit(lay, (tuple(range(lay.nrows)),), itemgetter(*every),
-                           (tuple(every),))
-        slice_vectors = [vectors]
+    split, slice_vectors = _split_moves(lay, _slices(lay), vectors)
     model = split.part
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
@@ -629,31 +589,39 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
             plus = tuple(map(max, vec, zeros))
             by_degree.setdefault(sum(plus), set()).add(model.marginal_entries(plus))
 
-    # Each group of slices with one set of moves fails first at its own
-    # degree; the least of these is the whole model's, and there the
-    # disconnected fibers are the failing slice marginals, each in a
-    # slice of its group with every other slice zero.
+    # The first degree at which any group of slices fails is the whole
+    # model's, and there the disconnected fibers are the failing slice
+    # marginals, each in a slice of its group with every other slice zero.
     groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
     for s, vecs in enumerate(slice_vectors):
         groups.setdefault(frozenset(vecs), []).append(s)
-    results = [(members, *_least_failing_degree(model, by_degree, list(vecs), budget))
-               for vecs, members in groups.items()]
-    deg = min((d for _, d, _ in results if d is not None), default=None)
-    # A marginal of degree d <= deg picks, per slice, zero or one of the
+    bad = []
+    for deg in sorted(by_degree):
+        with phase(budget, f"fiber enumeration, degree {deg}"):
+            for entries in sorted(by_degree[deg]):
+                tables, _ = _fiber(model, entries, budget)
+                if _one_support_class(tables):
+                    continue
+                for vecs, members in groups.items():
+                    ncomp, component = _label_components(tables, list(vecs))
+                    if ncomp > 1:
+                        other = next(i for i, c in enumerate(component) if c != component[0])
+                        bad += [(_lift(split.rows[s], entries, lay.nrows), s, tables, ncomp,
+                                 other) for s in members]
+        if bad:
+            break
+    # A marginal of degree d <= top picks, per slice, zero or one of the
     # slice marginals of some degree e, with the degrees adding up to d.
-    top = degree_limit if deg is None else deg
+    top = deg if bad else degree_limit
     series = [1] + [len(by_degree.get(e, ())) for e in range(1, top + 1)]
     power = [1] + [0] * top
     for _ in split.rows:
         power = [sum(power[i] * series[d - i] for i in range(d + 1)) for d in range(top + 1)]
     checked = sum(power) - 1
-    if deg is None:
+    if not bad:
         return MarkovReport(True, degree_limit, checked, None)
 
-    least, s, (_, tables, ncomp, other) = min(
-        ((_lift(split.rows[s], bad[0], lay.nrows), s, bad)
-         for members, d, failing in results if d == deg
-         for bad in failing for s in members), key=itemgetter(0))
+    least, s, tables, ncomp, other = min(bad, key=itemgetter(0))
     # cells[s] is increasing, so the lifted tables stay in lex order
     lifted = tuple(ContingencyTable(space, _lift(split.cells[s], t, space.size))
                    for t in tables)

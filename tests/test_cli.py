@@ -360,3 +360,22 @@ def test_verify_markov_on_ten_binary_variables(capsys):
                                   "--G", "1,2", "--degree-limit", "0"])
     assert code == 0 and err == ""
     assert "status: PASS" in out
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    # the shell block under "Examples:" in the README: its first line writes
+    # d2.cx, and each `margo ...` line exits 0, or 1 where marked `# exit 1`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    write, *lines = [line for line in block.splitlines() if line]
+    assert write == r"printf '3\n1 2\n1 3\n2 3\n' > d2.cx"
+    (tmp_path / "d2.cx").write_text(D2_COMPLEX)
+    monkeypatch.chdir(tmp_path)
+    assert len(lines) == 5
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        assert argv[0] == "margo", line
+        code, out, err = run(capsys, argv[1:])
+        assert code == (1 if comment.strip().startswith("exit 1") else 0), (line, err)
+        assert out and err == "", line

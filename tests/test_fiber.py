@@ -86,9 +86,12 @@ def test_enumerate_fiber_matches_naive(rng):
 
 def test_enumerate_fiber_rejects_inconsistent_marginal():
     lay_blocks = marginal_map(INDEPENDENCE, ContingencyTable.zero(B2)).blocks
-    bad = MarginalVector((1, 0, 1, 1), lay_blocks)
-    with pytest.raises(ValueError, match="inconsistent"):
-        enumerate_fiber(INDEPENDENCE, B2, bad)
+    # a non-integer entry is refused even when the facet blocks agree
+    for entries, error in (((1, 0, 1, 1), "inconsistent"), ((1.5, 0.5, 1, 1), "integers")):
+        with pytest.raises(ValueError, match=error):
+            enumerate_fiber(INDEPENDENCE, B2, MarginalVector(entries, lay_blocks))
+    # a negative integer entry is legal: no table has it, so its fiber is empty
+    assert enumerate_fiber(INDEPENDENCE, B2, MarginalVector((-1, 1, 0, 0), lay_blocks)).tables == ()
 
 
 def test_enumerate_fiber_rejects_facet_free_complex():
@@ -345,6 +348,17 @@ def test_verify_markov_slice_path_charges():
     with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
                                                    r" \(fiber enumeration, degree 2\)$"):
         verify_markov_basis(cx, sp, [], 6, ceiling=run - 1)
+    # a --drop-move FAIL: slice 0 loses its one move and the other three
+    # slices keep theirs, so the slices form two groups; the degree-2 slice
+    # fiber is walked once for both, and the run stops at degree 2, where
+    # slice 0 fails, with no walk of degree 4 or 6 for the other group
+    rep = verify_markov_basis(cx, sp, moves[1:], 6)
+    assert not rep.passed and rep.witness.fiber.marginal.degree == 2
+    run = kernel + walk(1)
+    assert verify_markov_basis(cx, sp, moves[1:], 6, ceiling=run) == rep
+    with pytest.raises(ResourceCeilingError, match=rf"more than {run - 1} enumerated tables"
+                                                   r" \(fiber enumeration, degree 2\)$"):
+        verify_markov_basis(cx, sp, moves[1:], 6, ceiling=run - 1)
     # 34 marginals are counted, though only the 3 slice fibers charged
     # above were built
     assert verify_markov_basis(cx, sp, moves, 6).fibers_checked == 34
