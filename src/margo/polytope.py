@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import prod
+from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget, phase
-from .spaces import (Config, ConfigSpace, MarginalMatrix, layout, marginal_matrix,
-                     symmetry_generators)
+from .spaces import (Config, ConfigSpace, MarginalMatrix, _interchangeable, layout,
+                     marginal_matrix)
 
 
 @dataclass(frozen=True)
@@ -306,29 +306,150 @@ class NeighborlinessReport:
     witness: FacialityCertificate | None
 
 
-def _orbit_representatives(generators: Sequence[Sequence[int]], size: int,
-                           k: int) -> Iterator[tuple[int, ...]]:
+def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace,
+                           below: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     """Yield the lex-least k-subset of range(size) in each orbit, in lex order.
 
-    Walks the k-subsets in lex order; each one not yet seen is the lex-least
-    member of its orbit and is yielded at once, and on resuming a search over
-    the generators marks its whole orbit seen.  A caller that stops early
-    walks no orbit past the last representative it took.
+    `below` holds the level-(k-1) representatives in lex order; level 0 is
+    `[()]`.  This is orderly generation (Read, 1978): the candidates are
+    R + (x,) for R in `below` and x > max R, in lex order, and one is kept
+    when it is the lex-least member of its orbit.  None is lost, because
+    dropping the largest element of a lex-least set leaves a lex-least set.
+
+    The group is the one `symmetry_generators` generates: every value
+    permutation of each variable, and every permutation of each class of
+    interchangeable variables (`_interchangeable`).  A candidate is tested
+    without listing the group.  Order its configurations as the rows of a
+    matrix; relabeling each column's values by first appearance and then
+    sorting each class's columns gives the least image under the group for
+    that row order.  The least image of the set is the least of these over
+    all row orders, so row orders are searched depth first, each image row
+    compared with the candidate's own row: a row that reads smaller rejects
+    the candidate, and only rows that read equal are followed.  A row's image
+    only grows as the row order is fixed further, so the rows left, imaged
+    now and sorted, bound every reading below a node from under; a node whose
+    bound reads greater is cut.  Once every column's relabeling and place are
+    fixed, the bound is the reading.  A reading equal to the candidate is an
+    automorphism, and two rows that an automorphism fixing the row order so
+    far maps onto each other start the same readings, so only one is tried.
     """
-    seen: set[tuple[int, ...]] = set()
-    for combo in combinations(range(size), k):
-        if combo in seen:
-            continue
-        yield combo
-        seen.add(combo)
-        frontier = [combo]
-        while frontier:
-            members = frontier.pop()
-            for g in generators:
-                image = tuple(sorted([g[ix] for ix in members]))
-                if image not in seen:
-                    seen.add(image)
-                    frontier.append(image)
+    n, cards = space.n, space.cardinalities
+    configs = list(space.configs())
+    weights = [prod(cards[i + 1:]) for i in range(n)]
+    classes = _interchangeable(cx, space)
+    # a column whose place is settled, with that place's weight; and each
+    # group of columns still tied, with the weights of the places it fills
+    singles0 = [(cols[0], weights[cols[0]]) for cols in classes if len(cols) == 1]
+    groups0 = [(cols, [weights[c] for c in cols]) for cols in classes if len(cols) > 1]
+    last = [q - 1 for q in cards]  # a column with this many labels has them all
+
+    def least(combo: tuple[int, ...]) -> bool:
+        if combo[0]:  # every configuration relabels to configuration 0
+            return False
+        k = len(combo)
+        rows = [configs[ix] for ix in combo]
+        # label[c][v] is value v's label in column c so far: values in order
+        # of first appearance, and every value not seen yet the next label
+        label = [[0] * q for q in cards]
+        seen = [0] * n
+        # per node on the search path: the inverse of the first automorphism
+        # found below it, and a union-find over rows joined by the others
+        frames: list[list] = []
+
+        def root(orbit: list[int], a: int) -> int:
+            while orbit[a] != a:
+                a = orbit[a]
+            return a
+
+        def automorphism(sigma: dict[int, int]) -> None:
+            """Record sigma (row -> place) at every node above it.  Two
+            automorphisms found below one node agree on its path, so the
+            second followed by the inverse of the first fixes that path."""
+            for frame in frames:
+                if frame[0] is None:
+                    frame[0] = {t: u for u, t in sigma.items()}
+                else:
+                    first, orbit = frame
+                    for u, t in sigma.items():
+                        orbit[root(orbit, u)] = root(orbit, first[t])
+
+        def images(free: list[int], singles, groups) -> list[int]:
+            out = []
+            for u in free:
+                x = rows[u]
+                img = 0
+                for c, w in singles:
+                    img += label[c][x[c]] * w
+                for cols, wts in groups:
+                    img += sum(map(mul, sorted([label[c][x[c]] for c in cols]), wts))
+                out.append(img)
+            return out
+
+        def smaller(path: list[int], free: list[int], singles, groups) -> bool:
+            """True when a row order that starts with `path` reads less than combo."""
+            t = len(path)
+            order = sorted(zip(images(free, singles, groups), free))
+            if order and order[0][0] < combo[t]:
+                return True
+            # a row's image only grows as the search goes deeper, so the rows
+            # left, imaged now and sorted, bound every reading below from under
+            bound = tuple([img for img, _ in order])
+            if bound > combo[t:]:
+                return False
+            if len(free) < 2 or not groups and all(map(ge, seen, last)):
+                # the group element is fixed, or one row is left: the bound
+                # is the reading
+                if bound < combo[t:]:
+                    return True
+                automorphism({v: p for p, v in enumerate(path + [v for _, v in order])})
+                return False
+            frame = [None, list(range(k))]
+            frames.append(frame)
+            orbit = frame[1]
+            tried: list[int] = []
+            for img, u in order:
+                if img != combo[t]:
+                    break
+                # rows that an automorphism fixing `path` maps onto each other
+                # head the same row orders, up to that automorphism
+                if any(root(orbit, u) == root(orbit, v) for v in tried):
+                    continue
+                x = rows[u]
+                ones, tied = (list(singles) if groups else singles), []
+                for cols, wts in groups:
+                    keyed = sorted((label[c][x[c]], c) for c in cols)
+                    lo = 0
+                    for hi in range(1, len(keyed) + 1):
+                        if hi == len(keyed) or keyed[hi][0] != keyed[lo][0]:
+                            if hi - lo == 1:
+                                ones.append((keyed[lo][1], wts[lo]))
+                            else:
+                                tied.append(([c for _, c in keyed[lo:hi]], wts[lo:hi]))
+                            lo = hi
+                fresh = [c for c in range(n) if label[c][x[c]] == seen[c]]
+                saved = [label[c] for c in fresh]
+                for c in fresh:
+                    s, v = seen[c], x[c]
+                    label[c] = [a if a < s or w == v else s + 1 for w, a in enumerate(label[c])]
+                    seen[c] = s + 1
+                path.append(u)
+                found = smaller(path, [v for v in free if v != u], ones, tied)
+                path.pop()
+                for c, old in zip(fresh, saved):
+                    label[c] = old
+                    seen[c] -= 1
+                if found:
+                    return True
+                tried.append(u)
+            frames.pop()
+            return False
+
+        return not smaller([], list(range(k)), singles0, groups0)
+
+    for combo in below:
+        for x in range(combo[-1] + 1 if combo else 0, space.size):
+            if least(combo + (x,)):
+                yield combo + (x,)
 
 
 def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
@@ -341,29 +462,32 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
 
     Faciality is invariant under the model's symmetry group (see
     `symmetry_generators`), so only the lex-least subset of each orbit is
-    tested.  The witness is unchanged by this: the orbit of the lex-first
-    non-facial subset holds only non-facial subsets, none of them earlier,
-    so that subset is the lex-least member of its orbit and is tested.
-    The ceiling counts every k-subset of a level, charged before the level
-    is enumerated; its error names the level reached.
+    tested (`_orbit_representatives`).  The witness is unchanged by this:
+    the orbit of the lex-first non-facial subset holds only non-facial
+    subsets, none of them earlier, so that subset is the lex-least member
+    of its orbit and is tested.  Each level's representatives are built
+    from the level below as they are tested.  The ceiling counts the
+    candidates of each level, sum over the representatives R below of
+    size - 1 - max R (`size` at level 1), charged before the level is
+    enumerated; its error names the level reached.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     budget = Budget(ceiling, "subsets tested")
     size = space.size
-    generators = None
+    reps: list[tuple[int, ...]] = [()]
     for k in range(1, min(k_max, size) + 1):
         with phase(budget, f"neighborliness sweep, level {k}"):
-            budget.spend(comb(size, k))
-        if generators is None:  # each holds `size` entries: build once k=1 is paid for
-            generators = symmetry_generators(cx, space)
-        for combo in _orbit_representatives(generators, size, k):
+            budget.spend(sum(size - 1 - (r[-1] if r else -1) for r in reps))
+        below, reps = reps, []
+        for combo in _orbit_representatives(cx, space, below):
             cert = is_facial(cx, space, [space.config(ix) for ix in combo])
             if not cert.is_face:
                 if not cert.recheck(marginal_matrix(cx, space)):
                     raise AssertionError(
                         f"non-face certificate for k={k} failed its exact re-check")
                 return NeighborlinessReport(k - 1, k_max, cert)
+            reps.append(combo)
     return NeighborlinessReport(min(k_max, size), k_max, None)
 
 

@@ -269,6 +269,32 @@ def _slices(lay: MarginalLayout) -> _ConeSplit | None:
                       tuple(map(tuple, cells)))
 
 
+def _interchangeable(cx: SimplicialComplex, space: ConfigSpace) -> tuple[tuple[int, ...], ...]:
+    """The classes of interchangeable variables (0-based), each in increasing order.
+
+    Variables i and j are interchangeable when q_i = q_j and swapping them
+    maps the facet set onto itself.  The relation is an equivalence: if (i j)
+    and (j k) fix the facets, so does (i k) = (i j)(j k)(i j).  Classes are
+    ordered by their least variable; every variable is in one.
+    """
+    if cx.n != space.n:
+        raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
+    q = space.cardinalities
+    facets = set(cx.facets)
+    classes: list[list[int]] = []
+    for j in range(space.n):
+        for members in classes:
+            r = members[0]
+            swap = {r + 1: j + 1, j + 1: r + 1}
+            if q[r] == q[j] and {frozenset(swap.get(v, v) for v in f)
+                                 for f in facets} == facets:
+                members.append(j)
+                break
+        else:
+            classes.append([j])
+    return tuple(map(tuple, classes))
+
+
 def symmetry_generators(cx: SimplicialComplex,
                         space: ConfigSpace) -> tuple[tuple[int, ...], ...]:
     """Generators of a group of configuration relabelings that fix the model.
@@ -281,33 +307,20 @@ def symmetry_generators(cx: SimplicialComplex,
     - per variable, the value transposition (0 1) and the cycle
       (0 1 ... q-1), which together generate the symmetric group on its
       values (one generator when q = 2);
-    - per class of interchangeable variables, a transposition of its first
-      variable with each other one.  Variables i and j are interchangeable
-      when q_i = q_j and swapping them maps the facet set onto itself; this
-      relation is an equivalence, so the star generates the same group as
-      every such transposition.
+    - per class of interchangeable variables (`_interchangeable`), a
+      transposition of its first variable with each other one, which
+      together generate every permutation of the class.
     """
-    if cx.n != space.n:
-        raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
     q = space.cardinalities
+    classes = _interchangeable(cx, space)
     moves = []
     for i, qi in enumerate(q):
         swap = (1, 0) + tuple(range(2, qi))
         cycle = tuple(range(1, qi)) + (0,)
         for perm in ([swap] if qi == 2 else [swap, cycle]):
             moves.append(lambda x, i=i, perm=perm: x[:i] + (perm[x[i]],) + x[i + 1:])
-    facets = set(cx.facets)
-    roots: list[int] = []
-    for j in range(space.n):
-        for r in roots:
-            swap = {r + 1: j + 1, j + 1: r + 1}
-            if q[r] == q[j] and {frozenset(swap.get(v, v) for v in f)
-                                 for f in facets} == facets:
-                moves.append(lambda x, r=r, j=j: x[:r] + (x[j],) + x[r + 1:j]
-                             + (x[r],) + x[j + 1:])
-                break
-        else:
-            roots.append(j)
+    for r, j in sorted(((c[0], j) for c in classes for j in c[1:]), key=itemgetter(1)):
+        moves.append(lambda x, r=r, j=j: x[:r] + (x[j],) + x[r + 1:j] + (x[r],) + x[j + 1:])
     position = {x: ix for ix, x in enumerate(space.configs())}
     return tuple(tuple(position[move(x)] for x in position) for move in moves)
 

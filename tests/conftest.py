@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -255,6 +255,31 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
         y = sum(cost[basis[i]] * tab[i][n + i0] for i in range(len(tab)))
         dual.append(y * flip[i0])
     return LPResult("optimal", value, tuple(solution), tuple(dual))
+
+
+def naive_orbit_representatives(generators: Sequence[Sequence[int]], size: int,
+                                k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the lex-least k-subset of range(size) in each orbit, in lex order.
+
+    The walk that orderly generation replaced, kept as its oracle: it visits
+    every k-subset in lex order; each one not yet seen is the lex-least
+    member of its orbit and is yielded at once, and on resuming a search over
+    the generators marks its whole orbit seen.
+    """
+    seen: set[tuple[int, ...]] = set()
+    for combo in combinations(range(size), k):
+        if combo in seen:
+            continue
+        yield combo
+        seen.add(combo)
+        frontier = [combo]
+        while frontier:
+            members = frontier.pop()
+            for g in generators:
+                image = tuple(sorted([g[ix] for ix in members]))
+                if image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
 
 
 def naive_neighborliness(cx, space: ConfigSpace, k_max: int) -> NeighborlinessReport:

@@ -173,12 +173,13 @@ def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
     assert code == 2 and out == ""
     assert err == f"{prefix} {searched.used} enumerated tables (binomial scan, degree 4)\n"
 
-    # 27 configurations fit under the ceiling at level 1, their 351 pairs do not
+    # the 27 level-1 candidates fit under the ceiling; with the 26 level-2
+    # candidates built from (0,) they do not
     argv = ["neighborly", "--complex", d2_path, "--space", "3,3,3", "--kmax", "4",
-            "--ceiling", "100"]
+            "--ceiling", "50"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"{prefix} 100 subsets tested (neighborliness sweep, level 2)\n"
+    assert err == f"{prefix} 50 subsets tested (neighborliness sweep, level 2)\n"
 
 
 def test_ceiling_env_var_default(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from margo import (
     binary_space,
     from_facets,
     full_simplex,
+    interval_complement,
     is_facial,
     lp_solve,
     marginal_matrix,
@@ -24,7 +25,8 @@ from margo import (
 from margo.polytope import _orbit_representatives
 from margo.spaces import symmetry_generators
 
-from conftest import all_complexes, naive_lp_solve, naive_neighborliness
+from conftest import (all_complexes, naive_lp_solve, naive_neighborliness,
+                      naive_orbit_representatives)
 
 INDEPENDENCE = from_facets(2, [{1}, {2}])
 B2 = binary_space(2)
@@ -306,6 +308,16 @@ def test_neighborliness_charges_ceiling_before_enumerating_a_level():
     assert peak < 8 * 2 ** 20  # the list of pairs alone takes about 50 MB
 
 
+def test_neighborliness_of_d2_over_five_letters_fits_the_default_ceiling():
+    # level 4 has 10,017,000 subsets, over the default ceiling, but only
+    # 55 orbit representatives
+    space = ConfigSpace((5, 5, 5))
+    rep = neighborliness(D2_3, space, 4)
+    assert rep.k == 3
+    assert rep.witness.members == ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+    assert rep.witness.recheck(marginal_matrix(D2_3, space))
+
+
 def test_reduced_sweep_matches_unreduced_oracle():
     # every complex on 3 indices, the facet-free one included, on alphabets
     # where variables are and are not interchangeable
@@ -331,18 +343,68 @@ def test_reduced_sweep_agrees_with_oracle_on_random_complexes():
     check()
 
 
+def _levels(cx, space, top):
+    """The first `top` levels of orbit representatives, by orderly generation."""
+    levels, reps = [], [()]
+    for _ in range(min(top, space.size)):
+        reps = list(_orbit_representatives(cx, space, reps))
+        levels.append(reps)
+    return levels
+
+
+def _oracle_levels(cx, space, top):
+    gens = symmetry_generators(cx, space)
+    return [list(naive_orbit_representatives(gens, space.size, k))
+            for k in range(1, min(top, space.size) + 1)]
+
+
 def test_orbit_representatives_counts():
     cases = [
         (D2_3, ConfigSpace((3, 3, 2)), [1, 5, 12, 40]),
         (D2_3, ConfigSpace((3, 3, 3)), [1, 3, 10, 34]),
+        (D2_3, ConfigSpace((4, 4, 4)), [1, 3, 10, 55]),
         (uniform_complex(5, 2), binary_space(5), [1, 5, 10, 47]),
     ]
     for cx, space, counts in cases:
-        gens = symmetry_generators(cx, space)
-        for k, count in enumerate(counts, start=1):
-            reps = list(_orbit_representatives(gens, space.size, k))
-            assert len(reps) == count, (cx, space, k)
+        levels = _levels(cx, space, len(counts))
+        assert [len(reps) for reps in levels] == counts, (cx, space)
+        for k, reps in enumerate(levels, start=1):
             assert reps[0] == tuple(range(k)) and reps == sorted(reps)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3),
+                                   (3, 3, 2), (3, 3, 3), (4, 2, 2)])
+def test_orbit_representatives_match_the_walk_on_three_indices(sizes):
+    # every level, in order, against the walk over all k-subsets
+    space = ConfigSpace(sizes)
+    for cx in all_complexes(3):  # the facet-free one included
+        assert _levels(cx, space, 4) == _oracle_levels(cx, space, 4), (cx, sizes)
+
+
+def test_orbit_representatives_match_the_walk_on_larger_models():
+    for cx, space in [(uniform_complex(5, 2), binary_space(5)),
+                      (uniform_complex(5, 1), binary_space(5)),
+                      (interval_complement(5, {2, 3}), binary_space(5)),
+                      (uniform_complex(4, 2), ConfigSpace((2, 2, 3, 3))),
+                      # two interleaved classes of interchangeable variables
+                      (from_facets(4, [{1, 3}, {2, 4}]), ConfigSpace((2, 3, 2, 3)))]:
+        assert _levels(cx, space, 4) == _oracle_levels(cx, space, 4), (cx, space)
+
+
+def test_orbit_representatives_match_the_walk_on_random_complexes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    subsets = st.frozensets(st.integers(1, 4), min_size=1)
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(facets=st.lists(subsets, max_size=5),
+                      sizes=st.tuples(*[st.sampled_from([2, 3])] * 4),
+                      top=st.integers(1, 3))
+    def check(facets, sizes, top):
+        cx, space = from_facets(4, facets), ConfigSpace(sizes)
+        assert _levels(cx, space, top) == _oracle_levels(cx, space, top)
+
+    check()
 
 
 def test_polytope_dimension():

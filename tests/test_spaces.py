@@ -20,6 +20,7 @@ from margo.spaces import (
     parse_matrix,
     parse_table,
     symmetry_generators,
+    _interchangeable,
 )
 
 from conftest import all_complexes, naive_marginal, random_complex, random_table
@@ -206,17 +207,38 @@ def test_table_validation():
 
 
 def test_symmetry_generators_fix_the_marginal_matrix():
-    # permuting the columns by a generator must give the same rows, reordered
+    # permuting the columns by a generator must give the same rows, reordered;
+    # and two variables share a class exactly when their alphabets agree and
+    # swapping them does the same
     cases = [(cx, ConfigSpace(sizes)) for cx in all_complexes(3)
              for sizes in [(2, 2, 2), (3, 3, 2), (2, 3, 2)]]
     cases += [(interval_complement(4, {1, 2}), ConfigSpace((2, 2, 3, 3))),
-              (uniform_complex(4, 2), ConfigSpace((3, 3, 3, 3)))]
+              (uniform_complex(4, 2), ConfigSpace((3, 3, 3, 3))),
+              (from_facets(4, [{1, 3}, {2, 4}]), binary_space(4))]
     for cx, space in cases:
         rows = marginal_matrix(cx, space).rows
+
+        def fixes(g):
+            moved = sorted(tuple(row[g[j]] for j in range(space.size)) for row in rows)
+            return moved == sorted(rows)
+
         for g in symmetry_generators(cx, space):
             assert sorted(g) == list(range(space.size))
-            moved = sorted(tuple(row[g[j]] for j in range(space.size)) for row in rows)
-            assert moved == sorted(rows), (cx, space, g)
+            assert fixes(g), (cx, space, g)
+        classes = _interchangeable(cx, space)
+        assert sorted(v for c in classes for v in c) == list(range(space.n))
+        assert all(list(c) == sorted(c) for c in classes)
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        configs = list(space.configs())
+        for i in range(space.n):
+            for j in range(i + 1, space.n):
+                together = any(i in c and j in c for c in classes)
+                q = space.cardinalities
+                if q[i] != q[j]:
+                    assert not together, (cx, space, i, j)
+                    continue
+                swapped = [x[:i] + (x[j],) + x[i + 1:j] + (x[i],) + x[j + 1:] for x in configs]
+                assert together == fixes([space.index(x) for x in swapped]), (cx, space, i, j)
 
 
 def test_symmetry_generators_keep_unlike_variables_apart():
