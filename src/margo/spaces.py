@@ -319,8 +319,9 @@ def symmetry_generators(cx: SimplicialComplex,
         cycle = tuple(range(1, qi)) + (0,)
         for perm in ([swap] if qi == 2 else [swap, cycle]):
             moves.append(lambda x, i=i, perm=perm: x[:i] + (perm[x[i]],) + x[i + 1:])
-    for r, j in sorted(((c[0], j) for c in classes for j in c[1:]), key=itemgetter(1)):
-        moves.append(lambda x, r=r, j=j: x[:r] + (x[j],) + x[r + 1:j] + (x[r],) + x[j + 1:])
+    for r, *others in classes:
+        for j in others:
+            moves.append(lambda x, r=r, j=j: x[:r] + (x[j],) + x[r + 1:j] + (x[r],) + x[j + 1:])
     position = {x: ix for ix, x in enumerate(space.configs())}
     return tuple(tuple(position[move(x)] for x in position) for move in moves)
 
