@@ -388,11 +388,7 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     for cells, slice_tables, vecs in zip(split.cells, parts, slice_vectors):
         count, component = _label_components(slice_tables, vecs)
         ncomp *= count
-        if count > 1 and split.part is lay:
-            # the one part is the fiber's own tables, in order, and the first
-            # table outside table 0's component opens component 1
-            others.append(component.index(1))
-        elif count > 1:
+        if count > 1:
             get = itemgetter(*cells)
             component_of = dict(zip(slice_tables, component))
             first = component_of[get(fiber.tables[0].counts)]

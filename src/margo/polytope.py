@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import ge, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget, phase
@@ -306,32 +306,40 @@ class NeighborlinessReport:
     witness: FacialityCertificate | None
 
 
-def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace,
-                           below: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Yield the lex-least k-subset of range(size) in each orbit, in lex order.
+def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace
+                           ) -> Callable[[Iterable[tuple[int, ...]]], Iterator[tuple[int, ...]]]:
+    """The model's next-level step of orderly generation (Read, 1978).
 
-    `below` holds the level-(k-1) representatives in lex order; level 0 is
-    `[()]`.  This is orderly generation (Read, 1978): the candidates are
-    R + (x,) for R in `below` and x > max R, in lex order, and one is kept
-    when it is the lex-least member of its orbit.  None is lost, because
-    dropping the largest element of a lex-least set leaves a lex-least set.
+    Returns `next_level(below)`: given the level-(k-1) orbit representatives
+    in lex order (level 0 is `[()]`), it yields the lex-least k-subset of
+    range(size) in each orbit, in lex order.  The candidates are R + (x,)
+    for R in `below` and x > max R, in lex order, and one is kept when it is
+    the lex-least member of its orbit.  None is lost, because dropping the
+    largest element of a lex-least set leaves a lex-least set.
 
-    The group is the one `symmetry_generators` generates: every value
-    permutation of each variable, and every permutation of each class of
-    interchangeable variables (`_interchangeable`).  A candidate is tested
-    without listing the group.  Order its configurations as the rows of a
-    matrix; relabeling each column's values by first appearance and then
-    sorting each class's columns gives the least image under the group for
-    that row order.  The least image of the set is the least of these over
-    all row orders, so row orders are searched depth first, each image row
-    compared with the candidate's own row: a row that reads smaller rejects
-    the candidate, and only rows that read equal are followed.  A row's image
-    only grows as the row order is fixed further, so the rows left, imaged
-    now and sorted, bound every reading below a node from under; a node whose
-    bound reads greater is cut.  Once every column's relabeling and place are
-    fixed, the bound is the reading.  A reading equal to the candidate is an
-    automorphism, and two rows that an automorphism fixing the row order so
-    far maps onto each other start the same readings, so only one is tried.
+    The group is every value permutation of each variable and every
+    permutation of each class of interchangeable variables
+    (`_interchangeable`).  A candidate is tested without listing the group.
+    Order its configurations as the rows of a matrix; relabeling each
+    column's values by first appearance and then sorting each class's
+    columns gives the least image under the group for that row order.  The
+    least image of the set is the least of these over all row orders, so
+    row orders are searched depth first, each image row compared with the
+    candidate's own row: a row that reads smaller rejects the candidate, and
+    only rows that read equal are followed.  A row's image only grows as the
+    row order is fixed further, so the rows left, imaged now and sorted,
+    bound every reading below a node from under; a node whose bound reads
+    greater is cut.  Once every column's relabeling and place are fixed, the
+    bound is the reading.
+
+    A reading equal to the candidate is an automorphism: it maps each row to
+    the row in its place in the candidate's own order.  Below a node whose
+    rows so far are the candidate's first rows, every automorphism found
+    fixes those rows, so rows that such automorphisms join head the same
+    readings and only one is tried.  Below any other node, one automorphism
+    found maps the node onto the node of the candidate's first rows at its
+    depth, which was searched earlier and read nothing smaller, so what the
+    node skips hides nothing.
     """
     n, cards = space.n, space.cardinalities
     configs = list(space.configs())
@@ -352,26 +360,14 @@ def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace,
         # of first appearance, and every value not seen yet the next label
         label = [[0] * q for q in cards]
         seen = [0] * n
-        # per node on the search path: the inverse of the first automorphism
-        # found below it, and a union-find over rows joined by the others
-        frames: list[list] = []
+        # per node on the search path, a union-find over the rows joined by
+        # the automorphisms found below it
+        orbits: list[list[int]] = []
 
         def root(orbit: list[int], a: int) -> int:
             while orbit[a] != a:
                 a = orbit[a]
             return a
-
-        def automorphism(sigma: dict[int, int]) -> None:
-            """Record sigma (row -> place) at every node above it.  Two
-            automorphisms found below one node agree on its path, so the
-            second followed by the inverse of the first fixes that path."""
-            for frame in frames:
-                if frame[0] is None:
-                    frame[0] = {t: u for u, t in sigma.items()}
-                else:
-                    first, orbit = frame
-                    for u, t in sigma.items():
-                        orbit[root(orbit, u)] = root(orbit, first[t])
 
         def images(free: list[int], singles, groups) -> list[int]:
             out = []
@@ -389,7 +385,7 @@ def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace,
             """True when a row order that starts with `path` reads less than combo."""
             t = len(path)
             order = sorted(zip(images(free, singles, groups), free))
-            if order and order[0][0] < combo[t]:
+            if order[0][0] < combo[t]:
                 return True
             # a row's image only grows as the search goes deeper, so the rows
             # left, imaged now and sorted, bound every reading below from under
@@ -401,19 +397,19 @@ def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace,
                 # is the reading
                 if bound < combo[t:]:
                     return True
-                automorphism({v: p for p, v in enumerate(path + [v for _, v in order])})
+                # an automorphism: the row in place p goes to row p
+                for p, u in enumerate(path + [v for _, v in order]):
+                    for orbit in orbits:
+                        orbit[root(orbit, u)] = root(orbit, p)
                 return False
-            frame = [None, list(range(k))]
-            frames.append(frame)
-            orbit = frame[1]
+            orbit = list(range(k))
+            orbits.append(orbit)
             tried: list[int] = []
             for img, u in order:
                 if img != combo[t]:
                     break
-                # rows that an automorphism fixing `path` maps onto each other
-                # head the same row orders, up to that automorphism
                 if any(root(orbit, u) == root(orbit, v) for v in tried):
-                    continue
+                    continue  # joined to a row tried already (see the docstring)
                 x = rows[u]
                 ones, tied = (list(singles) if groups else singles), []
                 for cols, wts in groups:
@@ -441,15 +437,18 @@ def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace,
                 if found:
                     return True
                 tried.append(u)
-            frames.pop()
+            orbits.pop()
             return False
 
         return not smaller([], list(range(k)), singles0, groups0)
 
-    for combo in below:
-        for x in range(combo[-1] + 1 if combo else 0, space.size):
-            if least(combo + (x,)):
-                yield combo + (x,)
+    def next_level(below: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        for combo in below:
+            for x in range(combo[-1] + 1 if combo else 0, space.size):
+                if least(combo + (x,)):
+                    yield combo + (x,)
+
+    return next_level
 
 
 def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
@@ -460,9 +459,10 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     lexicographic order; stops at the first non-facial set, which is
     returned as the witness after its certificate re-checks exactly.
 
-    Faciality is invariant under the model's symmetry group (see
-    `symmetry_generators`), so only the lex-least subset of each orbit is
-    tested (`_orbit_representatives`).  The witness is unchanged by this:
+    Faciality is invariant under the model's symmetry group (value
+    permutations per variable, and permutations of interchangeable
+    variables), so only the lex-least subset of each orbit is tested
+    (`_orbit_representatives`).  The witness is unchanged by this:
     the orbit of the lex-first non-facial subset holds only non-facial
     subsets, none of them earlier, so that subset is the lex-least member
     of its orbit and is tested.  Each level's representatives are built
@@ -476,11 +476,14 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     budget = Budget(ceiling, "subsets tested")
     size = space.size
     reps: list[tuple[int, ...]] = [()]
+    next_level = None
     for k in range(1, min(k_max, size) + 1):
         with phase(budget, f"neighborliness sweep, level {k}"):
             budget.spend(sum(size - 1 - (r[-1] if r else -1) for r in reps))
+        if next_level is None:  # it lists the `size` configurations: build once k=1 is paid for
+            next_level = _orbit_representatives(cx, space)
         below, reps = reps, []
-        for combo in _orbit_representatives(cx, space, below):
+        for combo in next_level(below):
             cert = is_facial(cx, space, [space.config(ix) for ix in combo])
             if not cert.is_face:
                 if not cert.recheck(marginal_matrix(cx, space)):

@@ -23,6 +23,7 @@ from margo import (
     marginal_map,
 )
 from margo.fiber import DisconnectedFiber
+from margo.spaces import _interchangeable
 
 
 def naive_tables(space: ConfigSpace, degree: int):
@@ -280,6 +281,37 @@ def naive_orbit_representatives(generators: Sequence[Sequence[int]], size: int,
                 if image not in seen:
                     seen.add(image)
                     frontier.append(image)
+
+
+def symmetry_generators(cx, space: ConfigSpace) -> tuple[tuple[int, ...], ...]:
+    """Generators of the group the neighborliness sweep reduces by.
+
+    The input of `naive_orbit_representatives`, the oracle for orderly
+    generation.  Each generator is a permutation g of configuration indices (config ix
+    goes to config g[ix]) that maps the marginal matrix's columns onto a
+    row permutation of the same matrix, so it maps the marginal polytope
+    onto itself and faces onto faces.  The generators are:
+
+    - per variable, the value transposition (0 1) and the cycle
+      (0 1 ... q-1), which together generate the symmetric group on its
+      values (one generator when q = 2);
+    - per class of interchangeable variables (`_interchangeable`), a
+      transposition of its first variable with each other one, which
+      together generate every permutation of the class.
+    """
+    q = space.cardinalities
+    classes = _interchangeable(cx, space)
+    moves = []
+    for i, qi in enumerate(q):
+        swap = (1, 0) + tuple(range(2, qi))
+        cycle = tuple(range(1, qi)) + (0,)
+        for perm in ([swap] if qi == 2 else [swap, cycle]):
+            moves.append(lambda x, i=i, perm=perm: x[:i] + (perm[x[i]],) + x[i + 1:])
+    for r, *others in classes:
+        for j in others:
+            moves.append(lambda x, r=r, j=j: x[:r] + (x[j],) + x[r + 1:j] + (x[r],) + x[j + 1:])
+    position = {x: ix for ix, x in enumerate(space.configs())}
+    return tuple(tuple(position[move(x)] for x in position) for move in moves)
 
 
 def naive_neighborliness(cx, space: ConfigSpace, k_max: int) -> NeighborlinessReport:

@@ -23,10 +23,9 @@ from margo import (
     uniform_complex,
 )
 from margo.polytope import _orbit_representatives
-from margo.spaces import symmetry_generators
 
 from conftest import (all_complexes, naive_lp_solve, naive_neighborliness,
-                      naive_orbit_representatives)
+                      naive_orbit_representatives, symmetry_generators)
 
 INDEPENDENCE = from_facets(2, [{1}, {2}])
 B2 = binary_space(2)
@@ -345,9 +344,9 @@ def test_reduced_sweep_agrees_with_oracle_on_random_complexes():
 
 def _levels(cx, space, top):
     """The first `top` levels of orbit representatives, by orderly generation."""
-    levels, reps = [], [()]
+    levels, reps, next_level = [], [()], _orbit_representatives(cx, space)
     for _ in range(min(top, space.size)):
-        reps = list(_orbit_representatives(cx, space, reps))
+        reps = list(next_level(reps))
         levels.append(reps)
     return levels
 

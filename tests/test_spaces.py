@@ -19,11 +19,11 @@ from margo.spaces import (
     format_table,
     parse_matrix,
     parse_table,
-    symmetry_generators,
     _interchangeable,
 )
 
-from conftest import all_complexes, naive_marginal, random_complex, random_table
+from conftest import (all_complexes, naive_marginal, random_complex, random_table,
+                      symmetry_generators)
 
 
 def test_config_space_basics():
