@@ -96,6 +96,14 @@ def _g_and_bound(cx) -> tuple[int | None, int | None]:
     return g, (2 ** (g - 1) if g >= 1 else None)
 
 
+def _kmax(args, default: int) -> int:
+    if args.kmax is None:
+        return default
+    if args.kmax < 1:
+        raise UsageError(f"--kmax must be at least 1, got {args.kmax}")
+    return args.kmax
+
+
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_matrix(args) -> int:
@@ -188,7 +196,7 @@ def _cmd_degree_bound(args) -> int:
     g, bound = _g_and_bound(cx)
     if g is None:
         raise UsageError("complex is the full power set: kernel is zero, no binomials exist")
-    kmax = args.kmax if args.kmax is not None else (bound if bound else 1)
+    kmax = _kmax(args, bound if bound else 1)
     found = fiber.min_binomial_degree(cx, space, kmax, ceiling=args.ceiling)
     pairs = [
         ("command", "degree-bound"),
@@ -222,12 +230,8 @@ def _cmd_neighborly(args) -> int:
     space = _load_space(args)
     cx = _load_complex(args)
     g, bound = _g_and_bound(cx)
-    if args.kmax is not None:
-        kmax = args.kmax
-    elif bound is not None:
-        kmax = bound  # one past the guaranteed neighborliness, to probe sharpness
-    else:
-        kmax = space.size
+    # by default one past the guaranteed neighborliness, to probe sharpness
+    kmax = _kmax(args, bound if bound is not None else space.size)
     report = polytope.neighborliness(cx, space, kmax, ceiling=args.ceiling)
     pairs = [
         ("command", "neighborly"),
@@ -367,17 +371,22 @@ _COMMANDS = {
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`: every subcommand name, flags only on the named one.
+    """The parser for `argv`: only the named subcommand, with its flags.
 
     The top-level parser takes no option with a value, so the first argument
-    not starting with "-" names the subcommand; help and error output are
-    those of a parser carrying every subcommand's flags.
+    not starting with "-" names the subcommand.  Unless it is also the first
+    argument and names a subcommand, every subcommand is added, for the
+    top-level help and errors, with flags only on the named one; the output
+    is that of a parser carrying every subcommand with its flags.
     """
     parser = _Parser(prog="margo",
                      description="Marginal polytopes, Markov moves, and fiber checks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     named = next((arg for arg in argv if not arg.startswith("-")), None)
-    for name, (handler, help_text, flags) in _COMMANDS.items():
+    commands = _COMMANDS
+    if argv[:1] == [named] and named in _COMMANDS:
+        commands = {named: _COMMANDS[named]}
+    for name, (handler, help_text, flags) in commands.items():
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         if name == named:

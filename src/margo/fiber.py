@@ -79,7 +79,7 @@ identity split), on which the same loop runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product, repeat
+from itertools import product
 from math import prod
 from operator import index, itemgetter, lshift, sub
 from typing import Iterator, Sequence
@@ -422,8 +422,11 @@ def _walk(lay: MarginalLayout) -> list[int]:
     return [sum(offsets) for offsets in product(*axes)]
 
 
-def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator[tuple[int, ...]]:
-    """All nonzero integer kernel vectors with both support degrees <= bound.
+def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget, *,
+                    least: bool = False) -> Iterator[tuple[int, ...]]:
+    """The nonzero integer kernel vectors with both support degrees <= bound,
+    one of each pair v, -v: the one whose first nonzero entry in the walk is
+    positive.
 
     A lazy generator: each vector is yielded as the search reaches it, so a
     caller that stops at the first one pays only for the search up to it.
@@ -436,11 +439,23 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
     mass assigned so far: its positive excess must be cancelled by negative
     mass still available, so excess + neg_used <= bound prunes (this also
     bounds the negative excess by the positive mass still available).  The
-    search keeps an explicit stack, so its depth is not bounded by the
+    sign cut: while no positive mass has been placed, which with the cut
+    means while every earlier value is zero, a position's range starts at 0.
+    The search keeps an explicit stack, so its depth is not bounded by the
     recursion limit.
+
+    With `least`, meant for a bound at which no vector of lower degree
+    exists, the search walks the configurations in index order, trying the
+    values -1, 1 and 0 in that order, so the first nonzero entry, which is
+    positive, is the least support cell.  It yields only square-free
+    vectors, each less than the one before under the key (negative cells,
+    positive cells), each a sorted tuple: the last one yielded is the
+    least.  Once one is yielded, a branch whose negative cells so far are
+    its first ones is abandoned when the branch's next negative cell can no
+    longer come at or before its next one: every completion sorts after it.
     """
     size = lay.space.size
-    walk = _walk(lay)
+    walk = range(size) if least else _walk(lay)
     completions = _completions(lay, walk)
     facet_of_row = [f for f, bs in enumerate(lay.block_spaces) for _ in range(bs.size)]
     rows_at = [[(r, facet_of_row[r]) for r in lay.rows_of[ix]] for ix in walk]
@@ -454,22 +469,36 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
             new = psum[r] = old + v
             excess[f] += (new if new > 0 else 0) - (old if old > 0 else 0)
 
-    # per walk position: the top of its value range, and the positive and
-    # negative mass used before it (its current value is vec[walk[p]])
+    # per walk position: the top of its value range, the positive and
+    # negative mass used before it (its current value is vec[walk[p]]),
+    # and with `least` whether the negative cells before it are the first
+    # ones of the last vector yielded, whose key is `best`
     top = [0] * size
     pos_before = [0] * (size + 1)
     neg_before = [0] * (size + 1)
+    tied = [False] * (size + 1)
+    best: tuple[list[int], list[int]] | None = None
     p = 0
     opening = True
     while p >= 0:
         if opening:
             if p == size:
-                if any(vec):
+                if least and any(vec):
+                    key = ([ix for ix, v in enumerate(vec) if v < 0],
+                           [ix for ix, v in enumerate(vec) if v > 0])
+                    if best is None or key < best:
+                        best, tied = key, [True] * (size + 1)
+                        negs = key[0] + [size]
+                        yield tuple(vec)
+                elif any(vec):
                     yield tuple(vec)
                 p -= 1
                 opening = False
                 continue
-            lo, hi = -(bound - neg_before[p]), bound - pos_before[p]
+            lo = -(bound - neg_before[p]) if pos_before[p] else 0
+            hi = bound - pos_before[p]
+            if least:
+                lo, hi = max(lo, -1), min(hi, 1)
             closing = completions[p]
             if closing:
                 v = -psum[closing[0]]
@@ -480,6 +509,8 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
                 lo = hi = v
             top[p] = hi
             v = lo
+            if least and not closing:  # the values in the order -1, 1, 0
+                top[p], v = 0, lo or hi
             apply(p, v)
         else:
             # step position p to its next value, or drop it and back up
@@ -489,8 +520,9 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
                 vec[walk[p]] = 0
                 p -= 1
                 continue
-            v += 1
-            apply(p, 1)
+            w = (1 if v < 0 and pos_before[p] < bound else 0) if least else v + 1
+            apply(p, w - v)
+            v = w
         budget.spend()
         vec[walk[p]] = v
         pos_used, neg_used = pos_before[p], neg_before[p]
@@ -499,10 +531,16 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget) -> Iterator
         else:
             neg_used -= v
         opening = max(excess) + neg_used <= bound
+        tie = tied[p]
+        if tie:  # the key cut: the next negative cell comes at or before best's
+            nxt = negs[neg_before[p]]
+            opening = opening and p <= nxt - (v >= 0)
+            tie = v >= 0 or p == nxt
         if opening:
             p += 1
             pos_before[p] = pos_used
             neg_before[p] = neg_used
+            tied[p] = tie
 
 
 def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
@@ -584,8 +622,6 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     zeros = (0,) * model.space.size
     with phase(budget, f"kernel-vector search, degree {degree_limit}"):
         for vec in _kernel_vectors(model, degree_limit, budget):
-            if next(filter(None, vec)) < 0:
-                continue  # its twin -vec has the same marginal and degree
             plus = tuple(map(max, vec, zeros))
             by_degree.setdefault(sum(plus), set()).add(model.marginal_entries(plus))
 
@@ -630,82 +666,51 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     return MarkovReport(False, degree_limit, checked, DisconnectedFiber(fib, report))
 
 
-def _tables_of_degree(size: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every table of degree k on `size` cells, in increasing lex order of counts
-    (stars and bars), each as the tuple of its cells repeated by their counts."""
-    steps, cells = range(size - 1), range(size)
-    for bars in combinations(range(k + size - 1), size - 1):
-        cuts = (0, *map(sub, bars, steps), k)  # stars left of each bar
-        yield tuple(chain.from_iterable(map(repeat, cells, map(sub, cuts[1:], cuts))))
-
-
-def _first_disjoint_pair(tables: Iterator[tuple[int, ...]], weights: Sequence[int],
-                         budget: Budget) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """(u, v) for the first table v sharing its marginal with an earlier u of disjoint support.
-
-    A table comes as the tuple of its cells, each repeated by its count.  Tables
-    are bucketed by the key sum of their cells' weights, which stands for the
-    marginal (see `min_binomial_degree`).
-    """
-    weight = weights.__getitem__
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for cells in tables:
-        budget.spend()
-        bucket = buckets.setdefault(sum(map(weight, cells)), [])
-        if bucket:
-            support = set(cells)
-            for other in bucket:
-                if support.isdisjoint(other):
-                    return other, cells
-        bucket.append(cells)
-    return None
-
-
 def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
                         *, ceiling: int | None = None) -> tuple[int, Move] | None:
     """Smallest degree k <= k_max carrying a disjoint-support binomial pair.
 
-    A pair of degree-k tables with equal marginals and disjoint supports is
-    exactly the positive and negative part of a kernel vector of degree k.
-    So each degree first asks the lazy kernel-vector search for one vector
-    with both parts of degree <= k, and skips the degree when there is none;
-    the first degree with a vector is the answer.  Only that degree is
-    scanned for the witness: the square-free tables (k-subsets of
-    configurations in lex order) first and then every table of degree k
-    (increasing lex order of counts); the witness is the first pair the scan
-    meets, as the move u - v with u the earlier table.  The scan holds each
-    table as the tuple of its cells (a k-subset, or a multiset): its key is
-    the sum of its cells' weights and disjointness is a set test, so the
-    move's vector is built for the witness alone.  The search needs a
-    facet, so a facet-free complex is scanned at every degree.  The ceiling
-    counts search assignments and scanned tables against one budget, and
-    its error names the phase and the degree reached.
+    Such a pair of degree-k tables is the positive and negative part of a
+    kernel vector of degree k.  So each degree first asks the lazy
+    kernel-vector search for one vector with both parts of degree <= k and
+    skips the degree when there is none; at the first degree with one,
+    every such vector has degree k.  The witness is the first pair (u, v),
+    as the move u - v, of a scan of the degree-k tables: the square-free
+    ones as k-subsets in lex order, then all in lex order of counts.  It is
+    the least degree-k vector under the scan's key, so it is searched for:
+    of two disjoint k-subsets the earlier holds the least cell, so the key
+    is (negative cells, positive cells) of the vector whose first nonzero
+    entry is positive (`_kernel_vectors` with `least`); only when no vector
+    is square-free, all of them by (later count vector, earlier count
+    vector).  A facet-free complex's witness is (1, e_0 - e_1).  The
+    ceiling counts both searches' assignments against one budget, and its
+    error names the phase and the degree reached.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     lay = layout(cx, space)
     budget = Budget(ceiling, "enumerated tables")
-    size = space.size
+    if not lay.nrows:
+        return 1, Move(space, (1, -1) + (0,) * (space.size - 2))
     for k in range(1, k_max + 1):
-        if lay.nrows:
-            with phase(budget, f"kernel-vector search, degree {k}"):
-                if next(_kernel_vectors(lay, k, budget), None) is None:
-                    continue
-        # A degree-k marginal packed into one integer, k.bit_length() bits per
-        # row: no entry exceeds k, so equal keys mean equal marginals.
-        width = k.bit_length()
-        weights = [sum(1 << (width * r) for r in rows) for rows in lay.rows_of]
-        with phase(budget, f"binomial scan, degree {k}"):
-            for tables in (combinations(range(size), k), _tables_of_degree(size, k)):
-                pair = _first_disjoint_pair(tables, weights, budget)
-                if pair is not None:
-                    vec = [0] * size
-                    for ix in pair[0]:
-                        vec[ix] += 1
-                    for ix in pair[1]:
-                        vec[ix] -= 1
-                    return k, Move(space, tuple(vec))
+        with phase(budget, f"kernel-vector search, degree {k}"):
+            if next(_kernel_vectors(lay, k, budget), None) is None:
+                continue
+        with phase(budget, f"witness search, degree {k}"):
+            vec = None
+            for vec in _kernel_vectors(lay, k, budget, least=True):
+                pass  # each vector is less than the one before
+            if vec is None:
+                later, earlier = min(map(_count_key, _kernel_vectors(lay, k, budget)))
+                vec = tuple(map(sub, earlier, later))
+        return k, Move(space, vec)
     return None
+
+
+def _count_key(vec: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The parts of a kernel vector as count vectors, the later in lex order first."""
+    plus, minus = tuple(max(v, 0) for v in vec), tuple(max(-v, 0) for v in vec)
+    return max(plus, minus), min(plus, minus)
 
 
 def tableau(u: ContingencyTable) -> str:

@@ -124,13 +124,22 @@ def naive_min_binomial_degree(cx, space: ConfigSpace, k_max: int):
         square_free = sorted((u for u in tables if max(u.counts) <= 1),
                              key=lambda u: u.counts, reverse=True)
         for stream in (square_free, tables):
-            seen = {}
-            for v in stream:
-                bucket = seen.setdefault(marginal_map(cx, v), [])
-                for u in bucket:
-                    if not any(a and b for a, b in zip(u.counts, v.counts)):
-                        return k, Move(space, tuple(a - b for a, b in zip(u.counts, v.counts)))
-                bucket.append(v)
+            move = naive_first_pair(cx, stream)
+            if move is not None:
+                return k, move
+    return None
+
+
+def naive_first_pair(cx, stream) -> Move | None:
+    """u - v for the first table v of the stream with an earlier table u of
+    equal marginal and disjoint support, u the first such; None if none."""
+    seen = {}
+    for v in stream:
+        bucket = seen.setdefault(marginal_map(cx, v), [])
+        for u in bucket:
+            if not any(a and b for a, b in zip(u.counts, v.counts)):
+                return Move(v.space, tuple(a - b for a, b in zip(u.counts, v.counts)))
+        bucket.append(v)
     return None
 
 

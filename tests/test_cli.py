@@ -1,6 +1,8 @@
+import argparse
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -155,23 +157,26 @@ def test_verify_markov_ceiling_is_run_wide(capsys):
 
 def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
     prefix = "margo: resource ceiling exceeded: more than"
+    # the kernel-vector search on the slice model (two cells, the total fixed)
+    # makes 10 assignments, one more than the ceiling
     argv = ["verify-markov", "--space", "2,2,2,2", "--G", "1", "--degree-limit", "4",
-            "--ceiling", "10"]
+            "--ceiling", "9"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"{prefix} 10 enumerated tables (kernel-vector search, degree 4)\n"
+    assert err == f"{prefix} 9 enumerated tables (kernel-vector search, degree 4)\n"
 
+    # the degree-1 search makes 10 assignments
     argv = ["degree-bound", "--complex", d2_path, "--space", "2,2,2"]
-    code, out, err = run(capsys, argv + ["--ceiling", "10"])
+    code, out, err = run(capsys, argv + ["--ceiling", "9"])
     assert code == 2 and out == ""
-    assert err == f"{prefix} 10 enumerated tables (kernel-vector search, degree 1)\n"
-    # room for the searches of degrees 1..4 but not for the degree-4 scan
+    assert err == f"{prefix} 9 enumerated tables (kernel-vector search, degree 1)\n"
+    # room for the searches of degrees 1..4 but not for the degree-4 witness search
     lay, searched = layout(uniform_complex(3, 2), binary_space(3)), Budget(None)
     for k in (1, 2, 3, 4):
         next(fiber._kernel_vectors(lay, k, searched), None)
     code, out, err = run(capsys, argv + ["--ceiling", str(searched.used)])
     assert code == 2 and out == ""
-    assert err == f"{prefix} {searched.used} enumerated tables (binomial scan, degree 4)\n"
+    assert err == f"{prefix} {searched.used} enumerated tables (witness search, degree 4)\n"
 
     # the 27 level-1 candidates fit under the ceiling; with the 26 level-2
     # candidates built from (0,) they do not
@@ -180,6 +185,38 @@ def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"{prefix} 50 subsets tested (neighborliness sweep, level 2)\n"
+
+
+def test_kmax_below_one_is_a_usage_error(capsys, d2_path):
+    for command in ("degree-bound", "neighborly"):
+        for kmax in ("0", "-3"):
+            code, out, err = run(capsys, [command, "--complex", d2_path, "--space", "2,2,2",
+                                          "--kmax", kmax])
+            assert (code, out) == (64, "")
+            assert err == f"margo: usage error: --kmax must be at least 1, got {kmax}\n"
+
+
+def test_degree_bound_reaches_the_sharp_case_on_five_variables(capsys, tmp_path):
+    # u(5,4) over 2^5: g = 5, so the default kmax is 16, which the witness
+    # attains, under the default ceiling
+    p = tmp_path / "u54.cx"
+    p.write_text("5\n" + "".join(f"{' '.join(c)}\n" for c in combinations("12345", 4)))
+    code, out, err = run(capsys, ["degree-bound", "--complex", str(p), "--space", "2,2,2,2,2"])
+    assert (code, err) == (0, "")
+    assert "kmax: 16\nwitness-degree: 16\n" in out
+    assert out.endswith("square-free: yes\nstatus: PASS\n")
+
+
+def test_parser_builds_only_the_named_subcommand():
+    def built(argv):
+        sub = next(a for a in cli.build_parser(argv)._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices)
+
+    assert built(["degree-bound", "--space", "2,2", "-h"]) == ["degree-bound"]
+    for argv in ([], ["-h", "matrix"], ["--hel", "matrix"], ["--kv", "tableau"],
+                 ["nope", "--space", "2"]):
+        assert built(argv) == list(cli._COMMANDS)
 
 
 def test_ceiling_env_var_default(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from margo import (
     verify_markov_basis,
 )
 from margo import fiber
+from margo.characters import kernel_basis
 from margo.guards import Budget
 from margo.spaces import MarginalVector, layout
 
@@ -37,7 +38,9 @@ from conftest import (
     all_complexes,
     naive_fiber,
     naive_kernel_vectors,
+    naive_first_pair,
     naive_min_binomial_degree,
+    naive_tables,
     naive_verify_markov,
     random_complex,
     random_table,
@@ -595,7 +598,7 @@ def test_min_binomial_degree_respects_theorem_bound(rng):
 
 def test_min_binomial_degree_matches_oracle():
     for cx in all_complexes(3):
-        for cards in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)]:
+        for cards in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2), (2, 3, 3)]:
             sp = ConfigSpace(cards)
             for k_max in range(1, 5):
                 got = min_binomial_degree(cx, sp, k_max)
@@ -617,20 +620,22 @@ def test_min_binomial_degree_charges_each_scanned_table_once():
         min_binomial_degree(D2_3, B3, 3, ceiling=searched.used - 1)
 
     # u(4,3) over 2^4: the searches at degrees 1..7 find nothing, the one at
-    # degree 8 stops at its first vector, and the degree-8 square-free scan
-    # charges every 8-subset up to the witness's negative part
+    # degree 8 stops at its first vector, and the degree-8 witness search
+    # charges every assignment of its key-pruned walk; no table is scanned
     cx, sp = uniform_complex(4, 3), binary_space(4)
     lay = layout(cx, sp)
     searched = Budget(None)
     for k in range(1, 8):
         assert next(fiber._kernel_vectors(lay, k, searched), None) is None
     assert next(fiber._kernel_vectors(lay, 8, searched), None) is not None
+    witness = Budget(None)
+    *_, least = fiber._kernel_vectors(lay, 8, witness, least=True)
     k, move = min_binomial_degree(cx, sp, 8)
-    negative = tuple(ix for ix, v in enumerate(move.vector) if v < 0)
-    assert k == 8 and len(negative) == 8 and all(abs(v) == 1 for v in move.vector)
-    run = searched.used + list(combinations(range(16), 8)).index(negative) + 1
+    assert k == 8 and move.vector == least and all(abs(v) == 1 for v in least)
+    run = searched.used + witness.used
+    assert (searched.used, witness.used) == (229, 18)
     assert min_binomial_degree(cx, sp, 8, ceiling=run) == (8, move)
-    with pytest.raises(ResourceCeilingError, match=r"\(binomial scan, degree 8\)$"):
+    with pytest.raises(ResourceCeilingError, match=r"\(witness search, degree 8\)$"):
         min_binomial_degree(cx, sp, 8, ceiling=run - 1)
 
 
@@ -673,11 +678,58 @@ def test_min_binomial_degree_witness_is_fiber_pair():
     assert not set(pos) & set(neg)
 
 
+@pytest.mark.parametrize("cards", [(2, 2, 2, 3), (2, 2, 3, 2), (2, 3, 2, 2), (3, 2, 2, 2)])
+def test_min_binomial_degree_matches_oracle_on_relabeled_uniform_complex(cards):
+    cx, sp = uniform_complex(4, 2), ConfigSpace(cards)
+    got = min_binomial_degree(cx, sp, 4)
+    want = naive_min_binomial_degree(cx, sp, 4)
+    assert got[0] == want[0] == 4 and got[1].vector == want[1].vector
+
+
+@pytest.mark.parametrize("n, k_max", [(4, 8), (5, 16)])
+def test_min_binomial_degree_sharp_witness_is_the_top_character(n, k_max):
+    # the kernel of u(n, n-1) is spanned by the character of [n], so the
+    # witness of degree 2^(n-1) is that character, with cell 0 positive
+    cx = uniform_complex(n, n - 1)
+    (chi,) = kernel_basis(cx)
+    want = chi.values if chi.values[0] > 0 else tuple(-v for v in chi.values)
+    assert min_binomial_degree(cx, binary_space(n), k_max) == (k_max, Move(binary_space(n), want))
+
+
+def test_min_binomial_degree_count_pass_matches_oracle_stream(monkeypatch):
+    # with the square-free search made to find nothing, the witness comes
+    # from the count pass: the first pair of the oracle's stream of every
+    # degree-k table in increasing lex order of counts
+    search = fiber._kernel_vectors
+    monkeypatch.setattr(fiber, "_kernel_vectors", lambda lay, bound, budget, least=False:
+                        iter(()) if least else search(lay, bound, budget))
+    checked = 0
+    for cards in [(2, 2, 2), (3, 2, 2), (2, 3, 2)]:
+        sp = ConfigSpace(cards)
+        for cx in all_complexes(3):
+            if not cx.facets:
+                continue
+            found = naive_min_binomial_degree(cx, sp, 4)
+            if found is None:
+                assert min_binomial_degree(cx, sp, 4) is None
+                continue
+            k = found[0]
+            assert min_binomial_degree(cx, sp, 4) == (k, naive_first_pair(cx, naive_tables(sp, k)))
+            checked += 1
+    assert checked == 51
+
+
 def test_tableau():
     u = ContingencyTable(B3, (1, 0, 0, 0, 0, 0, 1, 2))
     assert tableau(u) == "000\n110\n111\n111\n"
     assert tableau(ContingencyTable.zero(B3)) == ""
     assert tableau(ContingencyTable.indicator(B2, (0, 1))) == "01\n"
+
+
+def both_signs(vectors):
+    """The vectors with their negations: what the search's one-of-each-pair
+    output stands for."""
+    return {w for vec in vectors for w in (vec, tuple(-v for v in vec))}
 
 
 @pytest.mark.parametrize("space", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)])
@@ -690,7 +742,7 @@ def test_kernel_vectors_match_oracle_on_small_complexes(space):
         for bound in range(1, 5):
             got = list(fiber._kernel_vectors(lay, bound, Budget(None)))
             assert len(got) == len(set(got))
-            assert set(got) == naive_kernel_vectors(cx, sp, bound), (cx, space, bound)
+            assert both_signs(got) == naive_kernel_vectors(cx, sp, bound), (cx, space, bound)
 
 
 def test_kernel_vectors_match_oracle_on_interval_complements():
@@ -700,7 +752,25 @@ def test_kernel_vectors_match_oracle_on_interval_complements():
         lay = layout(cx, sp)
         for bound in range(1, 5):
             got = set(fiber._kernel_vectors(lay, bound, Budget(None)))
-            assert got == naive_kernel_vectors(cx, sp, bound), (g, bound)
+            assert both_signs(got) == naive_kernel_vectors(cx, sp, bound), (g, bound)
+
+
+@pytest.mark.parametrize("cx, cards, bound", [
+    (D2_3, (3, 2, 2), 4),
+    (INDEPENDENCE, (3, 3), 4),
+    (interval_complement(4, {1, 2}), (2, 2, 2, 2), 6),
+])
+def test_kernel_vectors_yield_one_of_each_sign_pair(cx, cards, bound):
+    # the sign cut: the search yields S with S and -S disjoint and S | -S
+    # every kernel vector, each with its first nonzero entry in the walk positive
+    sp = ConfigSpace(cards)
+    lay = layout(cx, sp)
+    got = set(fiber._kernel_vectors(lay, bound, Budget(None)))
+    negated = {tuple(-v for v in vec) for vec in got}
+    assert got and not got & negated
+    assert got | negated == naive_kernel_vectors(cx, sp, bound)
+    walk = fiber._walk(lay)
+    assert all(next(filter(None, (vec[ix] for ix in walk))) > 0 for vec in got)
 
 
 def test_kernel_walk_order():
@@ -717,12 +787,13 @@ def test_kernel_walk_order():
 
 
 def test_kernel_vector_search_nodes_on_interval_complement():
-    # lex order took 372,560 assignments here
+    # lex order took 372,560 assignments here, and the walk order 10,624
+    # for all 832 vectors before the sign cut
     budget = Budget(None)
     vectors = list(fiber._kernel_vectors(layout(interval_complement(5, {1, 2}),
                                                 binary_space(5)), 6, budget))
-    assert len(vectors) == 832
-    assert budget.used == 10_624
+    assert len(vectors) == 416
+    assert budget.used == 5_328
 
 
 def test_enumerate_fiber_on_ten_binary_variables():
