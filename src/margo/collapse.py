@@ -3,9 +3,10 @@
 A collapsing sends each variable's alphabet onto {0, 1} surjectively; the
 induced map on contingency tables adds up the counts over each preimage.
 Collapsing commutes with marginalization, which is what lets statements
-about binary models transfer to arbitrary finite alphabets; the functions
-here make both sides of that commutation computable so it can be checked
-rather than assumed.
+about binary models transfer to arbitrary finite alphabets.  The identity is
+checked rather than assumed: for each subset B, collapsing the B-marginal of
+u by B's maps must give the B-marginal of the collapsed table, entry by
+entry over the binary configurations z on B.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .spaces import (
     ConfigSpace,
     ContingencyTable,
     binary_space,
-    cylinder,
+    marginal,
     marginal_map,
 )
 
@@ -98,36 +99,32 @@ def collapse_move(c: Collapsing, m: Move) -> Move:
     return Move(c.target, tuple(p - q for p, q in zip(pos.counts, neg.counts)))
 
 
+def _phi_sides(c: Collapsing, u: ContingencyTable, phi_u: ContingencyTable,
+               members: Iterable[int]) -> tuple[ContingencyTable, ContingencyTable]:
+    """Both sides of the identity on B, as tables over the binary z on B.
+
+    Left: the B-marginal of u, collapsed by the maps of B's variables.
+    Right: the B-marginal of the collapsed table phi_u = collapse_table(c, u).
+    """
+    members = sorted(set(members))
+    u_b = marginal(u, members)  # rejects members outside 1..n before c.maps is read
+    c_b = Collapsing(tuple(c.maps[i - 1] for i in members))
+    return collapse_table(c_b, u_b), marginal(phi_u, members)
+
+
 def verify_phi_identity(c: Collapsing, u: ContingencyTable,
                         members: Iterable[int], z: Sequence[int]) -> bool:
-    """Check both sides of the cylinder/preimage exchange identity.
+    """Check that collapsing commutes with the B-marginal at the binary z.
 
-    Left side: sum u over source cylinders of the local configs collapsing to
-    z.  Right side: sum the collapsed table over the binary cylinder at z.
-    The two sides are computed independently.
+    The left side marginalizes u onto B and then collapses; the right side
+    collapses u and then marginalizes.  Members must lie in 1..n.
     """
-    members = tuple(sorted(set(members)))
+    members = set(members)
     z = tuple(z)
     if len(z) != len(members):
         raise ValueError(f"local config length {len(z)} != |B| = {len(members)}")
-    space = u.space
-    if space != c.source:
-        raise ValueError("table space does not match the collapsing's source")
-    sub_maps = [c.maps[i - 1] for i in members]
-
-    lhs = 0
-    local_axes = [range(len(m)) for m in sub_maps]
-    for x_b in product(*local_axes):
-        if tuple(m[v] for m, v in zip(sub_maps, x_b)) != z:
-            continue
-        for w in cylinder(space, members, x_b):
-            lhs += u.counts[space.index(w)]
-
-    phi_u = collapse_table(c, u)
-    rhs = 0
-    for y in cylinder(c.target, members, z):
-        rhs += phi_u.counts[c.target.index(y)]
-    return lhs == rhs
+    left, right = _phi_sides(c, u, collapse_table(c, u), members)
+    return left[z] == right[z]
 
 
 def collapse_commutes(cx: SimplicialComplex, c: Collapsing,

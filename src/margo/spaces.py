@@ -295,12 +295,18 @@ def _interchangeable(cx: SimplicialComplex, space: ConfigSpace) -> tuple[tuple[i
     return tuple(map(tuple, classes))
 
 
-def marginal(u: ContingencyTable, members: Iterable[int]) -> ContingencyTable:
-    """The B-marginal of u: sums over the cylinders {X_B = x_B}."""
+def _members(space: ConfigSpace, members: Iterable[int]) -> list[int]:
+    """B as a sorted list, checked to lie in 1..n."""
     members = sorted(set(members))
     for i in members:
-        if not 1 <= i <= u.space.n:
-            raise ValueError(f"element {i} out of range 1..{u.space.n}")
+        if not 1 <= i <= space.n:
+            raise ValueError(f"element {i} out of range 1..{space.n}")
+    return members
+
+
+def marginal(u: ContingencyTable, members: Iterable[int]) -> ContingencyTable:
+    """The B-marginal of u: sums over the cylinders {X_B = x_B}."""
+    members = _members(u.space, members)
     sub = sub_space(u.space, members)
     out = [0] * sub.size
     for x, c in zip(u.space.configs(), u.counts):
@@ -322,7 +328,7 @@ def marginal_matrix(cx: SimplicialComplex, space: ConfigSpace) -> MarginalMatrix
 
 def cylinder(space: ConfigSpace, members: Iterable[int], y: Sequence[int]) -> list[Config]:
     """All configurations that agree with the local configuration y on B."""
-    members = sorted(set(members))
+    members = _members(space, members)
     y = tuple(y)
     if len(y) != len(members):
         raise ValueError(f"local config length {len(y)} != |B| = {len(members)}")
@@ -375,6 +381,8 @@ def parse_matrix(text: str) -> list[list[int]]:
         vals = [int(t) for t in tokens[2:]]
     except ValueError:
         raise ValueError("matrix text contains a non-integer token") from None
+    if nrows < 0 or ncols < 0:
+        raise ValueError(f"matrix dimensions must be nonnegative, got {nrows} {ncols}")
     if len(vals) != nrows * ncols:
         raise ValueError(f"expected {nrows * ncols} matrix entries, got {len(vals)}")
     return [vals[r * ncols:(r + 1) * ncols] for r in range(nrows)]

@@ -18,6 +18,8 @@ from margo import (
     MarkovReport,
     Move,
     NeighborlinessReport,
+    collapse_table,
+    cylinder,
     from_facets,
     is_facial,
     marginal_map,
@@ -156,6 +158,28 @@ def naive_marginal(u: ContingencyTable, members) -> tuple[int, ...]:
                 total += c
         out.append(total)
     return tuple(out)
+
+
+def naive_phi_sums(c, u: ContingencyTable, members, z) -> tuple[int, int]:
+    """Both sides of the collapsing identity at (B, z), by cylinder sums.
+
+    Left: u summed over the source cylinders of every local config on B that
+    collapses to z.  Right: the collapsed table summed over the binary
+    cylinder at z.
+    """
+    members = sorted(set(members))
+    sub_maps = [c.maps[i - 1] for i in members]
+    lhs = 0
+    for x_b in product(*(range(len(m)) for m in sub_maps)):
+        if tuple(m[v] for m, v in zip(sub_maps, x_b)) == tuple(z):
+            lhs += sum(u[w] for w in cylinder(u.space, members, x_b))
+    phi_u = collapse_table(c, u)
+    return lhs, sum(phi_u[y] for y in cylinder(c.target, members, z))
+
+
+def naive_phi_identity(c, u: ContingencyTable, members, z) -> bool:
+    lhs, rhs = naive_phi_sums(c, u, members, z)
+    return lhs == rhs
 
 
 def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],

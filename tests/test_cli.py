@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from margo import (binary_space, cli, fiber, interval_complement, interval_moves, polytope,
-                   uniform_complex)
+from margo import (ContingencyTable, binary_space, cli, fiber, interval_complement,
+                   interval_moves, polytope, uniform_complex)
 from margo.guards import Budget
 from margo.spaces import config_str, layout
 
@@ -293,6 +293,56 @@ def test_collapse_subcommand(capsys, tmp_path):
     assert code == 0
     assert "phi-identity: OK (9 checks)" in out
     assert out.endswith("collapsed-table:\n2\n2 2\n1 0 0 3\n")
+
+
+@pytest.fixture
+def collapse_332(tmp_path):
+    cmap = tmp_path / "c.map"
+    cmap.write_text("1: 0 1 1\n2: 1 0 1\n3: 1 0\n")
+    table = tmp_path / "t.tab"
+    table.write_text("3\n3 3 2\n1 0 2 0 0 3 1 0 0 0 4 0 0 1 0 0 2 5\n")
+    return ["collapse", "--space", "3,3,2", "--map", str(cmap), "--table", str(table)]
+
+
+def test_collapse_subcommand_three_variables(capsys, collapse_332):
+    code, out, _ = run(capsys, collapse_332)
+    assert code == 0
+    assert out == ("command: collapse\nspace: 3 3 2\ndegree: 19\ncollapsed-degree: 19\n"
+                   "phi-identity: OK (27 checks)\n"
+                   "collapsed-table:\n3\n2 2 2\n0 2 3 1 0 0 6 7\n")
+
+
+@pytest.mark.parametrize("broken, first", [
+    ({frozenset({1, 3}): (2, 3), frozenset({2}): (1,)}, "B={2} z=(1,)"),
+    ({frozenset({1, 3}): (2, 3)}, "B={1,3} z=(1, 0)"),
+    ({frozenset(): (0,), frozenset({1, 2, 3}): (5,)}, "B={} z=()"),
+])
+def test_collapse_subcommand_reports_first_failure(capsys, monkeypatch, collapse_332,
+                                                   broken, first):
+    from margo import collapse
+    sides = collapse._phi_sides
+
+    def skewed(c, u, phi_u, members):
+        left, right = sides(c, u, phi_u, members)
+        counts = list(right.counts)
+        for ix in broken.get(frozenset(members), ()):
+            counts[ix] += 1
+        return left, ContingencyTable(right.space, tuple(counts))
+
+    monkeypatch.setattr(collapse, "_phi_sides", skewed)
+    code, out, _ = run(capsys, collapse_332)
+    assert code == 1
+    assert f"phi-identity: FAILED at {first}\n" in out
+    assert out.endswith("collapsed-table:\n3\n2 2 2\n0 2 3 1 0 0 6 7\n")
+
+
+def test_negative_matrix_dimensions_are_usage_errors(capsys, tmp_path):
+    moves = tmp_path / "neg.moves"
+    moves.write_text("-2 -8\n" + " 1" * 16 + "\n")
+    code, out, err = run(capsys, ["verify-markov", "--space", "2,2,2", "--G", "1,2,3",
+                                  "--degree-limit", "4", "--moves", str(moves)])
+    assert code == 64 and out == ""
+    assert err == "margo: usage error: matrix dimensions must be nonnegative, got -2 -8\n"
 
 
 def test_mi_subcommand(capsys, tmp_path):

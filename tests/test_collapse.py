@@ -24,9 +24,9 @@ from margo import (
     uniform_complex,
     verify_phi_identity,
 )
-from margo.collapse import format_collapsing, parse_collapsing
+from margo.collapse import _phi_sides, format_collapsing, parse_collapsing
 
-from conftest import all_complexes, random_table
+from conftest import all_complexes, naive_phi_identity, naive_phi_sums, random_table
 
 TERNARY_PAIR = ConfigSpace((3, 3))
 PHI_SQUASH = Collapsing(((0, 1, 1), (0, 1, 1)))
@@ -87,18 +87,43 @@ def test_all_collapsings_count():
         assert len(set(got)) == expected
 
 
-def test_phi_identity_exhaustive_small():
-    # every (collapsing, table, B, z) on 2- and 3-variable mixed spaces
-    for cards in [(2, 3), (3, 3)]:
+def test_phi_identity_exhaustive_small(rng):
+    # every (collapsing, table, B, z) on small mixed spaces, against the
+    # cylinder-sum oracle; the sides are compared too, since the identity
+    # itself holds everywhere
+    for cards in [(2, 3), (3, 3), (3, 2, 2)]:
         sp = ConfigSpace(cards)
-        tables = [
-            ContingencyTable.indicator(sp, x) for x in list(sp.configs())[:3]
-        ] + [ContingencyTable(sp, tuple(range(sp.size)))]
+        tables = [ContingencyTable.indicator(sp, x) for x in sp.configs()]
+        tables.append(ContingencyTable(sp, tuple(range(sp.size))))
+        tables.extend(random_table(rng, sp, rng.randint(1, 8)) for _ in range(3))
         for c in all_collapsings(sp):
             for u in tables:
+                phi_u = collapse_table(c, u)
                 for members in _all_subsets(sp.n):
+                    left, right = _phi_sides(c, u, phi_u, members)
                     for z in product((0, 1), repeat=len(members)):
-                        assert verify_phi_identity(c, u, members, z)
+                        assert (left[z], right[z]) == naive_phi_sums(c, u, members, z)
+                        assert verify_phi_identity(c, u, members, z) is \
+                            naive_phi_identity(c, u, members, z)
+
+
+def test_phi_identity_rejects_bad_input():
+    sp = ConfigSpace((3, 2))
+    c = Collapsing(((0, 1, 1), (0, 1)))
+    u = ContingencyTable(sp, tuple(range(sp.size)))
+    for bad in (0, 3):
+        with pytest.raises(ValueError, match=f"element {bad} out of range 1..2"):
+            verify_phi_identity(c, u, {bad}, (1,))
+        with pytest.raises(ValueError, match=f"element {bad} out of range 1..2"):
+            verify_phi_identity(c, u, {1, bad}, (0, 1))
+    with pytest.raises(ValueError, match=r"local config length 1 != \|B\| = 2"):
+        verify_phi_identity(c, u, {1, 2}, (0,))
+    with pytest.raises(ValueError, match="source"):
+        verify_phi_identity(c, ContingencyTable.zero(binary_space(2)), {1}, (0,))
+    with pytest.raises(ValueError):
+        verify_phi_identity(c, u, {1}, (2,))
+    with pytest.raises(ValueError):
+        verify_phi_identity(c, u, {2}, (-1,))
 
 
 def test_phi_identity_trivial_edges(rng):

@@ -154,6 +154,9 @@ def test_cylinder():
     assert len(got) == 2 ** (3 - 1)
     with pytest.raises(ValueError):
         cylinder(sp, {1}, (2,))
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match=f"element {bad} out of range 1..3"):
+            cylinder(sp, [bad], (1,))
 
 
 def test_cylinders_partition_space():
@@ -187,6 +190,10 @@ def test_matrix_text_round_trip():
         parse_matrix("2 2\n1 0 0\n")
     with pytest.raises(ValueError):
         parse_matrix("")
+    assert parse_matrix("0 0\n") == []
+    for header in ("-2 -8", "-1 3", "3 -1"):
+        with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+            parse_matrix(header + "\n" + " 1" * 16 + "\n")
 
 
 def test_table_text_round_trip():
