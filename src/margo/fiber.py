@@ -79,14 +79,14 @@ identity split), on which the same loop runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from math import prod
 from operator import index, itemgetter, lshift, sub
 from typing import Iterator, Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
-from .guards import Budget, phase
+from .guards import Budget
 from .spaces import (
     ConfigSpace,
     ContingencyTable,
@@ -106,9 +106,10 @@ class Fiber:
     A fiber built by `enumerate_fiber` as a product of slice fibers also
     keeps those slice fibers: per value of x_S, the counts of the slice
     model's tables in lex order, which `fiber_connected` searches as the
-    parts of the fiber.  They are set only there, so a fiber made by hand or
-    by `dataclasses.replace` has none and is searched as one part, its own
-    tables; they take no part in equality, hashing or the repr.
+    parts of the fiber and from which it builds the witness.  They are set
+    only there, so a fiber made by hand or by `dataclasses.replace` has none
+    and is searched as one part, its own tables in their own order; they
+    take no part in equality, hashing or the repr.
     """
 
     complex: SimplicialComplex
@@ -282,9 +283,14 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
 
 
 def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple[int, ...]]
-                      ) -> tuple[int, list[int]]:
+                      ) -> tuple[int, int | None]:
     """The number of components of the tables' graph under the vectors, and
-    each table's component, numbered in order of the table that opens it.
+    the index of the first table outside table 0's component (None when
+    there is one component or none).
+
+    The tables are searched in order, each unreached one opening a component,
+    so the table that opens the second component is the first one outside
+    the first, and no pass beyond the search finds it.
 
     Edges join tables differing by plus or minus one vector; a neighbour is
     searched for among the given tables only.  Each table is packed into one
@@ -317,23 +323,25 @@ def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple
     else:
         keys = list(map(pack, tables))
     index = {key: i for i, key in enumerate(keys)}
-    component = [-1] * len(tables)
-    ncomp = 0
+    reached = [False] * len(tables)
+    ncomp, other = 0, None
     for start in range(len(tables)):
-        if component[start] != -1:
+        if reached[start]:
             continue
-        component[start] = ncomp
+        if ncomp == 1:
+            other = start
+        ncomp += 1
+        reached[start] = True
         stack = [keys[start]]
         while stack:
             key = stack.pop()
             for cover, delta in steps:
                 if (key + cover) & guard == guard:
                     j = index.get(key + delta)
-                    if j is not None and component[j] == -1:
-                        component[j] = ncomp
+                    if j is not None and not reached[j]:
+                        reached[j] = True
                         stack.append(keys[j])
-        ncomp += 1
-    return ncomp, component
+    return ncomp, other
 
 
 def _split_moves(lay: MarginalLayout, split: _ConeSplit | None,
@@ -373,10 +381,20 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     move's support lies in one slice, they are the parts, and the fiber
     graph is the Cartesian product of their graphs.  Otherwise, and for
     every fiber built by hand, the identity split's one part is the fiber's
-    own tables.  `_label_components` searches each part under its moves;
-    the component count is the product of the parts' counts, and the
-    witness is the first table whose component in some part differs from
-    table 0's.  No induction hypothesis and no ceiling apply.
+    own tables.  `_label_components` searches each part under its moves; the
+    component count is the product of the parts' counts.
+
+    The witness is read off the parts.  The tables outside table 0's
+    component in part s form a product set: part s's tables outside the
+    component of its first, times every other part's tables.  The parts
+    are in lex order, and so is the fiber, whose lex order restricted to one
+    slice's cells, which are increasing, is that slice's; so the set's
+    least table is every part's first table with part s's first table
+    outside that component.  The least of these over the parts is the
+    first table outside table 0's component.  On the identity split the
+    one part is the fiber's tables in their own order, so the witness is
+    the first table outside, in that order.  No induction hypothesis and
+    no ceiling apply.
     """
     lay = layout(fiber.complex, fiber.space)
     _validate_moves(lay, moves)
@@ -384,18 +402,16 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     split, slice_vectors = _split_moves(
         lay, None if fiber._slice_fibers is None else _slices(lay), vectors)
     parts = [[t.counts for t in fiber.tables]] if split.part is lay else fiber._slice_fibers
-    ncomp, others = 1, []
-    for cells, slice_tables, vecs in zip(split.cells, parts, slice_vectors):
-        count, component = _label_components(slice_tables, vecs)
+    ncomp, candidates = 1, []
+    for s, (slice_tables, vecs) in enumerate(zip(parts, slice_vectors)):
+        count, other = _label_components(slice_tables, vecs)
         ncomp *= count
-        if count > 1:
-            get = itemgetter(*cells)
-            component_of = dict(zip(slice_tables, component))
-            first = component_of[get(fiber.tables[0].counts)]
-            others.append(next(i for i, t in enumerate(fiber.tables)
-                               if component_of[get(t.counts)] != first))
-    other = min(others, default=None)
-    witness = None if other is None else (fiber.tables[0], fiber.tables[other])
+        if other is not None:
+            heads = [part[0] for part in parts]
+            heads[s] = slice_tables[other]
+            candidates.append(split.assemble(tuple(chain.from_iterable(heads))))
+    witness = None if not candidates else (
+        fiber.tables[0], ContingencyTable(fiber.space, min(candidates)))
     return ConnectivityReport(fiber.size, ncomp, witness)
 
 
@@ -620,10 +636,10 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
     zeros = (0,) * model.space.size
-    with phase(budget, f"kernel-vector search, degree {degree_limit}"):
-        for vec in _kernel_vectors(model, degree_limit, budget):
-            plus = tuple(map(max, vec, zeros))
-            by_degree.setdefault(sum(plus), set()).add(model.marginal_entries(plus))
+    budget.where = f"kernel-vector search, degree {degree_limit}"
+    for vec in _kernel_vectors(model, degree_limit, budget):
+        plus = tuple(map(max, vec, zeros))
+        by_degree.setdefault(sum(plus), set()).add(model.marginal_entries(plus))
 
     # The first degree at which any group of slices fails is the whole
     # model's, and there the disconnected fibers are the failing slice
@@ -633,17 +649,16 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
         groups.setdefault(frozenset(vecs), []).append(s)
     bad = []
     for deg in sorted(by_degree):
-        with phase(budget, f"fiber enumeration, degree {deg}"):
-            for entries in sorted(by_degree[deg]):
-                tables, _ = _fiber(model, entries, budget)
-                if _one_support_class(tables):
-                    continue
-                for vecs, members in groups.items():
-                    ncomp, component = _label_components(tables, list(vecs))
-                    if ncomp > 1:
-                        other = next(i for i, c in enumerate(component) if c != component[0])
-                        bad += [(_lift(split.rows[s], entries, lay.nrows), s, tables, ncomp,
-                                 other) for s in members]
+        budget.where = f"fiber enumeration, degree {deg}"
+        for entries in sorted(by_degree[deg]):
+            tables, _ = _fiber(model, entries, budget)
+            if _one_support_class(tables):
+                continue
+            for vecs, members in groups.items():
+                ncomp, other = _label_components(tables, list(vecs))
+                if ncomp > 1:
+                    bad += [(_lift(split.rows[s], entries, lay.nrows), s, tables, ncomp, other)
+                            for s in members]
         if bad:
             break
     # A marginal of degree d <= top picks, per slice, zero or one of the
@@ -693,16 +708,16 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     if not lay.nrows:
         return 1, Move(space, (1, -1) + (0,) * (space.size - 2))
     for k in range(1, k_max + 1):
-        with phase(budget, f"kernel-vector search, degree {k}"):
-            if next(_kernel_vectors(lay, k, budget), None) is None:
-                continue
-        with phase(budget, f"witness search, degree {k}"):
-            vec = None
-            for vec in _kernel_vectors(lay, k, budget, least=True):
-                pass  # each vector is less than the one before
-            if vec is None:
-                later, earlier = min(map(_count_key, _kernel_vectors(lay, k, budget)))
-                vec = tuple(map(sub, earlier, later))
+        budget.where = f"kernel-vector search, degree {k}"
+        if next(_kernel_vectors(lay, k, budget), None) is None:
+            continue
+        budget.where = f"witness search, degree {k}"
+        vec = None
+        for vec in _kernel_vectors(lay, k, budget, least=True):
+            pass  # each vector is less than the one before
+        if vec is None:
+            later, earlier = min(map(_count_key, _kernel_vectors(lay, k, budget)))
+            vec = tuple(map(sub, earlier, later))
         return k, Move(space, vec)
     return None
 

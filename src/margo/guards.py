@@ -2,14 +2,14 @@
 
 Every brute-force sweep counts the objects it enumerates against a ceiling
 and refuses to continue past it, so that desk-scale runs stay predictable.
-The default comes from the MARGO_CEILING environment variable when set.
+The error names the phase and the degree or level the run had reached, as
+the run records them on its `Budget`.  The default ceiling comes from the
+MARGO_CEILING environment variable when set.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator
 
 DEFAULT_CEILING = 10_000_000
 
@@ -36,28 +36,23 @@ def resolve_ceiling(ceiling: int | None) -> int:
 
 
 class Budget:
-    """Counter that raises once more than `ceiling` objects have been spent."""
+    """Counter that raises once more than `ceiling` objects have been spent.
+
+    A run sets `where` to the phase it enters and the degree or level it has
+    reached; the ceiling error then names the run's ceiling and, in
+    parentheses, `where` the run was.
+    """
 
     def __init__(self, ceiling: int | None = None, what: str = "enumerated objects"):
         self.ceiling = resolve_ceiling(ceiling)
         self.what = what
+        self.where: str | None = None
         self.used = 0
 
     def spend(self, k: int = 1) -> None:
         self.used += k
         if self.used > self.ceiling:
+            where = "" if self.where is None else f" ({self.where})"
             raise ResourceCeilingError(
-                f"resource ceiling exceeded: more than {self.ceiling} {self.what}"
+                f"resource ceiling exceeded: more than {self.ceiling} {self.what}{where}"
             )
-
-
-@contextmanager
-def phase(budget: Budget, where: str) -> Iterator[None]:
-    """Re-raise a ceiling error from the block as one that names the run's
-    ceiling and `where` the run was: the phase and the degree or level reached."""
-    try:
-        yield
-    except ResourceCeilingError:
-        raise ResourceCeilingError(
-            f"resource ceiling exceeded: more than {budget.ceiling} {budget.what} ({where})"
-        ) from None

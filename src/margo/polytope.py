@@ -10,7 +10,8 @@ mass for "not a face", a strictly separating functional for "face".
 
 `lp_solve` is a two-phase simplex on one rational tableau whose last row is
 the objective row; the optimum and the duals behind a face certificate are
-read off that row.  `polytope_dimension` shares its pivot step (`_pivot`).
+read off that row.  `polytope_dimension` needs no elimination: the dimension
+is a sum over the faces of the complex.
 
 No floating point is used anywhere in a verdict path.
 """
@@ -24,7 +25,7 @@ from operator import ge, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
-from .guards import Budget, phase
+from .guards import Budget
 from .spaces import (Config, ConfigSpace, MarginalMatrix, _interchangeable, layout,
                      marginal_matrix)
 
@@ -478,8 +479,8 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     reps: list[tuple[int, ...]] = [()]
     next_level = None
     for k in range(1, min(k_max, size) + 1):
-        with phase(budget, f"neighborliness sweep, level {k}"):
-            budget.spend(sum(size - 1 - (r[-1] if r else -1) for r in reps))
+        budget.where = f"neighborliness sweep, level {k}"
+        budget.spend(sum(size - 1 - (r[-1] if r else -1) for r in reps))
         if next_level is None:  # it lists the `size` configurations: build once k=1 is paid for
             next_level = _orbit_representatives(cx, space)
         below, reps = reps, []
@@ -495,21 +496,19 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
 
 
 def polytope_dimension(cx: SimplicialComplex, space: ConfigSpace) -> int:
-    """Affine dimension of the polytope: rank of the shifted column family."""
-    matrix = marginal_matrix(cx, space)
-    if matrix.ncols <= 1:
-        return 0
-    base = matrix.column(0)
-    vecs = [[Fraction(a - b) for a, b in zip(matrix.column(j), base)]
-            for j in range(1, matrix.ncols)]
-    rank = 0  # rows 0..rank-1 are pivoted
-    for col in range(matrix.nrows):
-        pivot_row = next((i for i in range(rank, len(vecs)) if vecs[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        vecs[rank], vecs[pivot_row] = vecs[pivot_row], vecs[rank]
-        _pivot(vecs, rank, col)
-        rank += 1
-        if rank == len(vecs):
-            break
-    return rank
+    """Affine dimension of the polytope: the sum over the nonempty faces F of
+    prod_{i in F} (q_i - 1).
+
+    The row space of the marginal matrix holds the functions of x that are
+    sums of functions of x_F over the facets F: the direct sum over the faces
+    F of the functions of x_F orthogonal to every function of a proper subset
+    of F, of dimension prod_{i in F} (q_i - 1).  The empty face gives
+    the constants, one dimension, which the affine hull of the columns loses:
+    every facet block of a column sums to 1.
+    """
+    if cx.n != space.n:
+        raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
+    q = space.cardinalities
+    return sum(prod(q[i] - 1 for i in range(cx.n) if mask >> i & 1)
+               for mask in range(1, 1 << cx.n)
+               if any(mask & ~f == 0 for f in cx.facet_masks))

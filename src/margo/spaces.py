@@ -16,7 +16,7 @@ from math import prod
 from operator import and_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex, _mask_of, _members_of, from_facets
 
 Config = tuple[int, ...]
 
@@ -297,11 +297,7 @@ def _interchangeable(cx: SimplicialComplex, space: ConfigSpace) -> tuple[tuple[i
 
 def _members(space: ConfigSpace, members: Iterable[int]) -> list[int]:
     """B as a sorted list, checked to lie in 1..n."""
-    members = sorted(set(members))
-    for i in members:
-        if not 1 <= i <= space.n:
-            raise ValueError(f"element {i} out of range 1..{space.n}")
-    return members
+    return sorted(_members_of(_mask_of(space.n, members)))
 
 
 def marginal(u: ContingencyTable, members: Iterable[int]) -> ContingencyTable:

@@ -23,6 +23,7 @@ from margo import (
     from_facets,
     is_facial,
     marginal_map,
+    marginal_matrix,
 )
 from margo.fiber import DisconnectedFiber
 from margo.spaces import _interchangeable
@@ -289,6 +290,37 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
         y = sum(cost[basis[i]] * tab[i][n + i0] for i in range(len(tab)))
         dual.append(y * flip[i0])
     return LPResult("optimal", value, tuple(solution), tuple(dual))
+
+
+def naive_polytope_dimension(cx, space: ConfigSpace) -> int:
+    """Affine dimension of the polytope, by exact elimination: the rank of the
+    columns of the marginal matrix shifted by the first one.
+
+    The elimination that the closed form in `polytope_dimension` replaced,
+    kept as its oracle.
+    """
+    matrix = marginal_matrix(cx, space)
+    if matrix.ncols <= 1:
+        return 0
+    base = matrix.column(0)
+    vecs = [[Fraction(a - b) for a, b in zip(matrix.column(j), base)]
+            for j in range(1, matrix.ncols)]
+    rank = 0  # rows 0..rank-1 are pivoted
+    for col in range(matrix.nrows):
+        pivot_row = next((i for i in range(rank, len(vecs)) if vecs[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        vecs[rank], vecs[pivot_row] = vecs[pivot_row], vecs[rank]
+        piv = vecs[rank][col]
+        top = vecs[rank] = [v / piv if v else v for v in vecs[rank]]
+        for i, row in enumerate(vecs):
+            f = row[col]
+            if f and i != rank:  # the rows are mostly zeros: carry those over
+                vecs[i] = [a - f * b if b else a for a, b in zip(row, top)]
+        rank += 1
+        if rank == len(vecs):
+            break
+    return rank
 
 
 def naive_orbit_representatives(generators: Sequence[Sequence[int]], size: int,

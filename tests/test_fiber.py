@@ -1,7 +1,7 @@
 import dataclasses
 import time
 from itertools import chain, combinations
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 
 import pytest
@@ -1056,6 +1056,50 @@ def test_fiber_connected_product_path_agrees_with_component_oracle(monkeypatch):
     assert paths == {False, True}
 
 
+def test_fiber_connected_with_two_disconnected_slices(monkeypatch):
+    # dropping the moves of two slices of interval_complement(4, {1, 2})
+    # leaves both disconnected; each offers the lex-least table outside the
+    # first table's component in that slice, and the witness is the lesser
+    cx = interval_complement(4, {1, 2})
+    sp = binary_space(4)  # one interval move per slice
+    models = [(sp, interval_moves(4, {1, 2}), [
+        (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1),  # degree 8
+        (1, 1, 2, 2, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2),  # degree 13
+        (1,) * 16])]                                       # degree 16
+    # on 3,2,2,2 the slice fibers of 3x2 tables can first differ at a later
+    # cell: here slices 0 and 2 first differ at x1 = 1, slices 1 and 3 at x1 = 0
+    sp = ConfigSpace((3, 2, 2, 2))
+    swaps = [Move(sp, v) for v in sorted(naive_kernel_vectors(cx, sp, 2))]
+    models.append((sp, swaps, [tuple(int(ix in (1, 3, 12, 13, 14, 15, 16, 18))
+                                     for ix in range(sp.size))]))
+    lesser = set()
+    for sp, moves, tables in models:
+        cells = [set(c) for c in slice_cells(cx, sp)]
+
+        def slices_of(counts, other):
+            return [k for k, c in enumerate(cells) if any(counts[ix] != other[ix] for ix in c)]
+
+        by_slice = [slices_of(m.vector, (0,) * sp.size) for m in moves]
+        assert all(len(where) == 1 for where in by_slice)
+        for counts in tables:
+            fib = enumerate_fiber(cx, sp, marginal_map(cx, ContingencyTable(sp, counts)))
+            sizes = [len(part) for part in fib._slice_fibers]
+            assert min(sizes) > 1
+            for pair in combinations(range(len(cells)), 2):
+                kept = [m for m, where in zip(moves, by_slice) if where[0] not in pair]
+                with monkeypatch.context() as patch:
+                    whole = count_whole_fiber_searches(patch, sp)
+                    assert_matches_oracle(fib, kept)
+                assert whole == []
+                report = fiber_connected(fib, kept)
+                assert report.components == prod(sizes[k] for k in pair)
+                first, other = report.witness
+                [where] = slices_of(other.counts, first.counts)
+                lesser.add(pair.index(where))
+    # the witness comes from the earlier slice of a pair, and from the later
+    assert lesser == {0, 1}
+
+
 def test_fiber_connected_edge_cases_on_both_paths(monkeypatch):
     cx, sp = interval_complement(4, {1, 2}), binary_space(4)
     moves = interval_moves(4, {1, 2})
@@ -1093,8 +1137,11 @@ def test_fiber_connected_edge_cases_on_both_paths(monkeypatch):
     assert 1 < box.size < fib.size
     replaced = dataclasses.replace(fib, tables=fib.tables[1:])
     assert replaced._slice_fibers is None
+    # the tables in reverse order: the witness is the first table outside the
+    # first one's component in the fiber's own order, not in lex order
+    backwards = Fiber(cx, sp, fib.marginal, fib.tables[::-1])
     for chosen in ([], moves[:1], moves[1:], moves):
-        for f in (subset, box, replaced):
+        for f in (subset, box, replaced, backwards):
             assert_matches_oracle(f, chosen)
             assert whole == [f.size]
             whole.clear()

@@ -1,8 +1,7 @@
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from itertools import combinations, product
 
 import pytest
 
@@ -25,7 +24,8 @@ from margo import (
 from margo.polytope import _orbit_representatives
 
 from conftest import (all_complexes, naive_lp_solve, naive_neighborliness,
-                      naive_orbit_representatives, symmetry_generators)
+                      naive_orbit_representatives, naive_polytope_dimension,
+                      symmetry_generators)
 
 INDEPENDENCE = from_facets(2, [{1}, {2}])
 B2 = binary_space(2)
@@ -410,11 +410,13 @@ def test_polytope_dimension():
     assert polytope_dimension(INDEPENDENCE, B2) == 2
     assert polytope_dimension(full_simplex(2), B2) == 3
     assert polytope_dimension(D2_3, B3) == 6
-    # every complex on 3 indices: the sum over nonempty faces S of
-    # prod_{i in S} (q_i - 1)
-    for sizes in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2)]:
-        space = ConfigSpace(sizes)
-        for cx in all_complexes(3):
-            faces = [s for r in (1, 2, 3) for s in combinations((1, 2, 3), r) if cx.is_face(s)]
-            expected = sum(prod(sizes[i - 1] - 1 for i in s) for s in faces)
-            assert polytope_dimension(cx, space) == expected, (cx, sizes)
+    # the closed form against exact elimination: every complex on 3 indices
+    # at alphabets 2-4, and on 4 indices over 2^4 and 3,2,2,2
+    cases = [(cx, ConfigSpace(sizes)) for sizes in product((2, 3, 4), repeat=3)
+             for cx in all_complexes(3)]
+    cases += [(cx, ConfigSpace(sizes)) for sizes in ((2, 2, 2, 2), (3, 2, 2, 2))
+              for cx in all_complexes(4)]
+    for cx, space in cases:
+        assert polytope_dimension(cx, space) == naive_polytope_dimension(cx, space), (cx, space)
+    with pytest.raises(ValueError, match="complex on 3 indices vs space on 2 variables"):
+        polytope_dimension(D2_3, B2)

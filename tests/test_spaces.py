@@ -4,10 +4,13 @@ from margo import (
     ConfigSpace,
     ContingencyTable,
     binary_space,
+    character,
+    character_cylinder_sum,
     cylinder,
     from_facets,
     full_simplex,
     interval_complement,
+    interval_moves,
     kernel_check,
     marginal,
     marginal_map,
@@ -154,9 +157,16 @@ def test_cylinder():
     assert len(got) == 2 ** (3 - 1)
     with pytest.raises(ValueError):
         cylinder(sp, {1}, (2,))
+    # one member check, shared with the characters and the interval moves
     for bad in (0, 4):
-        with pytest.raises(ValueError, match=f"element {bad} out of range 1..3"):
-            cylinder(sp, [bad], (1,))
+        for call in (lambda: cylinder(sp, [bad], (1,)),
+                     lambda: marginal(ContingencyTable.zero(sp), [bad]),
+                     lambda: character(3, {1, bad}),
+                     lambda: interval_moves(3, [bad]),
+                     lambda: character_cylinder_sum(3, [bad], [1], (0,)),
+                     lambda: character_cylinder_sum(3, [1], [bad], (0,))):
+            with pytest.raises(ValueError, match=f"element {bad} out of range 1..3"):
+                call()
 
 
 def test_cylinders_partition_space():
