@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, _mask_of, _members_of, subsets
+from .complexes import SimplicialComplex, _mask_of, subsets
 from .spaces import (
     Config,
     ConfigSpace,
@@ -23,6 +23,12 @@ from .spaces import (
     cylinder,
     layout,
 )
+
+
+def _validate_members(n: int, members: Iterable[int]) -> frozenset[int]:
+    out = frozenset(members)
+    _mask_of(n, out)  # raises for an element outside 1..n
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ def move_supports(m: Move) -> tuple[tuple[Config, ...], tuple[Config, ...], int]
 
 def character(n: int, members: Iterable[int]) -> CharacterVector:
     """The character vector of B on the binary cube of dimension n."""
-    b = _members_of(_mask_of(n, members))
+    b = _validate_members(n, members)
     # coordinate i sits at bit (n - i) of the configuration index
     mask = 0
     for i in b:
@@ -113,7 +119,7 @@ def interval_move_sum(n: int, members: Iterable[int], y: Sequence[int]) -> tuple
     character of B; equals 2^(n-|G|) times the sign of x on G on the cylinder
     where x agrees with y outside G, and 0 elsewhere.
     """
-    g = _members_of(_mask_of(n, members))
+    g = _validate_members(n, members)
     if not g:
         raise ValueError("G must be nonempty")
     outside = tuple(sorted(set(range(1, n + 1)) - g))
@@ -135,7 +141,7 @@ def interval_move(n: int, members: Iterable[int], y: Sequence[int]) -> Move:
     Entries are the sign of x on G inside the cylinder {x agrees with y
     outside G} and 0 elsewhere; both supports have 2^(|G|-1) elements.
     """
-    g = _members_of(_mask_of(n, members))
+    g = _validate_members(n, members)
     if not g:
         raise ValueError("G must be nonempty")
     space = binary_space(n)
@@ -151,7 +157,7 @@ def interval_move(n: int, members: Iterable[int], y: Sequence[int]) -> Move:
 
 def interval_moves(n: int, members: Iterable[int]) -> tuple[Move, ...]:
     """All interval moves of G, one per local configuration outside G."""
-    g = _members_of(_mask_of(n, members))
+    g = _validate_members(n, members)
     outside = tuple(sorted(set(range(1, n + 1)) - g))
     return tuple(interval_move(n, g, y) for y in binary_space(len(outside)).configs())
 
@@ -164,8 +170,8 @@ def character_cylinder_sum(n: int, members: Iterable[int], on: Iterable[int],
     contained in C, and 0 otherwise; this function computes the sum directly
     so the identity stays independently checkable.
     """
-    b = _members_of(_mask_of(n, members))
-    c = _members_of(_mask_of(n, on))
+    b = _validate_members(n, members)
+    c = _validate_members(n, on)
     space = binary_space(n)
     e_b = character(n, b)
     return sum(e_b.values[space.index(x)] for x in cylinder(space, sorted(c), y))

@@ -16,7 +16,7 @@ from math import prod
 from operator import and_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .complexes import SimplicialComplex, _mask_of, _members_of, from_facets
+from .complexes import SimplicialComplex, _mask_of, from_facets
 
 Config = tuple[int, ...]
 
@@ -297,7 +297,9 @@ def _interchangeable(cx: SimplicialComplex, space: ConfigSpace) -> tuple[tuple[i
 
 def _members(space: ConfigSpace, members: Iterable[int]) -> list[int]:
     """B as a sorted list, checked to lie in 1..n."""
-    return sorted(_members_of(_mask_of(space.n, members)))
+    members = sorted(set(members))
+    _mask_of(space.n, members)  # raises for an element outside 1..n
+    return members
 
 
 def marginal(u: ContingencyTable, members: Iterable[int]) -> ContingencyTable:
