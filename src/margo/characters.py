@@ -141,25 +141,38 @@ def interval_move(n: int, members: Iterable[int], y: Sequence[int]) -> Move:
     Entries are the sign of x on G inside the cylinder {x agrees with y
     outside G} and 0 elsewhere; both supports have 2^(|G|-1) elements.
     """
-    g = _validate_members(n, members)
-    if not g:
-        raise ValueError("G must be nonempty")
-    space = binary_space(n)
-    outside = tuple(sorted(set(range(1, n + 1)) - g))
-    y = tuple(y)
-    e_g = character(n, g)
-    vec = [0] * space.size
-    for x in cylinder(space, outside, y):
-        ix = space.index(x)
-        vec[ix] = e_g.values[ix]
-    return Move(space, tuple(vec))
+    space, outside, e_g = _interval_parts(n, members)
+    return _interval_move(space, outside, e_g, y)
 
 
 def interval_moves(n: int, members: Iterable[int]) -> tuple[Move, ...]:
-    """All interval moves of G, one per local configuration outside G."""
+    """All interval moves of G, one per local configuration outside G.
+
+    G is checked and its character built once, for every move.
+    """
+    space, outside, e_g = _interval_parts(n, members)
+    return tuple(_interval_move(space, outside, e_g, y)
+                 for y in binary_space(len(outside)).configs())
+
+
+def _interval_parts(n: int, members: Iterable[int]
+                    ) -> tuple[ConfigSpace, tuple[int, ...], tuple[int, ...]]:
+    """The cube, the variables outside G and the character values of G."""
     g = _validate_members(n, members)
+    if not g:
+        raise ValueError("G must be nonempty")
     outside = tuple(sorted(set(range(1, n + 1)) - g))
-    return tuple(interval_move(n, g, y) for y in binary_space(len(outside)).configs())
+    return binary_space(n), outside, character(n, g).values
+
+
+def _interval_move(space: ConfigSpace, outside: tuple[int, ...], e_g: tuple[int, ...],
+                   y: Sequence[int]) -> Move:
+    """The character values of G on the cylinder of y outside G, 0 elsewhere."""
+    vec = [0] * space.size
+    for x in cylinder(space, outside, y):
+        ix = space.index(x)
+        vec[ix] = e_g[ix]
+    return Move(space, tuple(vec))
 
 
 def character_cylinder_sum(n: int, members: Iterable[int], on: Iterable[int],

@@ -94,6 +94,7 @@ from .spaces import (
     MarginalVector,
     _ConeSplit,
     _slices,
+    _trusted_tables,
     config_str,
     layout,
 )
@@ -110,6 +111,10 @@ class Fiber:
     only there, so a fiber made by hand or by `dataclasses.replace` has none
     and is searched as one part, its own tables in their own order; they
     take no part in equality, hashing or the repr.
+
+    A fiber does not re-check its tables.  Those of a hand-built fiber were
+    checked when each `ContingencyTable` was built; `enumerate_fiber` wraps
+    its walk's tables unchecked, as they are valid by construction.
     """
 
     complex: SimplicialComplex
@@ -166,7 +171,9 @@ def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tu
 
     Depth-first assignment over configurations in lex order; each facet row
     keeps a remaining budget, and a row's last configuration is forced to
-    spend the remainder exactly.  Every assignment is charged to the budget.
+    spend the remainder exactly, which must not be negative.  So every table
+    is a tuple of `size` nonnegative ints, which `enumerate_fiber` wraps
+    unchecked.  Every assignment is charged to the budget.
     The walk keeps an explicit stack (the value at each configuration and
     its upper end), so its depth is not bounded by the recursion limit.
     """
@@ -190,7 +197,7 @@ def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tu
             lo = 0
             if closing:
                 v = remaining[closing[0]]
-                if v <= hi and all(remaining[r] == v for r in closing):
+                if 0 <= v <= hi and all(remaining[r] == v for r in closing):
                     lo = hi = v
                 else:
                     hi = -1
@@ -263,6 +270,11 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     charged before any table of the product is assembled.  The product path
     charges less than the full walk on the same fiber.  A nonempty product
     keeps its slice fibers, which `fiber_connected` searches.
+
+    The walk's tables are tuples of nonnegative ints, one per configuration,
+    so they are wrapped as `ContingencyTable`s without the constructor's
+    checks (`spaces._trusted_tables`); a marginal with a negative entry has
+    an empty fiber.  The tables are built here, not on first use.
     """
     lay = layout(cx, space)
     if lay.nrows == 0:
@@ -276,7 +288,7 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     if not b.is_consistent():
         raise ValueError("inconsistent marginal: facet blocks sum to different totals")
     tables, parts = _fiber(lay, entries, Budget(ceiling, "fiber assignments"))
-    fib = Fiber(cx, space, b, tuple(ContingencyTable(space, t) for t in tables))
+    fib = Fiber(cx, space, b, _trusted_tables(space, tables))
     if parts:
         object.__setattr__(fib, "_slice_fibers", tuple(parts))
     return fib

@@ -75,9 +75,17 @@ def sub_space(space: ConfigSpace, members: Iterable[int]) -> ConfigSpace:
     return ConfigSpace(tuple(space.cardinalities[i - 1] for i in sorted(members)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContingencyTable:
-    """Nonnegative integer counts, indexed by configurations in lex order."""
+    """Nonnegative integer counts, indexed by configurations in lex order.
+
+    Every public construction checks the counts: one entry per
+    configuration, none negative.  That covers the constructor, `zero`,
+    `indicator`, `dataclasses.replace`, `parse_table` and `marginal`.  Only
+    `enumerate_fiber` skips the checks, through `_trusted_tables`, for the
+    tables its own walk produced.  The fields are slots, so a table, of
+    which a fiber holds thousands, carries no instance dict.
+    """
 
     space: ConfigSpace
     counts: tuple[int, ...]
@@ -106,6 +114,24 @@ class ContingencyTable:
         counts = [0] * space.size
         counts[space.index(x)] = 1
         return cls(space, tuple(counts))
+
+
+def _trusted_tables(space: ConfigSpace, rows: Iterable[tuple[int, ...]]
+                    ) -> tuple[ContingencyTable, ...]:
+    """Tables on the space from count tuples known to pass its checks.
+
+    Each row must already be a tuple of space.size nonnegative ints, as the
+    fiber walk's are; the tables then equal, hash and repr like publicly
+    built ones.  Only `enumerate_fiber` calls this.
+    """
+    new, set_ = object.__new__, object.__setattr__
+    out = []
+    for counts in rows:
+        table = new(ContingencyTable)
+        set_(table, "space", space)
+        set_(table, "counts", counts)
+        out.append(table)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,27 @@ def test_interval_moves_are_kernel_vectors_of_interval_complement():
                 assert kernel_check(mat, mv.vector)
 
 
+def test_interval_moves_match_one_interval_move_per_local_config():
+    # interval_moves checks G and builds its character once for all moves;
+    # each move is still interval_move's for its y, in lex order of y, and
+    # the literal character sum with 2^(n-|G|) divided out
+    for n in range(1, 6):
+        for g in subsets(n):
+            if not g:
+                continue
+            outside = sorted(set(range(1, n + 1)) - g)
+            ys = list(product((0, 1), repeat=len(outside)))
+            moves = interval_moves(n, g)
+            assert moves == tuple(interval_move(n, g, y) for y in ys)
+            factor = 2 ** (n - len(g))
+            for y, mv in zip(ys, moves):
+                assert interval_move_sum(n, g, y) == tuple(factor * v for v in mv.vector)
+    with pytest.raises(ValueError, match="G must be nonempty"):
+        interval_moves(3, ())
+    with pytest.raises(ValueError):
+        interval_moves(3, {4})
+
+
 def test_character_cylinder_sum_examples():
     # C = N: the sum over a one-point cylinder is a single character value
     e = character(3, {1, 2})

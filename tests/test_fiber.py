@@ -1,6 +1,6 @@
 import dataclasses
 import time
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import comb, prod
 from operator import itemgetter
 
@@ -31,7 +31,7 @@ from margo import (
 from margo import fiber
 from margo.characters import kernel_basis
 from margo.guards import Budget
-from margo.spaces import MarginalVector, layout
+from margo.spaces import MarginalVector, _trusted_tables, layout
 
 from conftest import (
     _components,
@@ -869,6 +869,118 @@ def test_enumerate_fiber_splits_one_facet_complexes(rng):
                 assert got == [t.counts for t in naive_fiber(cx, sp, b)], (cx, b)
 
 
+def assert_public_tables(fib):
+    """The fiber's tables, wrapped unchecked, equal, hash and repr like
+    tables built by the public constructor, with tuples of ints as counts."""
+    public = tuple(ContingencyTable(fib.space, t.counts) for t in fib.tables)
+    assert fib.tables == public
+    assert list(map(hash, fib.tables)) == list(map(hash, public))
+    assert list(map(repr, fib.tables)) == list(map(repr, public))
+    for t in fib.tables:
+        assert type(t) is ContingencyTable and t.space is fib.space
+        assert type(t.counts) is tuple and all(type(c) is int for c in t.counts)
+
+
+def test_enumerate_fiber_tables_match_public_construction(rng):
+    # the complexes of the naive fiber tests: every cone-point complex over
+    # the binary cube and with one ternary variable, and every complex with
+    # a facet over 2,2, 2,3 and 2,2,2, on the product and the walked path
+    cases = [(cx, ConfigSpace(cards)) for i, cx in enumerate(cone_point_complexes())
+             for cards in ((2,) * cx.n, tuple(3 if v == i % cx.n else 2 for v in range(cx.n)))]
+    cases += [(cx, ConfigSpace(cards)) for cards in ((2, 2), (2, 3), (2, 2, 2))
+              for cx in all_complexes(len(cards)) if cx.facets]
+    paths = set()
+    for cx, sp in cases:
+        for degree in (0, 2, 3):
+            fib = enumerate_fiber(cx, sp, marginal_map(cx, random_table(rng, sp, degree)))
+            assert fib.size >= 1
+            assert_public_tables(fib)
+            paths.add(fib._slice_fibers is None)
+    assert paths == {True, False}
+
+
+def test_enumerate_fiber_tables_have_no_negative_entry():
+    # the walk never forces a negative value, so a marginal with a negative
+    # entry has an empty fiber; on the full simplex the marginal is the
+    # table itself, and a forced negative entry once slipped through to the
+    # public constructor's check
+    simplex = from_facets(2, [{1, 2}])
+    blocks = marginal_map(simplex, ContingencyTable.zero(B2)).blocks
+    assert enumerate_fiber(simplex, B2, MarginalVector((-1, 2, 0, 0), blocks)).tables == ()
+    for cx in all_complexes(2):
+        if not cx.facets:
+            continue
+        lay = layout(cx, B2)
+        for entries in product(range(-1, 3), repeat=lay.nrows):
+            b = MarginalVector(entries, lay.blocks())
+            if not b.is_consistent():
+                continue
+            fib = enumerate_fiber(cx, B2, b)
+            for t in fib.tables:
+                assert min(t.counts) >= 0 and marginal_map(cx, t) == b
+            if min(entries) < 0:
+                assert fib.tables == ()
+
+
+def test_public_table_constructions_keep_their_checks(monkeypatch):
+    # test_table_validation pins the constructor's and parse_table's checks;
+    # a table from enumerate_fiber is rebuilt, and checked, by replace
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    fib = enumerate_fiber(cx, sp, marginal_map(cx, ContingencyTable(sp, (1,) * 16)))
+    t = fib.tables[0]
+    assert dataclasses.replace(t) == t
+    with pytest.raises(ValueError, match="^expected 16 entries, got 17$"):
+        dataclasses.replace(t, counts=t.counts + (0,))
+    with pytest.raises(ValueError, match="^table entries must be nonnegative$"):
+        dataclasses.replace(t, counts=(-1,) + t.counts[1:])
+    # a hand-built fiber gets its tables from the public constructor
+    with pytest.raises(ValueError, match="^table entries must be nonnegative$"):
+        Fiber(cx, sp, fib.marginal, fib.tables[:1] + (ContingencyTable(sp, (-1,) + (1,) * 15),))
+    with pytest.raises(ValueError, match="^expected 16 entries, got 15$"):
+        dataclasses.replace(fib, tables=(ContingencyTable(sp, (1,) * 15),))
+
+    # only enumerate_fiber wraps unchecked: the connectivity witness and the
+    # lifted verify_markov_basis witness fiber are checked table by table
+    checked = []
+    post_init = ContingencyTable.__post_init__
+    monkeypatch.setattr(ContingencyTable, "__post_init__",
+                        lambda self: checked.append(self) or post_init(self))
+    moves = interval_moves(4, {1, 2})
+    fib = enumerate_fiber(cx, sp, fib.marginal)
+    assert checked == []
+    report = fiber_connected(fib, moves[1:])
+    assert report.components > 1 and list(map(id, checked)) == [id(report.witness[1])]
+    checked.clear()
+    witness = verify_markov_basis(cx, sp, moves[1:], 4).witness
+    assert set(map(id, witness.fiber.tables)) <= set(map(id, checked))
+
+
+def test_enumerate_fiber_on_the_benchmark_model_has_the_closed_form_size():
+    # X1 independent of X2 given (X3, X4), as on the fibers benchmark: per
+    # slice a 2x2 table, whose fiber holds its least margin + 1 tables
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    moves = interval_moves(4, {1, 2})
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cells=st.lists(st.integers(0, 15), max_size=12))
+    def check(cells):
+        u = ContingencyTable(sp, tuple(cells.count(ix) for ix in range(16)))
+        fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
+        size = 1
+        for z in range(4):
+            a, b, c, d = (u.counts[x1 << 3 | x2 << 2 | z] for x1 in (0, 1) for x2 in (0, 1))
+            size *= min(a + b, c + d, a + c, b + d) + 1
+        assert fib.size == size
+        got = [t.counts for t in fib.tables]
+        assert u.counts in got and got == sorted(set(got))
+        assert_public_tables(fib)
+        assert fiber_connected(fib, moves).connected
+
+    check()
+
+
 def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
     # 2^4 G={1,2}: the slices at x3x4 = 00 and 11 share a marginal, so three
     # distinct slice marginals are walked; the product holds 3 * 2 * 2 * 3 tables
@@ -891,6 +1003,8 @@ def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
     built = []
     monkeypatch.setattr(fiber, "ContingencyTable",
                         lambda *args: built.append(args) or ContingencyTable(*args))
+    monkeypatch.setattr(fiber, "_trusted_tables",
+                        lambda *args: built.append(args) or _trusted_tables(*args))
     for ceiling in (walked.used, walked.used + size - 1):
         with pytest.raises(ResourceCeilingError,
                            match=rf"^resource ceiling exceeded: more than {ceiling} fiber assignments$"):

@@ -216,11 +216,16 @@ def test_table_text_round_trip():
 
 
 def test_table_validation():
+    # the constructor and parse_table check the length and the signs
     sp = binary_space(2)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^table entries must be nonnegative$"):
         ContingencyTable(sp, (1, -1, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 4 entries, got 3$"):
         ContingencyTable(sp, (1, 0, 0))
+    with pytest.raises(ValueError, match="^table entries must be nonnegative$"):
+        parse_table("2\n2 2\n1 -1 0 0\n")
+    with pytest.raises(ValueError, match="^expected 4 entries, got 5$"):
+        parse_table("2\n2 2\n1 0 0 0 0\n")
 
 
 def test_symmetry_generators_fix_the_marginal_matrix():
