@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from margo import (
@@ -10,6 +12,7 @@ from margo import (
     from_facets,
     full_simplex,
     interval_complement,
+    interval_move,
     interval_moves,
     kernel_check,
     marginal,
@@ -167,6 +170,23 @@ def test_cylinder():
                      lambda: character_cylinder_sum(3, [1], [bad], (0,))):
             with pytest.raises(ValueError, match=f"element {bad} out of range 1..3"):
                 call()
+
+
+@pytest.mark.parametrize("y, message", [
+    ((0,), "local config length 1 != |B| = 2"),
+    ((0, 1, 1), "local config length 3 != |B| = 2"),
+    ((0, 2), "local config value 2 out of range 0..1"),
+    ((-1, 0), "local config value -1 out of range 0..1"),
+])
+def test_bad_local_config_messages(y, message):
+    # y on the variables {1, 3} of the binary cube; interval_move takes y on
+    # the variables outside G = {2}
+    sp = binary_space(3)
+    for call in (lambda: cylinder(sp, {1, 3}, y),
+                 lambda: interval_move(3, {2}, y),
+                 lambda: character_cylinder_sum(3, {1}, {1, 3}, y)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_cylinders_partition_space():
