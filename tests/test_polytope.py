@@ -181,16 +181,28 @@ def test_is_facial_rejects_empty():
 
 
 def test_certificates_do_not_recheck_when_tampered():
-    mat = marginal_matrix(INDEPENDENCE, B2)
-    bad_cert = is_facial(INDEPENDENCE, B2, [(0, 0), (1, 1)])
+    # one tampering per reject branch of FacialityCertificate.recheck
     from dataclasses import replace
-    broken = replace(bad_cert, outside_mass=Fraction(2))
-    assert not broken.recheck(mat)
-    face_cert = is_facial(INDEPENDENCE, B2, [(0, 0)])
-    broken = replace(face_cert, separation_value=face_cert.separation_value + 1)
-    assert not broken.recheck(mat)
-    broken = replace(face_cert, members=((0, 2),))
-    assert not broken.recheck(mat)
+    mat = marginal_matrix(INDEPENDENCE, B2)
+    non_face = is_facial(INDEPENDENCE, B2, [(0, 0), (1, 1)])
+    face = is_facial(INDEPENDENCE, B2, [(0, 0)])
+    assert non_face.recheck(mat) and face.recheck(mat)
+    half = Fraction(1, 2)
+    for cert, changes in [
+        (face, {"members": ((0, 2),)}),  # a member that is not a column
+        (non_face, {"barycenter": (half, half, half, 0)}),
+        (face, {"separating": None}),
+        (face, {"separation_value": face.separation_value + 1}),
+        (face, {"separating": (0, 0, 0, 0), "separation_value": 0}),  # ties outside Y
+        (non_face, {"outside_mass": None}),
+        (non_face, {"outside_mass": Fraction(0)}),
+        (non_face, {"combination": (-half, 1, half, 0)}),
+        (non_face, {"combination": (0, half, half)}),
+        (non_face, {"combination": (0, half, half, half)}),  # sums to 3/2
+        (non_face, {"outside_mass": Fraction(2)}),
+        (non_face, {"combination": (0, 1, 0, 0)}),  # misses the barycenter
+    ]:
+        assert not replace(cert, **changes).recheck(mat), changes
 
 
 def test_every_small_face_certificate_rechecks():
