@@ -42,13 +42,15 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_complex(args) -> complexes.SimplicialComplex:
+def _load_complex(args, space: spaces.ConfigSpace | None = None
+                  ) -> complexes.SimplicialComplex:
+    """--complex, else the interval complement of --G on `space`.
+
+    Every subcommand that takes --G parses --space first and passes it in.
+    """
     if getattr(args, "complex", None):
         return complexes.parse_complex(_read(args.complex))
     if getattr(args, "G", None):
-        if not getattr(args, "space", None):
-            raise UsageError("--G needs --space to fix n")
-        space = _load_space(args)
         return complexes.interval_complement(space.n, _parse_int_list(args.G, "--G"))
     raise UsageError("a complex is required (--complex FILE or --G)")
 
@@ -139,7 +141,7 @@ def _cmd_kernel_basis(args) -> int:
 
 def _cmd_verify_markov(args) -> int:
     space = _load_space(args)
-    cx = _load_complex(args)
+    cx = _load_complex(args, space)
     if args.moves:
         rows = spaces.parse_matrix(_read(args.moves))
         moves = [characters.Move(space, tuple(r)) for r in rows]
@@ -192,7 +194,7 @@ def _cmd_verify_markov(args) -> int:
 
 def _cmd_degree_bound(args) -> int:
     space = _load_space(args)
-    cx = _load_complex(args)
+    cx = _load_complex(args, space)
     g, bound = _g_and_bound(cx)
     if g is None:
         raise UsageError("complex is the full power set: kernel is zero, no binomials exist")
@@ -228,7 +230,7 @@ def _cmd_degree_bound(args) -> int:
 
 def _cmd_neighborly(args) -> int:
     space = _load_space(args)
-    cx = _load_complex(args)
+    cx = _load_complex(args, space)
     g, bound = _g_and_bound(cx)
     # by default one past the guaranteed neighborliness, to probe sharpness
     kmax = _kmax(args, bound if bound is not None else space.size)
@@ -303,7 +305,7 @@ def _cmd_mi(args) -> int:
 
 def _cmd_density(args) -> int:
     space = _load_space(args)
-    cx = _load_complex(args)
+    cx = _load_complex(args, space)
     theta = [float(tok) for tok in _read(args.theta).split()]
     p = expfam.density(cx, space, theta)
     pairs = [

@@ -442,6 +442,47 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["matrix", "--complex", "{d2}", "--space", "2,x"],
+     "--space must be a comma-separated list of integers: '2,x'"),
+    (["neighborly", "--space", "2,2"], "a complex is required (--complex FILE or --G)"),
+    (["matrix", "--complex", "{d2}", "--space", ""], "--space q1,q2,... is required"),
+    (["moves", "--space", "2,2", "--G", ""], "--G i,j,... is required"),
+    (["verify-markov", "--complex", "{d2}", "--space", "2,2,2", "--degree-limit", "2"],
+     "without --moves, --G is required to build the interval moves"),
+    (["verify-markov", "--space", "3,2", "--G", "1", "--degree-limit", "2"],
+     "interval moves need a binary space; pass --moves instead"),
+    (["verify-markov", "--space", "2,2", "--G", "1", "--degree-limit", "2",
+      "--drop-move", "2"], "--drop-move index out of range 0..1"),
+    (["degree-bound", "--complex", "{full}", "--space", "2,2"],
+     "complex is the full power set: kernel is zero, no binomials exist"),
+    (["collapse", "--space", "3,2", "--map", "{map}", "--table", "{table}"],
+     "collapsing map does not match --space"),
+    (["collapse", "--space", "3,3", "--map", "{map}", "--table", "{table22}"],
+     "table does not match --space"),
+])
+def test_usage_error_lines(capsys, tmp_path, argv, message):
+    files = {"d2": D2_COMPLEX, "full": FULL_COMPLEX, "map": "1: 0 1 1\n2: 0 1 1\n",
+             "table": "2\n3 3\n1 0 0 0 1 0 0 0 2\n", "table22": "2\n2 2\n1 0 0 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: str(tmp_path / name) for name in files}
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out, err) == (64, "", f"margo: usage error: {message}\n")
+
+
+def test_reports_without_kernel_vectors(capsys, tmp_path, d2_path):
+    # the full simplex has a zero kernel; d2 over 2^3 has no binomial below degree 4
+    full = tmp_path / "full.cx"
+    full.write_text(FULL_COMPLEX)
+    assert run(capsys, ["kernel-basis", "--complex", str(full)]) == (0, "0 4\n", "")
+    assert run(capsys, ["degree-bound", "--complex", d2_path, "--space", "2,2,2",
+                        "--kmax", "3"]) == (0, (
+        "command: degree-bound\ncomplex: 3 ; {1,2} {1,3} {2,3}\nspace: 2 2 2\n"
+        "g: 3\nbound: 4\nkmax: 3\n"
+        "witness-degree: none (no binomial of degree <= 3)\nstatus: PASS\n"), "")
+
+
 def test_verify_markov_on_ten_binary_variables(capsys):
     # 1024 configurations, more than the default recursion limit
     code, out, err = run(capsys, ["verify-markov", "--space", ",".join(["2"] * 10),
