@@ -19,8 +19,9 @@ from .spaces import (
     Config,
     ConfigSpace,
     ContingencyTable,
+    _local_index,
+    _restriction,
     binary_space,
-    cylinder,
     layout,
 )
 
@@ -142,17 +143,22 @@ def interval_move(n: int, members: Iterable[int], y: Sequence[int]) -> Move:
     outside G} and 0 elsewhere; both supports have 2^(|G|-1) elements.
     """
     space, outside, e_g = _interval_parts(n, members)
-    return _interval_move(space, outside, e_g, y)
+    k = _local_index(space, outside, y)
+    return Move(space, tuple(v if j == k else 0
+                             for v, j in zip(e_g, _restriction(space, outside))))
 
 
 def interval_moves(n: int, members: Iterable[int]) -> tuple[Move, ...]:
     """All interval moves of G, one per local configuration outside G.
 
-    G is checked and its character built once, for every move.
+    G is checked and its character built once, and every move is filled in
+    one pass over the configurations, each landing in the move of its y.
     """
     space, outside, e_g = _interval_parts(n, members)
-    return tuple(_interval_move(space, outside, e_g, y)
-                 for y in binary_space(len(outside)).configs())
+    vecs = [[0] * space.size for _ in range(1 << len(outside))]
+    for ix, (v, k) in enumerate(zip(e_g, _restriction(space, outside))):
+        vecs[k][ix] = v
+    return tuple(Move(space, tuple(vec)) for vec in vecs)
 
 
 def _interval_parts(n: int, members: Iterable[int]
@@ -165,16 +171,6 @@ def _interval_parts(n: int, members: Iterable[int]
     return binary_space(n), outside, character(n, g).values
 
 
-def _interval_move(space: ConfigSpace, outside: tuple[int, ...], e_g: tuple[int, ...],
-                   y: Sequence[int]) -> Move:
-    """The character values of G on the cylinder of y outside G, 0 elsewhere."""
-    vec = [0] * space.size
-    for x in cylinder(space, outside, y):
-        ix = space.index(x)
-        vec[ix] = e_g[ix]
-    return Move(space, tuple(vec))
-
-
 def character_cylinder_sum(n: int, members: Iterable[int], on: Iterable[int],
                            y: Sequence[int]) -> int:
     """Sum of the character of B over the cylinder {X_C = y_C}, by summation.
@@ -184,7 +180,7 @@ def character_cylinder_sum(n: int, members: Iterable[int], on: Iterable[int],
     so the identity stays independently checkable.
     """
     b = _validate_members(n, members)
-    c = _validate_members(n, on)
+    c = sorted(_validate_members(n, on))
     space = binary_space(n)
-    e_b = character(n, b)
-    return sum(e_b.values[space.index(x)] for x in cylinder(space, sorted(c), y))
+    k = _local_index(space, c, y)
+    return sum(v for v, j in zip(character(n, b).values, _restriction(space, c)) if j == k)

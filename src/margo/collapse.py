@@ -21,6 +21,7 @@ from .spaces import (
     Config,
     ConfigSpace,
     ContingencyTable,
+    _image_index,
     binary_space,
     marginal,
     marginal_map,
@@ -83,9 +84,8 @@ def collapse_table(c: Collapsing, u: ContingencyTable) -> ContingencyTable:
         raise ValueError("table space does not match the collapsing's source")
     target = c.target
     out = [0] * target.size
-    for x, cnt in zip(u.space.configs(), u.counts):
-        if cnt:
-            out[target.index(collapse_config(c, x))] += cnt
+    for j, cnt in zip(_image_index((2, m) for m in c.maps), u.counts):
+        out[j] += cnt
     return ContingencyTable(target, tuple(out))
 
 

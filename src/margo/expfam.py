@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
-from .spaces import Config, ConfigSpace, layout
+from .spaces import Config, ConfigSpace, _restriction, layout
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ def multiinformation(p: Density) -> float:
     space = p.space
     joint = _entropy(p.probabilities)
     total = 0.0
-    for i in range(space.n):
-        marg = [0.0] * space.cardinalities[i]
-        for x, prob in zip(space.configs(), p.probabilities):
-            marg[x[i]] += prob
+    for i, q in enumerate(space.cardinalities, start=1):
+        marg = [0.0] * q
+        for j, prob in zip(_restriction(space, [i]), p.probabilities):
+            marg[j] += prob
         total += _entropy(marg)
     return total - joint

@@ -5,6 +5,14 @@ lexicographic order with coordinate 1 most significant.  That single order is
 used everywhere: table entries, matrix columns, and marginal blocks, so that
 matrices and certificates are bit-reproducible.  All arithmetic is plain
 Python integer arithmetic and therefore exact.
+
+One index rule maps configurations to their images under a product map:
+`_image_index` gives, for every configuration index, the lex index of the
+image.  Restricting x to x_B (`_restriction`) is one use, read by the
+marginal blocks, `marginal`, `cylinder`, the cone split, the interval moves
+and `multiinformation`.  Collapsing each alphabet onto {0, 1} is the other.
+The indices it builds need no range check; a local configuration y from
+the caller is checked once, by `_local_index`.
 """
 
 from __future__ import annotations
@@ -73,6 +81,40 @@ def binary_space(n: int) -> ConfigSpace:
 def sub_space(space: ConfigSpace, members: Iterable[int]) -> ConfigSpace:
     """The space X_B of local configurations on B (variables in increasing order)."""
     return ConfigSpace(tuple(space.cardinalities[i - 1] for i in sorted(members)))
+
+
+def _image_index(axes: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
+    """For every configuration index, in lex order, the index of its image.
+
+    `axes` gives, for each variable in order, the size q of its image
+    alphabet and the image of each of its values; the image is indexed by
+    the same lex rule, so a size of 1 (every image 0) drops the variable.
+    """
+    out = [0]
+    for q, image in axes:
+        out = [ix * q + v for ix in out for v in image]
+    return out
+
+
+def _restriction(space: ConfigSpace, members: Iterable[int]) -> list[int]:
+    """For every configuration index, the index of its restriction x_B in X_B."""
+    keep = set(members)
+    return _image_index((q, range(q)) if i in keep else (1, (0,) * q)
+                        for i, q in enumerate(space.cardinalities, start=1))
+
+
+def _local_index(space: ConfigSpace, members: Sequence[int], y: Sequence[int]) -> int:
+    """The index in X_B of the local configuration y on B (B sorted), checked."""
+    y = tuple(y)
+    if len(y) != len(members):
+        raise ValueError(f"local config length {len(y)} != |B| = {len(members)}")
+    k = 0
+    for i, v in zip(members, y):
+        q = space.cardinalities[i - 1]
+        if not 0 <= v < q:
+            raise ValueError(f"local config value {v} out of range 0..{q - 1}")
+        k = k * q + v
+    return k
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,19 +250,9 @@ class MarginalLayout:
             off += bs.size
         self.nrows = off
         # rows_of[ix] = row hit by config ix in each facet block, in facet order
-        all_configs = list(space.configs())
-        self.col_labels = tuple(all_configs)
-        self.rows_of: list[tuple[int, ...]] = []
-        for x in all_configs:
-            hit = []
-            for members, bs, off in zip(self.facet_members, self.block_spaces, self.offsets):
-                hit.append(off + bs.index(tuple(x[i - 1] for i in members)))
-            self.rows_of.append(tuple(hit))
-        self.row_labels: tuple[tuple[frozenset[int], Config], ...] = tuple(
-            (frozenset(members), y)
-            for members, bs in zip(self.facet_members, self.block_spaces)
-            for y in bs.configs()
-        )
+        hits = [[off + j for j in _restriction(space, members)]
+                for members, off in zip(self.facet_members, self.offsets)]
+        self.rows_of: list[tuple[int, ...]] = list(zip(*hits)) if hits else [()] * space.size
 
     def marginal_entries(self, counts: Sequence[int]) -> tuple[int, ...]:
         out = [0] * self.nrows
@@ -239,8 +271,11 @@ class MarginalLayout:
         for ix, hit in enumerate(self.rows_of):
             for r in hit:
                 rows[r][ix] = 1
+        row_labels = tuple((frozenset(members), y)
+                           for members, bs in zip(self.facet_members, self.block_spaces)
+                           for y in bs.configs())
         return MarginalMatrix(tuple(tuple(r) for r in rows),
-                              self.row_labels, self.col_labels)
+                              row_labels, tuple(self.space.configs()))
 
 
 @lru_cache(maxsize=None)
@@ -284,9 +319,7 @@ def _slices(lay: MarginalLayout) -> _ConeSplit | None:
     rows = [[0] * part.nrows for _ in range(cone_space.size)]
     cells = [[0] * part.space.size for _ in range(cone_space.size)]
     position = [0] * space.size
-    for ix, x in enumerate(space.configs()):
-        s = cone_space.index([x[i - 1] for i in cone])
-        j = part.space.index([x[i - 1] for i in rest])
+    for ix, (s, j) in enumerate(zip(_restriction(space, cone), _restriction(space, rest))):
         position[ix] = s * part.space.size + j
         cells[s][j] = ix
         for f, r in enumerate(part.rows_of[j]):
@@ -333,9 +366,8 @@ def marginal(u: ContingencyTable, members: Iterable[int]) -> ContingencyTable:
     members = _members(u.space, members)
     sub = sub_space(u.space, members)
     out = [0] * sub.size
-    for x, c in zip(u.space.configs(), u.counts):
-        if c:
-            out[sub.index(tuple(x[i - 1] for i in members))] += c
+    for j, c in zip(_restriction(u.space, members), u.counts):
+        out[j] += c
     return ContingencyTable(sub, tuple(out))
 
 
@@ -353,19 +385,8 @@ def marginal_matrix(cx: SimplicialComplex, space: ConfigSpace) -> MarginalMatrix
 def cylinder(space: ConfigSpace, members: Iterable[int], y: Sequence[int]) -> list[Config]:
     """All configurations that agree with the local configuration y on B."""
     members = _members(space, members)
-    y = tuple(y)
-    if len(y) != len(members):
-        raise ValueError(f"local config length {len(y)} != |B| = {len(members)}")
-    fixed = dict(zip(members, y))
-    axes = []
-    for i, q in enumerate(space.cardinalities, start=1):
-        if i in fixed:
-            if not 0 <= fixed[i] < q:
-                raise ValueError(f"local config value {fixed[i]} out of range 0..{q - 1}")
-            axes.append((fixed[i],))
-        else:
-            axes.append(tuple(range(q)))
-    return list(product(*axes))
+    k = _local_index(space, members, y)
+    return [x for x, j in zip(space.configs(), _restriction(space, members)) if j == k]
 
 
 def kernel_check(matrix: MarginalMatrix, vec: Sequence[int]) -> bool:

@@ -5,9 +5,11 @@ import pytest
 from margo import (
     ConfigSpace,
     ContingencyTable,
+    all_collapsings,
     binary_space,
     character,
     character_cylinder_sum,
+    collapse_config,
     cylinder,
     from_facets,
     full_simplex,
@@ -20,12 +22,17 @@ from margo import (
     marginal_matrix,
     uniform_complex,
 )
+from margo.complexes import subsets
 from margo.spaces import (
     format_matrix,
     format_table,
     parse_matrix,
     parse_table,
+    sub_space,
+    _image_index,
     _interchangeable,
+    _local_index,
+    _restriction,
 )
 
 from conftest import (all_complexes, naive_marginal, random_complex, random_table,
@@ -187,6 +194,24 @@ def test_bad_local_config_messages(y, message):
                  lambda: character_cylinder_sum(3, {1}, {1, 3}, y)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+
+@pytest.mark.parametrize("cards", [(2, 3, 2), (3, 2, 2, 2)])
+def test_image_index_matches_the_config_index_rule(cards):
+    # the one index map against indexing each image through ConfigSpace.index:
+    # restrictions to every B, the empty set included, and every collapsing
+    sp = ConfigSpace(cards)
+    configs = list(sp.configs())
+    for b in subsets(sp.n):
+        members = sorted(b)
+        sub = sub_space(sp, members)
+        assert _restriction(sp, b) == [sub.index(tuple(x[i - 1] for i in members))
+                                       for x in configs]
+        for y in sub.configs():
+            assert _local_index(sp, members, y) == sub.index(y)
+    for c in all_collapsings(sp):
+        assert _image_index((2, m) for m in c.maps) == [
+            c.target.index(collapse_config(c, x)) for x in configs]
 
 
 def test_cylinders_partition_space():
