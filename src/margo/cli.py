@@ -305,7 +305,7 @@ def _cmd_mi(args) -> int:
 
 def _cmd_density(args) -> int:
     space = _load_space(args)
-    cx = _load_complex(args, space)
+    cx = _load_complex(args)
     theta = [float(tok) for tok in _read(args.theta).split()]
     p = expfam.density(cx, space, theta)
     pairs = [
