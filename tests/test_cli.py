@@ -264,6 +264,27 @@ def test_neighborly_report(capsys, d2_path):
     assert "status: PASS" in out
 
 
+@pytest.mark.parametrize("complex_text, space, lines", [
+    ("3\n1 2\n", "2,2,2", ["complex: 3 ; {1,2}", "space: 2 2 2", "g: 1", "bound: 0",
+                           "kmax: 1", "witness: 000", "certificate: 001=1"]),
+    ("3\n1 2\n", "3,2,2", ["complex: 3 ; {1,2}", "space: 3 2 2", "g: 1", "bound: 0",
+                           "kmax: 1", "witness: 000", "certificate: 001=1"]),
+    ("2\n", "2,2", ["complex: 2 ; (no facets)", "space: 2 2", "g: 0", "bound: none",
+                    "kmax: 4", "witness: 00", "certificate: 01=1"]),
+])
+def test_neighborly_with_a_variable_in_no_facet(capsys, tmp_path, complex_text, space,
+                                                lines):
+    # configurations that differ only in such a variable share a column, so a
+    # single configuration already spans no face
+    p = tmp_path / "c.cx"
+    p.write_text(complex_text)
+    *header, witness, certificate = lines
+    expected = ["command: neighborly", *header, "k: 0", "witness-size: 1", witness,
+                certificate, "outside-mass: 1", "status: PASS"]
+    assert run(capsys, ["neighborly", "--complex", str(p), "--space", space]) == (
+        0, "".join(line + "\n" for line in expected), "")
+
+
 def test_internal_errors_exit_70(capsys, d2_path, monkeypatch):
     argv = ["neighborly", "--complex", d2_path, "--space", "2,2,2", "--kmax", "4"]
 
