@@ -210,8 +210,10 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
 
     Columns that hit a zero coordinate of the barycenter can carry no mass
     and are eliminated before the LP; when no outside column survives the
-    verdict is immediate.  Duplicate columns across the Y boundary are a
-    non-face by themselves and short-circuit the LP.
+    verdict is immediate.  A face's functional is read off the LP dual on
+    the kept rows and puts -scale on every zero row, where scale is
+    max(1, 1 + P - c0), P the sum of its positive weights on the kept rows
+    and c0 its value on Y.
     """
     lay = layout(cx, space)
     y_ix = sorted({space.index(tuple(x)) for x in members})
@@ -227,30 +229,9 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
             bary[r] += Fraction(1, len(y_ix))
     bary_t = tuple(bary)
 
-    # duplicate-column guard
-    col_of = {}
-    for ix in y_ix:
-        col_of[lay.rows_of[ix]] = ix
-    for ix in range(size):
-        if ix in y_set:
-            continue
-        twin = col_of.get(lay.rows_of[ix])
-        if twin is not None:
-            lam = [Fraction(0)] * size
-            for jx in y_ix:
-                lam[jx] = Fraction(1, len(y_ix))
-            lam[ix] = lam[twin]
-            lam[twin] = Fraction(0)
-            return FacialityCertificate(y_configs, False, bary_t,
-                                        combination=tuple(lam),
-                                        outside_mass=Fraction(1, len(y_ix)))
-
     zero_rows = [r for r in range(lay.nrows) if bary[r] == 0]
     zero_set = set(zero_rows)
-    survivors: list[int] = []
-    killed: list[int] = []
-    for ix in range(size):
-        (survivors if zero_set.isdisjoint(lay.rows_of[ix]) else killed).append(ix)
+    survivors = [ix for ix in range(size) if zero_set.isdisjoint(lay.rows_of[ix])]
     outside = [ix for ix in survivors if ix not in y_set]
 
     if not outside:
@@ -280,22 +261,15 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
 
     # optimum zero: extract a strictly separating functional from the dual
     w = res.dual
-    w0 = w[-1]
     theta = [Fraction(0)] * lay.nrows
     for pos, r in enumerate(kept_rows):
         theta[r] = -w[pos]
-    c0 = w0
-    if killed:
-        scale = Fraction(1)
-        for ix in killed:
-            col = lay.rows_of[ix]
-            base = sum(theta[r] for r in col if r not in zero_set)
-            hits = sum(1 for r in col if r in zero_set)
-            need = (base - c0 + 1) / hits
-            if need > scale:
-                scale = need
-        for r in zero_rows:
-            theta[r] = -scale
+    c0 = w[-1]
+    # an eliminated column hits at least one zero row, so its value is at
+    # most P - scale <= c0 - 1
+    scale = max(Fraction(1), 1 + sum(t for t in theta if t > 0) - c0)
+    for r in zero_rows:
+        theta[r] = -scale
     return FacialityCertificate(y_configs, True, bary_t,
                                 separating=tuple(theta), separation_value=c0)
 
