@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
-from .spaces import Config, ConfigSpace, _restriction, layout
+from .spaces import Config, ConfigSpace, layout
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,9 @@ def _entropy(weights: Sequence[float]) -> float:
 
 def multiinformation(p: Density) -> float:
     """Sum of the single-variable entropies minus the joint entropy."""
-    space = p.space
     joint = _entropy(p.probabilities)
-    total = 0.0
-    for i, q in enumerate(space.cardinalities, start=1):
-        marg = [0.0] * q
-        for j, prob in zip(_restriction(space, [i]), p.probabilities):
-            marg[j] += prob
-        total += _entropy(marg)
-    return total - joint
+    margs = [[0.0] * q for q in p.space.cardinalities]
+    for x, prob in zip(p.space.configs(), p.probabilities):
+        for marg, v in zip(margs, x):
+            marg[v] += prob
+    return sum(map(_entropy, margs)) - joint

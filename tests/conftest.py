@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import log
 from typing import Iterator, Sequence
 
 import pytest
@@ -13,6 +14,7 @@ from margo import (
     ConfigSpace,
     ConnectivityReport,
     ContingencyTable,
+    Density,
     Fiber,
     LPResult,
     MarkovReport,
@@ -387,6 +389,21 @@ def naive_neighborliness(cx, space: ConfigSpace, k_max: int) -> NeighborlinessRe
             if not cert.is_face:
                 return NeighborlinessReport(k - 1, k_max, cert)
     return NeighborlinessReport(min(k_max, space.size), k_max, None)
+
+
+def naive_multiinformation(p: Density) -> float:
+    """The single-variable entropies, one walk over the configurations each,
+    minus the joint entropy; sums run in lex order as in the library."""
+    def entropy(weights):
+        return -sum(w * log(w) for w in weights if w > 0)
+
+    total = 0.0
+    for i, q in enumerate(p.space.cardinalities):
+        marg = [0.0] * q
+        for x, prob in zip(p.space.configs(), p.probabilities):
+            marg[x[i]] += prob
+        total += entropy(marg)
+    return total - entropy(p.probabilities)
 
 
 def all_complexes(n):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from margo import (
+    ConfigSpace,
     Density,
     binary_space,
     density,
@@ -16,6 +17,8 @@ from margo import (
     uniform_complex,
     uniform_density,
 )
+
+from conftest import naive_multiinformation
 
 INDEPENDENCE = from_facets(2, [{1}, {2}])
 B2 = binary_space(2)
@@ -122,6 +125,15 @@ def test_multiinformation_nonnegative_and_detects_dependence():
         assert multiinformation(p) >= -1e-12
     dependent = point_mixture(B2, [(0, 0), (1, 1)])
     assert multiinformation(dependent) > 0.5
+
+
+@pytest.mark.parametrize("cards", [(3, 2, 2, 2), (2, 2, 2)])
+def test_multiinformation_matches_the_per_variable_walk(cards):
+    space, rng = ConfigSpace(cards), random.Random(6)
+    for _ in range(20):
+        w = [rng.random() for _ in range(space.size)]
+        p = Density(space, tuple(v / sum(w) for v in w))
+        assert multiinformation(p) == naive_multiinformation(p)
 
 
 def test_densities_concentrate_on_facial_sets():
