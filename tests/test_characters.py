@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -56,6 +57,19 @@ def test_character_depends_only_on_projection():
 def test_character_rejects_bad_members():
     with pytest.raises(ValueError, match="out of range"):
         character(2, {3})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Move(binary_space(2), (1, -1)), "expected 4 entries, got 2",
+                 id="move-length"),
+    pytest.param(lambda: interval_move_sum(3, [], (0, 0, 0)), "G must be nonempty",
+                 id="sum-empty-G"),
+    pytest.param(lambda: interval_move_sum(3, {1}, (0,)), "local config length 1 != |N\\G| = 2",
+                 id="sum-y-length"),
+])
+def test_reject_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_orthogonality_exhaustive():

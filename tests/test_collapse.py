@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from math import prod
 
@@ -37,6 +38,21 @@ def test_collapsing_validation():
         Collapsing(((0, 0),))
     with pytest.raises(ValueError, match="outside"):
         Collapsing(((0, 2),))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: identity_collapsing(ConfigSpace((2, 3))),
+                 "identity collapsing exists only on binary spaces", id="identity-binary"),
+    pytest.param(lambda: collapse_config(PHI_SQUASH, (0, 1, 2)), "config length 3 != 2",
+                 id="config-length"),
+    pytest.param(lambda: parse_collapsing("1: 0 1\n2 0 1\n"), "bad collapsing line: '2 0 1'",
+                 id="no-colon"),
+    pytest.param(lambda: parse_collapsing("1: 0 1\n1: 1 0\n"),
+                 "duplicate collapsing line for variable 1", id="duplicate"),
+])
+def test_reject_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_collapse_config():
@@ -248,6 +264,7 @@ def test_collapsing_text_round_trip():
     text = format_collapsing(PHI_SQUASH)
     assert text == "1: 0 1 1\n2: 0 1 1\n"
     assert parse_collapsing(text) == PHI_SQUASH
+    assert parse_collapsing("# squash\n1: 0 1 1  # first\n\n  # none\n2: 0 1 1\n") == PHI_SQUASH
     with pytest.raises(ValueError):
         parse_collapsing("1: 0 1\n3: 0 1\n")
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import pytest
 
-from margo import from_facets, full_simplex, interval_complement, uniform_complex
+from margo import SimplicialComplex, from_facets, full_simplex, interval_complement, uniform_complex
 from margo.complexes import format_complex, parse_complex, subsets
 
 from conftest import random_complex
@@ -23,6 +23,12 @@ def test_from_facets_rejects_out_of_range():
         from_facets(2, [{1, 3}])
     with pytest.raises(ValueError, match="element 0"):
         from_facets(2, [{0}])
+
+
+def test_ground_set_must_be_positive():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^ground set size must be positive, got {n}$"):
+            SimplicialComplex(n, ())
 
 
 def test_from_facets_deduplicates():

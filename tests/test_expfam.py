@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -71,6 +72,17 @@ def test_density_validation():
         Density(B2, (0.5, 0.1, 0.1, 0.1))
     with pytest.raises(ValueError, match="nonnegative"):
         Density(B2, (1.2, -0.2, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Density(B2, (0.5, 0.5)), "expected 4 entries, got 2", id="length"),
+    pytest.param(lambda: satisfies_binomials(uniform_density(B2),
+                                             [interval_move(3, {1, 2, 3}, ())], 1e-9),
+                 "move space does not match the density's space", id="move-space"),
+])
+def test_reject_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_density_rejects_non_finite_values():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 from itertools import chain, combinations, product
 from math import comb, prod
@@ -101,6 +102,23 @@ def test_enumerate_fiber_rejects_facet_free_complex():
     cx = from_facets(2, [])
     with pytest.raises(ValueError, match="no facets"):
         enumerate_fiber(cx, B2, MarginalVector((), ()))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: enumerate_fiber(INDEPENDENCE, B2, MarginalVector(
+        (1, 1, 2), ((frozenset({1}), 2), (frozenset({1, 2}), 1)))),
+                 "marginal blocks do not match the complex and space", id="fiber-blocks"),
+    pytest.param(lambda: verify_markov_basis(INDEPENDENCE, B2, [], -1),
+                 "degree limit must be nonnegative", id="negative-degree-limit"),
+    pytest.param(lambda: verify_markov_basis(from_facets(2, []), B2, [], 2),
+                 "cannot verify a model with no facets: every fiber is infinite",
+                 id="verify-no-facets"),
+    pytest.param(lambda: min_binomial_degree(INDEPENDENCE, B2, 0),
+                 "k_max must be at least 1", id="binomial-kmax"),
+])
+def test_reject_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_fiber_connected_cases():

@@ -24,6 +24,9 @@ from margo import (
 )
 from margo.complexes import subsets
 from margo.spaces import (
+    MarginalLayout,
+    MarginalVector,
+    config_str,
     format_matrix,
     format_table,
     parse_matrix,
@@ -50,6 +53,33 @@ def test_config_space_basics():
         ConfigSpace((2, 1))
     with pytest.raises(ValueError):
         sp.index((0, 3))
+
+
+def test_config_str_spaces_out_values_past_nine():
+    assert config_str((1, 0, 1), ConfigSpace((2, 10, 2))) == "101"
+    assert config_str((1, 10, 0), ConfigSpace((2, 11, 2))) == "1 10 0"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ConfigSpace((2, 3)).index((0,)), "config length 1 != 2",
+                 id="index-length"),
+    pytest.param(lambda: MarginalVector((1, 1), ((frozenset({1}), 3),)),
+                 "block sizes do not match entry count", id="vector-blocks"),
+    pytest.param(lambda: MarginalLayout(uniform_complex(3, 2), binary_space(2)),
+                 "complex on 3 indices vs space on 2 variables", id="layout-space"),
+    pytest.param(lambda: format_matrix([(1, 0), (1,)]), "ragged matrix", id="ragged"),
+    pytest.param(lambda: parse_matrix("1 2\n1 x\n"),
+                 "matrix text contains a non-integer token", id="matrix-token"),
+    pytest.param(lambda: parse_table("2\n2 2\n"),
+                 "table text needs three lines: n, cardinalities, entries", id="table-lines"),
+    pytest.param(lambda: parse_table("2\n2 two\n1 0 0 1\n"),
+                 "table text contains a non-integer token", id="table-token"),
+    pytest.param(lambda: parse_table("3\n2 2\n1 0 0 1\n"),
+                 "expected 3 cardinalities, got 2", id="table-cardinalities"),
+])
+def test_reject_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_lex_order_has_first_coordinate_most_significant():
