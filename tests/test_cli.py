@@ -1,14 +1,16 @@
 import argparse
+import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from margo import (ContingencyTable, binary_space, cli, fiber, interval_complement,
-                   interval_moves, polytope, uniform_complex)
+from margo import (ContingencyTable, binary_space, character, cli, fiber, from_facets,
+                   interval_complement, interval_moves, polytope, uniform_complex)
 from margo.guards import Budget
 from margo.spaces import config_str, layout
 
@@ -529,3 +531,33 @@ def test_readme_examples(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, argv[1:])
         assert code == (1 if comment.strip().startswith("exit 1") else 0), (line, err)
         assert out and err == "", line
+
+
+def test_readme_library_tour():
+    # the Python block under "Library tour", run statement by statement; each
+    # commented expression's value is checked against its comment
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    scope, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README", "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, scope)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+    assert scope["cx"] == from_facets(2, [{1}, {2}]) and scope["sp"] == binary_space(2)
+    assert scope["m"].vector == (1, -1, -1, 1)
+    assert [u.counts for u in scope["fib"].tables] == [(0, 1, 1, 0), (1, 0, 0, 1)]
+    cert = values["is_facial(cx, sp, [(0, 0), (1, 1)])"]
+    assert values == {
+        "marginal_matrix(cx, sp).rows": ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)),
+        "kernel_basis(cx)": (character(2, {1, 2}),),
+        "fiber_connected(fib, [m]).connected": True,
+        "verify_markov_basis(cx, sp, [m], degree_limit=6).passed": True,
+        "min_binomial_degree(cx, sp, 2)": (2, scope["m"]),
+        "is_facial(cx, sp, [(0, 0), (1, 1)])": cert,
+        "neighborliness(cx, sp, 2).k": 1,
+    }
+    assert not cert.is_face and cert.outside_mass == 1
+    half = Fraction(1, 2)
+    assert cert.combination == (0, half, half, 0)

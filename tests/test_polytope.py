@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -52,6 +53,17 @@ def test_lp_solve_infeasible_and_unbounded():
     assert lp_solve([[1], [1]], [1, 2], [1]).status == "infeasible"
     # x - y = 0 with objective x is unbounded along the diagonal
     assert lp_solve([[1, -1]], [0], [1, 0]).status == "unbounded"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: lp_solve([[1, 1], [1]], [1, 1], [1, 0]),
+                 "constraint row length does not match objective", id="lp-row-length"),
+    pytest.param(lambda: neighborliness(INDEPENDENCE, B2, 0), "k_max must be at least 1",
+                 id="neighborliness-kmax"),
+])
+def test_reject_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_lp_solve_duality():
@@ -165,13 +177,15 @@ def test_is_facial_parity_support_fails():
         assert lam[x] == Fraction(1, 4)
 
 
-def test_is_facial_duplicate_column_guard():
+def test_is_facial_twin_columns():
     # with a facet set ignoring variable 2, configs differing only there
-    # share a column, so single points are not faces
+    # share a column, so single points are not faces: the LP moves all the
+    # mass onto the twin
     cx = from_facets(2, [{1}])
     cert = is_facial(cx, B2, [(0, 0)])
     assert not cert.is_face
     assert cert.outside_mass == 1
+    assert cert.combination == (0, 1, 0, 0)
     assert cert.recheck(marginal_matrix(cx, B2))
 
 
