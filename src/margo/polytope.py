@@ -210,10 +210,10 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
 
     Columns that hit a zero coordinate of the barycenter can carry no mass
     and are eliminated before the LP; when no outside column survives the
-    verdict is immediate.  A face's functional is read off the LP dual on
-    the kept rows and puts -scale on every zero row, where scale is
-    max(1, 1 + P - c0), P the sum of its positive weights on the kept rows
-    and c0 its value on Y.
+    verdict is immediate.  A face's functional is zero on the kept rows in
+    that case and read off the LP dual otherwise; either way it puts -scale
+    on every zero row, where scale is max(1, 1 + P - c0), P the sum of its
+    positive weights on the kept rows and c0 its value on Y.
     """
     lay = layout(cx, space)
     y_ix = sorted({space.index(tuple(x)) for x in members})
