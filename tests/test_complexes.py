@@ -1,6 +1,7 @@
 import pytest
 
-from margo import SimplicialComplex, from_facets, full_simplex, interval_complement, uniform_complex
+from margo import (SimplicialComplex, from_facets, full_simplex, interval_complement,
+                   uniform_complex)
 from margo.complexes import format_complex, parse_complex, subsets
 
 from conftest import random_complex
