@@ -714,6 +714,32 @@ def test_min_binomial_degree_sharp_witness_is_the_top_character(n, k_max):
     assert min_binomial_degree(cx, binary_space(n), k_max) == (k_max, Move(binary_space(n), want))
 
 
+SUPPORT_BOUND_SPACES = [(2, 2), (2, 3), (3, 3), (3, 4),
+                        (2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 2), (3, 3, 3),
+                        (2, 2, 2, 2), (3, 2, 2, 2), (2, 2, 3, 2)]
+
+
+def test_least_binomial_degree_is_the_support_bound_and_square_free():
+    # every nonzero kernel vector has at least 2^(g-1) positive and 2^(g-1)
+    # negative cells, and a minimal non-face's interval move on the binary
+    # sub-box has degree 2^(g-1): so that degree is the least, and every
+    # kernel vector of it is square-free, which leaves the witness search
+    # with a vector at every least degree
+    models = 0
+    for cards in SUPPORT_BOUND_SPACES:
+        sp = ConfigSpace(cards)
+        for cx in all_complexes(len(cards)):
+            if not cx.facets or cx.is_face(range(1, cx.n + 1)):
+                continue
+            bound = 2 ** (cx.min_nonface_cardinality() - 1)
+            k, move = min_binomial_degree(cx, sp, bound)
+            assert k == bound, (cx, cards)
+            vectors = list(fiber._kernel_vectors(layout(cx, sp), bound, Budget(None)))
+            assert vectors and all(v in (-1, 0, 1) for vec in vectors for v in vec), (cx, cards)
+            models += 1
+    assert models == 592
+
+
 def test_min_binomial_degree_count_pass_matches_oracle_stream(monkeypatch):
     # with the square-free search made to find nothing, the witness comes
     # from the count pass: the first pair of the oracle's stream of every
