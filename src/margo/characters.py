@@ -19,6 +19,7 @@ from .spaces import (
     Config,
     ConfigSpace,
     ContingencyTable,
+    _integers,
     _local_index,
     _restriction,
     binary_space,
@@ -52,7 +53,7 @@ class Move:
     vector: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", tuple(self.vector))
+        object.__setattr__(self, "vector", _integers(self.vector, "move entries"))
         if len(self.vector) != self.space.size:
             raise ValueError(f"expected {self.space.size} entries, got {len(self.vector)}")
 

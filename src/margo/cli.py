@@ -214,6 +214,7 @@ def _cmd_degree_bound(args) -> int:
     else:
         k, move = found
         pos, neg, _ = characters.move_supports(move)
+        # always yes by the support bound; read off the witness as a re-check
         square_free = all(abs(v) <= 1 for v in move.vector)
         pairs.extend([
             ("witness-degree", str(k)),

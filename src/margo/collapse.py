@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .characters import Move
@@ -37,7 +38,11 @@ class Collapsing:
     def __post_init__(self) -> None:
         object.__setattr__(self, "maps", tuple(tuple(m) for m in self.maps))
         for i, m in enumerate(self.maps, start=1):
-            if any(v not in (0, 1) for v in m):
+            try:
+                outside = any(index(v) not in (0, 1) for v in m)
+            except TypeError:  # not an integer, so not 0 or 1
+                outside = True
+            if outside:
                 raise ValueError(f"map for variable {i} has values outside {{0,1}}")
             if 0 not in m or 1 not in m:
                 raise ValueError(f"map for variable {i} is not surjective onto {{0,1}}")

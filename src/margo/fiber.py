@@ -81,7 +81,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, product
 from math import prod
-from operator import index, itemgetter, lshift, sub
+from operator import itemgetter, lshift
 from typing import Iterator, Sequence
 
 from .characters import Move
@@ -93,6 +93,7 @@ from .spaces import (
     MarginalLayout,
     MarginalVector,
     _ConeSplit,
+    _integers,
     _slices,
     _trusted_tables,
     config_str,
@@ -281,10 +282,7 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
         raise ValueError("fiber is infinite: complex has no facets")
     if b.blocks != lay.blocks():
         raise ValueError("marginal blocks do not match the complex and space")
-    try:
-        entries = tuple(map(index, b.entries))
-    except TypeError:
-        raise ValueError("marginal entries must be integers") from None
+    entries = _integers(b.entries, "marginal entries")
     if not b.is_consistent():
         raise ValueError("inconsistent marginal: facet blocks sum to different totals")
     tables, parts = _fiber(lay, entries, Budget(ceiling, "fiber assignments"))
@@ -478,9 +476,11 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget, *,
     positive, is the least support cell.  It yields only square-free
     vectors, each less than the one before under the key (negative cells,
     positive cells), each a sorted tuple: the last one yielded is the
-    least.  Once one is yielded, a branch whose negative cells so far are
-    its first ones is abandoned when the branch's next negative cell can no
-    longer come at or before its next one: every completion sorts after it.
+    least.  At the least degree it misses no vector, since every vector of
+    that degree is square-free (the support bound in `min_binomial_degree`).
+    Once one is yielded, a branch whose negative cells so far are its first
+    ones is abandoned when the branch's next negative cell can no longer
+    come at or before its next one: every completion sorts after it.
     """
     size = lay.space.size
     walk = range(size) if least else _walk(lay)
@@ -701,17 +701,28 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     kernel vector of degree k.  So each degree first asks the lazy
     kernel-vector search for one vector with both parts of degree <= k and
     skips the degree when there is none; at the first degree with one,
-    every such vector has degree k.  The witness is the first pair (u, v),
-    as the move u - v, of a scan of the degree-k tables: the square-free
-    ones as k-subsets in lex order, then all in lex order of counts.  It is
-    the least degree-k vector under the scan's key, so it is searched for:
-    of two disjoint k-subsets the earlier holds the least cell, so the key
-    is (negative cells, positive cells) of the vector whose first nonzero
-    entry is positive (`_kernel_vectors` with `least`); only when no vector
-    is square-free, all of them by (later count vector, earlier count
-    vector).  A facet-free complex's witness is (1, e_0 - e_1).  The
-    ceiling counts both searches' assignments against one budget, and its
-    error names the phase and the degree reached.
+    every such vector has degree k.  The witness is the least square-free
+    degree-k kernel vector whose first nonzero entry is positive, ordered
+    by (negative cells, positive cells), each sorted (`_kernel_vectors` with
+    `least`).  As the move u - v it is the first pair (u, v) of a scan of
+    the square-free degree-k tables as k-subsets in lex order: of two
+    disjoint k-subsets the earlier holds the least cell.
+
+    At the least degree every kernel vector is square-free.  Let g be the
+    size of a smallest non-face.  The marginal polytope is
+    (2^(g-1) - 1)-neighborly (the paper's theorem), so every nonzero kernel
+    vector has at least 2^(g-1) positive and 2^(g-1) negative cells.  The
+    interval move of a minimal non-face of size g, placed on the binary
+    sub-box {0,1}^n of the alphabets, is a kernel vector of degree 2^(g-1);
+    for g = 1 it is e_a - e_b on twin columns a, b, which differ only in
+    the variable that lies in no facet.  So the least degree is 2^(g-1),
+    and each of its vectors has 2^(g-1) cells of each sign, each of count
+    1.  A least degree without a square-free vector would break this
+    support bound, and raises `AssertionError`.
+
+    A facet-free complex's witness is (1, e_0 - e_1).  The ceiling counts
+    both searches' assignments against one budget, and its error names the
+    phase and the degree reached.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -728,16 +739,9 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
         for vec in _kernel_vectors(lay, k, budget, least=True):
             pass  # each vector is less than the one before
         if vec is None:
-            later, earlier = min(map(_count_key, _kernel_vectors(lay, k, budget)))
-            vec = tuple(map(sub, earlier, later))
+            raise AssertionError(f"support bound broken: no square-free vector at degree {k}")
         return k, Move(space, vec)
     return None
-
-
-def _count_key(vec: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The parts of a kernel vector as count vectors, the later in lex order first."""
-    plus, minus = tuple(max(v, 0) for v in vec), tuple(max(-v, 0) for v in vec)
-    return max(plus, minus), min(plus, minus)
 
 
 def tableau(u: ContingencyTable) -> str:

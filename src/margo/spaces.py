@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from math import prod
-from operator import and_, itemgetter
+from operator import and_, index, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import SimplicialComplex, _mask_of, from_facets
@@ -36,10 +36,15 @@ class ConfigSpace:
     cardinalities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cardinalities", tuple(self.cardinalities))
+        cards = []
         for q in self.cardinalities:
+            try:
+                cards.append(index(q))
+            except TypeError:
+                raise ValueError(f"alphabet sizes must be integers, got {q}") from None
             if q < 2:
                 raise ValueError(f"alphabet sizes must be >= 2, got {q}")
+        object.__setattr__(self, "cardinalities", tuple(cards))
 
     @property
     def n(self) -> int:
@@ -103,6 +108,15 @@ def _restriction(space: ConfigSpace, members: Iterable[int]) -> list[int]:
                         for i, q in enumerate(space.cardinalities, start=1))
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints, checked by `operator.index`; a ValueError names
+    what they are when one is not an integer (a float included)."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
 def _local_index(space: ConfigSpace, members: Sequence[int], y: Sequence[int]) -> int:
     """The index in X_B of the local configuration y on B (B sorted), checked."""
     y = tuple(y)
@@ -121,7 +135,7 @@ def _local_index(space: ConfigSpace, members: Sequence[int], y: Sequence[int]) -
 class ContingencyTable:
     """Nonnegative integer counts, indexed by configurations in lex order.
 
-    Every public construction checks the counts: one entry per
+    Every public construction checks the counts: one integer entry per
     configuration, none negative.  That covers the constructor, `zero`,
     `indicator`, `dataclasses.replace`, `parse_table` and `marginal`.  Only
     `enumerate_fiber` skips the checks, through `_trusted_tables`, for the
@@ -133,7 +147,7 @@ class ContingencyTable:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
+        object.__setattr__(self, "counts", _integers(self.counts, "table entries"))
         if len(self.counts) != self.space.size:
             raise ValueError(f"expected {self.space.size} entries, got {len(self.counts)}")
         for c in self.counts:
@@ -455,4 +469,6 @@ def parse_table(text: str) -> ContingencyTable:
         raise ValueError("table text contains a non-integer token") from None
     if len(cards) != n:
         raise ValueError(f"expected {n} cardinalities, got {len(cards)}")
+    if len(rows) > 3:
+        raise ValueError("table text has lines after the entries")
     return ContingencyTable(ConfigSpace(cards), counts)

@@ -62,6 +62,8 @@ def test_character_rejects_bad_members():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: Move(binary_space(2), (1, -1)), "expected 4 entries, got 2",
                  id="move-length"),
+    pytest.param(lambda: Move(binary_space(2), (0.5, -0.5, -0.5, 0.5)),
+                 "move entries must be integers", id="move-float"),
     pytest.param(lambda: interval_move_sum(3, [], (0, 0, 0)), "G must be nonempty",
                  id="sum-empty-G"),
     pytest.param(lambda: interval_move_sum(3, {1}, (0,)), "local config length 1 != |N\\G| = 2",

@@ -49,6 +49,8 @@ def test_collapsing_validation():
                  id="no-colon"),
     pytest.param(lambda: parse_collapsing("1: 0 1\n1: 1 0\n"),
                  "duplicate collapsing line for variable 1", id="duplicate"),
+    pytest.param(lambda: Collapsing(((0, 1), (0.0, 1.0))),
+                 "map for variable 2 has values outside {0,1}", id="float-images"),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

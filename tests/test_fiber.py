@@ -16,6 +16,7 @@ from margo import (
     Move,
     ResourceCeilingError,
     binary_space,
+    cli,
     enumerate_fiber,
     fiber_connected,
     from_facets,
@@ -39,9 +40,7 @@ from conftest import (
     all_complexes,
     naive_fiber,
     naive_kernel_vectors,
-    naive_first_pair,
     naive_min_binomial_degree,
-    naive_tables,
     naive_verify_markov,
     random_complex,
     random_table,
@@ -740,27 +739,22 @@ def test_least_binomial_degree_is_the_support_bound_and_square_free():
     assert models == 592
 
 
-def test_min_binomial_degree_count_pass_matches_oracle_stream(monkeypatch):
-    # with the square-free search made to find nothing, the witness comes
-    # from the count pass: the first pair of the oracle's stream of every
-    # degree-k table in increasing lex order of counts
+def test_missing_square_free_witness_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    # the support bound leaves the witness search a vector at every least
+    # degree; with that search made to find nothing, the run must fail
+    # loudly rather than report a witness by another rule
     search = fiber._kernel_vectors
     monkeypatch.setattr(fiber, "_kernel_vectors", lambda lay, bound, budget, least=False:
                         iter(()) if least else search(lay, bound, budget))
-    checked = 0
-    for cards in [(2, 2, 2), (3, 2, 2), (2, 3, 2)]:
-        sp = ConfigSpace(cards)
-        for cx in all_complexes(3):
-            if not cx.facets:
-                continue
-            found = naive_min_binomial_degree(cx, sp, 4)
-            if found is None:
-                assert min_binomial_degree(cx, sp, 4) is None
-                continue
-            k = found[0]
-            assert min_binomial_degree(cx, sp, 4) == (k, naive_first_pair(cx, naive_tables(sp, k)))
-            checked += 1
-    assert checked == 51
+    message = "support bound broken: no square-free vector at degree 4"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        min_binomial_degree(D2_3, ConfigSpace((3, 3, 3)), 4)
+    complex_path = tmp_path / "d2.cx"
+    complex_path.write_text("3\n1 2\n1 3\n2 3\n")
+    assert cli.main(["degree-bound", "--complex", str(complex_path), "--space", "3,3,3"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"margo: internal error: AssertionError({message!r})\n"
 
 
 def test_tableau():

@@ -76,6 +76,10 @@ def test_config_str_spaces_out_values_past_nine():
                  "table text contains a non-integer token", id="table-token"),
     pytest.param(lambda: parse_table("3\n2 2\n1 0 0 1\n"),
                  "expected 3 cardinalities, got 2", id="table-cardinalities"),
+    pytest.param(lambda: ConfigSpace((2.0, 3)), "alphabet sizes must be integers, got 2.0",
+                 id="space-float"),
+    pytest.param(lambda: ContingencyTable(binary_space(2), (1.0, 0, 0, 1)),
+                 "table entries must be integers", id="table-float"),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -291,7 +295,8 @@ def test_table_text_round_trip():
 
 
 def test_table_validation():
-    # the constructor and parse_table check the length and the signs
+    # the constructor and parse_table check the length and the signs, and
+    # parse_table that nothing follows the counts
     sp = binary_space(2)
     with pytest.raises(ValueError, match="^table entries must be nonnegative$"):
         ContingencyTable(sp, (1, -1, 0, 0))
@@ -301,6 +306,9 @@ def test_table_validation():
         parse_table("2\n2 2\n1 -1 0 0\n")
     with pytest.raises(ValueError, match="^expected 4 entries, got 5$"):
         parse_table("2\n2 2\n1 0 0 0 0\n")
+    # a line after the counts is refused, not dropped
+    with pytest.raises(ValueError, match="^table text has lines after the entries$"):
+        parse_table("2\n2 2\n1 0 0 1\n5 5 5 5\n")
 
 
 def test_symmetry_generators_fix_the_marginal_matrix():
