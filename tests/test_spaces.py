@@ -306,7 +306,6 @@ def test_table_validation():
         parse_table("2\n2 2\n1 -1 0 0\n")
     with pytest.raises(ValueError, match="^expected 4 entries, got 5$"):
         parse_table("2\n2 2\n1 0 0 0 0\n")
-    # a line after the counts is refused, not dropped
     with pytest.raises(ValueError, match="^table text has lines after the entries$"):
         parse_table("2\n2 2\n1 0 0 1\n5 5 5 5\n")
 
