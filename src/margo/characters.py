@@ -141,12 +141,20 @@ def interval_move(n: int, members: Iterable[int], y: Sequence[int]) -> Move:
     """The primitive interval move: the character sum with 2^(n-|G|) divided out.
 
     Entries are the sign of x on G inside the cylinder {x agrees with y
-    outside G} and 0 elsewhere; both supports have 2^(|G|-1) elements.
+    outside G} and 0 elsewhere; both supports have 2^(|G|-1) elements.  Only
+    the cylinder is visited: one base index for y, plus the 2^|G| offsets of
+    G's variables, each flipping the sign.
     """
-    space, outside, e_g = _interval_parts(n, members)
-    k = _local_index(space, outside, y)
-    return Move(space, tuple(v if j == k else 0
-                             for v, j in zip(e_g, _restriction(space, outside))))
+    space, g, outside = _interval_parts(n, members)
+    _local_index(space, outside, y)  # checks y
+    # coordinate i sits at bit (n - i) of the configuration index
+    cells = [(sum(v << (n - i) for i, v in zip(outside, y)), 1)]
+    for i in g:
+        cells += [(ix | 1 << (n - i), -s) for ix, s in cells]
+    vec = [0] * space.size
+    for ix, s in cells:
+        vec[ix] = s
+    return Move(space, tuple(vec))
 
 
 def interval_moves(n: int, members: Iterable[int]) -> tuple[Move, ...]:
@@ -155,21 +163,20 @@ def interval_moves(n: int, members: Iterable[int]) -> tuple[Move, ...]:
     G is checked and its character built once, and every move is filled in
     one pass over the configurations, each landing in the move of its y.
     """
-    space, outside, e_g = _interval_parts(n, members)
+    space, g, outside = _interval_parts(n, members)
     vecs = [[0] * space.size for _ in range(1 << len(outside))]
-    for ix, (v, k) in enumerate(zip(e_g, _restriction(space, outside))):
+    for ix, (v, k) in enumerate(zip(character(n, g).values, _restriction(space, outside))):
         vecs[k][ix] = v
     return tuple(Move(space, tuple(vec)) for vec in vecs)
 
 
 def _interval_parts(n: int, members: Iterable[int]
-                    ) -> tuple[ConfigSpace, tuple[int, ...], tuple[int, ...]]:
-    """The cube, the variables outside G and the character values of G."""
+                    ) -> tuple[ConfigSpace, frozenset[int], tuple[int, ...]]:
+    """The cube, G checked, and the variables outside G."""
     g = _validate_members(n, members)
     if not g:
         raise ValueError("G must be nonempty")
-    outside = tuple(sorted(set(range(1, n + 1)) - g))
-    return binary_space(n), outside, character(n, g).values
+    return binary_space(n), g, tuple(sorted(set(range(1, n + 1)) - g))
 
 
 def character_cylinder_sum(n: int, members: Iterable[int], on: Iterable[int],

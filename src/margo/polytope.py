@@ -8,9 +8,14 @@ The optimum is zero exactly when Y is facial.  Both verdicts come with
 certificates that re-check by exact arithmetic: a combination with outside
 mass for "not a face", a strictly separating functional for "face".
 
-`lp_solve` is a two-phase simplex on one rational tableau whose last row is
-the objective row; the optimum and the duals behind a face certificate are
-read off that row.  `polytope_dimension` needs no elimination: the dimension
+`lp_solve` is a two-phase simplex on one integer tableau over a common
+positive denominator, whose last row is the objective row; the optimum and
+the duals behind a face certificate are read off that row.  The inputs are
+scaled to integers once, and each pivot divides by the previous pivot
+exactly, since every entry is a minor of the input matrix (Bareiss, Math.
+Comp. 1968; Edmonds, J. Res. NBS 1967).  Fractions are built only at the
+return, after the optimum has been checked against every input row in the
+scaled integers.  `polytope_dimension` needs no elimination: the dimension
 is a sum over the faces of the complex.
 
 No floating point is used anywhere in a verdict path.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import ge, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -38,17 +43,26 @@ class LPResult:
     dual: tuple[Fraction, ...] | None
 
 
-def _pivot(rows: list[list[Fraction]], r: int, j: int) -> None:
-    """Scale row r to a 1 in column j and clear column j from every other row, in place.
+def _pivot(rows: list[list[int]], r: int, j: int, d: int) -> int:
+    """Pivot the integer tableau over the common denominator d on (r, j), in
+    place, and return the new denominator |p|, p the pivot.
 
-    The rows are mostly zeros, so zero entries are carried over, not recomputed.
+    Row r stays; every other row becomes (p*row - row[j]*rows[r]) / d, and
+    when p < 0 every row is negated too, so the tableau over |p| is the
+    rational tableau pivoted as usual.  The integer entries are then minors
+    of the input matrix (Bareiss): the basis determinant, up to sign, times
+    the rational entries.  So every division is exact.
     """
-    piv = rows[r][j]
-    top = rows[r] = [v / piv if v else v for v in rows[r]]
+    top = rows[r]
+    p = top[j]
+    if p < 0:
+        p = -p
+        top = rows[r] = [-v for v in top]
     for i, row in enumerate(rows):
         f = row[j]
-        if f and i != r:
-            rows[i] = [a - f * b if b else a for a, b in zip(row, top)]
+        if i != r and (f or p != d):
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+    return p
 
 
 def lp_solve(rows: Sequence[Sequence[Fraction | int]],
@@ -56,44 +70,50 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
              objective: Sequence[Fraction | int]) -> LPResult:
     """Maximize objective.x subject to rows.x = rhs, x >= 0, exactly.
 
-    Two-phase simplex on one rational tableau, with Bland's smallest-index
-    rule for both the entering and the leaving variable, so cycling is
-    impossible.  Each constraint row starts with an artificial column of its
-    own; the last row is the objective row: the reduced costs, then minus
-    the objective value, updated by every pivot.  Returns the optimum, an
-    optimal basic solution, and a dual vector (one multiplier per input row,
-    read off the objective row's artificial columns).
+    Two-phase simplex with Bland's smallest-index rule for both the entering
+    and the leaving variable, so cycling is impossible.  The rows and rhs are
+    scaled by L, the lcm of their denominators, and the objective by C, the
+    lcm of its own, read off `.numerator` and `.denominator`; positive scaling
+    moves no pivot.  The simplex runs on one integer tableau over a common
+    positive denominator d (`_pivot`), and compares ratios by
+    cross-multiplication.  Each constraint row starts with an artificial
+    column of its own; the last row is the objective row: the reduced costs,
+    then minus the objective value, updated by every pivot.
+
+    Before it returns, the optimum is checked in the scaled integers against
+    every input row, dropped redundant ones included: x >= 0, rows.x = rhs,
+    objective.x = y.rhs = the optimum read off the objective row, and
+    y.rows_j >= objective_j for every column j.  A failure raises
+    AssertionError.  Fractions are built only then: the optimum, an optimal
+    basic solution, and a dual vector y (one multiplier per input row, read
+    off the objective row's artificial columns).
     """
     m = len(rows)
     n = len(objective)
-    cost = [Fraction(c) for c in objective]
-    flip = []
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        if len(row) != n:
-            raise ValueError("constraint row length does not match objective")
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            flip.append(-1)
-        else:
-            flip.append(1)
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tab.append(row + art + [b])
+    if any(len(row) != n for row in rows):
+        raise ValueError("constraint row length does not match objective")
+    big_l = lcm(*(v.denominator for row in rows for v in row),
+                *(rhs[i].denominator for i in range(m)))
+    big_c = lcm(*(c.denominator for c in objective))
+    a = [[v.numerator * (big_l // v.denominator) for v in row] for row in rows]
+    b = [rhs[i].numerator * (big_l // rhs[i].denominator) for i in range(m)]
+    cost = [c.numerator * (big_c // c.denominator) for c in objective]
+    flip = [-1 if v < 0 else 1 for v in b]
+    tab = [[s * v for v in row] + [int(k == i) for k in range(m)] + [s * bi]
+           for i, (row, bi, s) in enumerate(zip(a, b, flip))]
     basis = [n + i for i in range(m)]
+    d = 1
 
-    def price(costs: list[Fraction]) -> None:
+    def price(costs: list[int]) -> None:
         """Append the objective row of `costs` priced out against the basis."""
-        z = costs + [Fraction(0)]
+        z = [d * c for c in costs] + [0]
         for row, bi in zip(tab, basis):
             if costs[bi]:
-                z = [a - costs[bi] * b for a, b in zip(z, row)]
+                z = [u - costs[bi] * v for u, v in zip(z, row)]
         tab.append(z)
 
     def run(allowed: int) -> str:
+        nonlocal d
         while True:
             z = tab[-1]
             enter = next((j for j in range(allowed) if z[j] > 0), None)
@@ -101,20 +121,21 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
                 return "optimal"
             leave = None
             for i in range(len(tab) - 1):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][-1] / a
-                    if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
+                p = tab[i][enter]
+                if p > 0:
+                    # rhs_i / p < rhs_best / p_best, both pivots positive
+                    cross = 0 if leave is None else tab[i][-1] * best_p - best_b * p
+                    if leave is None or cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                        best_b, best_p = tab[i][-1], p
                         leave = i
             if leave is None:
                 return "unbounded"
-            _pivot(tab, leave, enter)
+            d = _pivot(tab, leave, enter, d)
             basis[leave] = enter
 
     # phase 1: maximize minus the sum of artificials; the row's last entry
     # is then what the artificials still carry
-    price([Fraction(0)] * n + [Fraction(-1)] * m)
+    price([0] * n + [-1] * m)
     run(n + m)
     if tab.pop()[-1] > 0:
         return LPResult("infeasible", None, None, None)
@@ -124,25 +145,35 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
             continue
         enter = next((j for j in range(n) if tab[i][j] != 0), None)
         if enter is not None:
-            _pivot(tab, i, enter)
+            d = _pivot(tab, i, enter, d)
             basis[i] = enter
         else:
             del tab[i]
             del basis[i]
 
-    price(cost + [Fraction(0)] * m)
+    price(cost + [0] * m)
     if run(n) == "unbounded":
         return LPResult("unbounded", None, None, None)
 
     z = tab.pop()
-    solution = [Fraction(0)] * n
+    x = [0] * n  # d times the solution
     for row, bi in zip(tab, basis):
-        solution[bi] = row[-1]
+        x[bi] = row[-1]
     # y = c_B^T R, where R (the artificial block) maps input rows to tableau
-    # rows; the objective row holds -y there.  A dropped redundant row may
-    # keep a nonzero multiplier, since pivots mixed in its artificial column
-    dual = tuple(-z[n + i] * flip[i] for i in range(m))
-    return LPResult("optimal", -z[-1], tuple(solution), dual)
+    # rows; the objective row holds -y there, times d*C/L.  A dropped
+    # redundant row may keep a nonzero multiplier, since pivots mixed in its
+    # artificial column
+    y = [-z[n + i] * flip[i] for i in range(m)]
+    value = -z[-1]  # d*C times the optimum
+    if (any(v < 0 for v in x)
+            or any(sum(map(mul, row, x)) != d * bi for row, bi in zip(a, b))
+            or sum(map(mul, cost, x)) != value or sum(map(mul, y, b)) != value
+            or any(sum(yi * row[j] for yi, row in zip(y, a)) < d * c
+                   for j, c in enumerate(cost))):
+        raise AssertionError("LP optimum failed its exact check")
+    den = d * big_c
+    return LPResult("optimal", Fraction(value, den), tuple(Fraction(v, d) for v in x),
+                    tuple(Fraction(v * big_l, den) for v in y))
 
 
 @dataclass(frozen=True)

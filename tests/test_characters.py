@@ -169,10 +169,11 @@ def test_interval_moves_are_kernel_vectors_of_interval_complement():
 
 
 def test_interval_moves_match_one_interval_move_per_local_config():
-    # interval_moves checks G and builds its character once for all moves;
-    # each move is still interval_move's for its y, in lex order of y, and
-    # the literal character sum with 2^(n-|G|) divided out
-    for n in range(1, 6):
+    # interval_moves checks G and builds its character once for all moves,
+    # while interval_move fills only the cylinder of its y; each move is
+    # still interval_move's for its y, in lex order of y, and the literal
+    # character sum with 2^(n-|G|) divided out
+    for n in range(1, 7):
         for g in subsets(n):
             if not g:
                 continue

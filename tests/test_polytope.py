@@ -22,6 +22,7 @@ from margo import (
     polytope_dimension,
     uniform_complex,
 )
+from margo import cli, polytope
 from margo.polytope import _orbit_representatives
 
 from conftest import (all_complexes, naive_lp_solve, naive_neighborliness,
@@ -103,16 +104,19 @@ def test_lp_solve_faciality_of_square_diagonal():
     assert res.solution == (0, Fraction(1, 2), Fraction(1, 2), 0)
 
 
-def test_lp_solve_matches_oracle_on_random_lps():
+def check_random_lps_against_oracle(entries):
+    """Hypothesis LPs whose entries are drawn from `entries(strategies)`,
+    redundant rows included: each result equals the oracle's and, when
+    optimal, certifies itself."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    entry = entries(st)
     statuses = set()
 
     @st.composite
     def lps(draw):
         n = draw(st.integers(1, 7))
         m = draw(st.integers(0, 5))
-        entry = st.integers(-3, 3)
         rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
         rhs = draw(st.lists(entry, min_size=m, max_size=m))
         # redundant rows: multiples (0 included) of rows already drawn
@@ -141,6 +145,40 @@ def test_lp_solve_matches_oracle_on_random_lps():
 
     check()
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_lp_solve_matches_oracle_on_random_lps():
+    check_random_lps_against_oracle(lambda st: st.integers(-3, 3))
+
+
+def test_lp_solve_matches_oracle_on_random_rational_lps():
+    # denominators 1-4 in the rows, the rhs and the objective, so the rows
+    # and the objective are scaled by different lcms
+    check_random_lps_against_oracle(
+        lambda st: st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+
+def test_corrupted_pivot_is_caught(monkeypatch, capsys, tmp_path):
+    # each pivot makes its entering variable one larger: the tableau is then
+    # that of a shifted right-hand side, and the exact check on the input
+    # rows must catch it before any result is returned
+    pivot = polytope._pivot
+
+    def corrupted(rows, r, j, d):
+        d = pivot(rows, r, j, d)
+        rows[r][-1] += d
+        return d
+
+    monkeypatch.setattr(polytope, "_pivot", corrupted)
+    message = "LP optimum failed its exact check"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        lp_solve([[2, 1, 0], [1, 3, 1]], [4, 6], [3, 2, 0])
+    complex_path = tmp_path / "d2.cx"
+    complex_path.write_text("3\n1 2\n1 3\n2 3\n")
+    assert cli.main(["neighborly", "--complex", str(complex_path), "--space", "3,3,2"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"margo: internal error: AssertionError({message!r})\n"
 
 
 def test_is_facial_vertices():
@@ -233,6 +271,22 @@ def test_every_small_face_certificate_rechecks():
                     assert cert.recheck(mat), (cx, sizes, combo)
                     faces += cert.is_face
     assert faces == 842
+
+
+def test_face_certificates_equal_the_oracle_lps():
+    # every set of at most 3 configurations, on every complex on 1-3 indices
+    # over alphabets of 2 with at most one 3: the certificate is the one
+    # built on the oracle simplex, not only the verdict
+    spaces = [(2,), (3,), (2, 2), (3, 2), (2, 3),
+              (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)]
+    for sizes in spaces:
+        space = ConfigSpace(sizes)
+        sets = [c for k in (1, 2, 3) for c in combinations(space.configs(), k)]
+        for cx in all_complexes(len(sizes)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polytope, "lp_solve", naive_lp_solve)
+                want = [is_facial(cx, space, combo) for combo in sets]
+            assert [is_facial(cx, space, combo) for combo in sets] == want, (cx, sizes)
 
 
 def test_face_certificate_is_strictly_separating():
