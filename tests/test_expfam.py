@@ -85,6 +85,17 @@ def test_reject_messages(call, message):
         call()
 
 
+def test_satisfies_binomials_rejects_a_bad_tol():
+    # the point mixture on 00 and 11 breaks the 2x2 move; a nan tol must not
+    # pass it, nor may a negative or infinite one be taken
+    p = point_mixture(B2, [(0, 0), (1, 1)])
+    move = interval_move(2, {1, 2}, ())
+    assert not satisfies_binomials(p, [move], 1e-12)
+    for bad in (math.nan, math.inf, -1e-12):
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative$"):
+            satisfies_binomials(p, [move], bad)
+
+
 def test_density_rejects_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="probabilities must be finite"):

@@ -59,6 +59,10 @@ def test_lp_solve_infeasible_and_unbounded():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: lp_solve([[1, 1], [1]], [1, 1], [1, 0]),
                  "constraint row length does not match objective", id="lp-row-length"),
+    pytest.param(lambda: lp_solve([[1, 0.5]], [1], [1, 0]),
+                 "LP rows, rhs and objective must be ints or Fractions", id="lp-float-row"),
+    pytest.param(lambda: lp_solve([[1, 1]], [1], [1.0, 0]),
+                 "LP rows, rhs and objective must be ints or Fractions", id="lp-float-objective"),
     pytest.param(lambda: neighborliness(INDEPENDENCE, B2, 0), "k_max must be at least 1",
                  id="neighborliness-kmax"),
 ])

@@ -16,10 +16,12 @@ from margo import (
     interval_complement,
     interval_move,
     interval_moves,
+    is_facial,
     kernel_check,
     marginal,
     marginal_map,
     marginal_matrix,
+    point_mixture,
     uniform_complex,
 )
 from margo.complexes import subsets
@@ -80,6 +82,22 @@ def test_config_str_spaces_out_values_past_nine():
                  id="space-float"),
     pytest.param(lambda: ContingencyTable(binary_space(2), (1.0, 0, 0, 1)),
                  "table entries must be integers", id="table-float"),
+    pytest.param(lambda: binary_space(2).index((0.5, 1)), "config values must be integers",
+                 id="index-float"),
+    pytest.param(lambda: binary_space(2).config(5), "config index 5 out of range 0..3",
+                 id="config-high"),
+    pytest.param(lambda: binary_space(2).config(-1), "config index -1 out of range 0..3",
+                 id="config-negative"),
+    pytest.param(lambda: binary_space(2).config(2.0), "config indices must be integers",
+                 id="config-float"),
+    pytest.param(lambda: cylinder(binary_space(3), {1}, (0.5,)),
+                 "local config values must be integers", id="cylinder-float"),
+    pytest.param(lambda: character_cylinder_sum(3, {1}, {1}, (0.5,)),
+                 "local config values must be integers", id="character-sum-float"),
+    pytest.param(lambda: is_facial(from_facets(2, [{1}, {2}]), binary_space(2), [(1.5, 0)]),
+                 "config values must be integers", id="is-facial-float"),
+    pytest.param(lambda: point_mixture(binary_space(2), [(0.5, 1)]),
+                 "config values must be integers", id="point-mixture-float"),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -218,6 +236,7 @@ def test_cylinder():
     ((0, 1, 1), "local config length 3 != |B| = 2"),
     ((0, 2), "local config value 2 out of range 0..1"),
     ((-1, 0), "local config value -1 out of range 0..1"),
+    ((0.5, 0), "local config values must be integers"),
 ])
 def test_bad_local_config_messages(y, message):
     # y on the variables {1, 3} of the binary cube; interval_move takes y on
