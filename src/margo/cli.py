@@ -374,26 +374,21 @@ _COMMANDS = {
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for `argv`: only the named subcommand, with its flags.
 
-    The top-level parser takes no option with a value, so the first argument
-    not starting with "-" names the subcommand.  Unless it is also the first
-    argument and names a subcommand, every subcommand is added, for the
-    top-level help and errors, with flags only on the named one; the output
-    is that of a parser carrying every subcommand with its flags.
+    When the first argument names no subcommand, which only help and error
+    paths do, every subcommand is added with its flags.
     """
     parser = _Parser(prog="margo",
                      description="Marginal polytopes, Markov moves, and fiber checks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
     commands = _COMMANDS
-    if argv[:1] == [named] and named in _COMMANDS:
-        commands = {named: _COMMANDS[named]}
+    if argv[:1] and argv[0] in _COMMANDS:
+        commands = {argv[0]: _COMMANDS[argv[0]]}
     for name, (handler, help_text, flags) in commands.items():
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
-        if name == named:
-            for flag in flags.split() + ["--out"]:
-                option = flag.rstrip("!")
-                sp.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
+        for flag in flags.split() + ["--out"]:
+            option = flag.rstrip("!")
+            sp.add_argument(option, required=flag.endswith("!"), **_FLAGS[option])
     return parser
 
 
