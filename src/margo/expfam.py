@@ -75,8 +75,10 @@ def satisfies_binomials(p: Density, moves: Sequence[Move], tol: float) -> bool:
     """Whether p satisfies the binomial equation of every move, within tol.
 
     Each move m demands prod p(x)^(m+(x)) = prod p(x)^(m-(x)), with the
-    convention 0^0 = 1.
+    convention 0^0 = 1.  The tolerance must be finite and nonnegative.
     """
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
     for m in moves:
         if m.space != p.space:
             raise ValueError("move space does not match the density's space")

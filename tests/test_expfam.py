@@ -79,21 +79,15 @@ def test_density_validation():
     pytest.param(lambda: satisfies_binomials(uniform_density(B2),
                                              [interval_move(3, {1, 2, 3}, ())], 1e-9),
                  "move space does not match the density's space", id="move-space"),
+    # the point mixture on 00 and 11 breaks the 2x2 move at any finite tol < 1/4
+    *(pytest.param(lambda tol=tol: satisfies_binomials(
+        point_mixture(B2, [(0, 0), (1, 1)]), [interval_move(2, {1, 2}, ())], tol),
+        "tol must be finite and nonnegative", id=f"tol-{tol}")
+      for tol in (math.nan, math.inf, -1e-12)),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
-
-
-def test_satisfies_binomials_rejects_a_bad_tol():
-    # the point mixture on 00 and 11 breaks the 2x2 move; a nan tol must not
-    # pass it, nor may a negative or infinite one be taken
-    p = point_mixture(B2, [(0, 0), (1, 1)])
-    move = interval_move(2, {1, 2}, ())
-    assert not satisfies_binomials(p, [move], 1e-12)
-    for bad in (math.nan, math.inf, -1e-12):
-        with pytest.raises(ValueError, match="^tol must be finite and nonnegative$"):
-            satisfies_binomials(p, [move], bad)
 
 
 def test_density_rejects_non_finite_values():
