@@ -19,8 +19,10 @@ from .spaces import (
     Config,
     ConfigSpace,
     ContingencyTable,
+    _image_index,
     _integers,
     _local_index,
+    _place_weights,
     _restriction,
     binary_space,
     layout,
@@ -83,10 +85,8 @@ def move_supports(m: Move) -> tuple[tuple[Config, ...], tuple[Config, ...], int]
 def character(n: int, members: Iterable[int]) -> CharacterVector:
     """The character vector of B on the binary cube of dimension n."""
     b = _validate_members(n, members)
-    # coordinate i sits at bit (n - i) of the configuration index
-    mask = 0
-    for i in b:
-        mask |= 1 << (n - i)
+    weights = _place_weights((2,) * n)
+    mask = sum(weights[i - 1] for i in b)  # the bits of B's variables in the index
     values = tuple(-1 if (ix & mask).bit_count() & 1 else 1 for ix in range(1 << n))
     return CharacterVector(n, b, values)
 
@@ -121,10 +121,7 @@ def interval_move_sum(n: int, members: Iterable[int], y: Sequence[int]) -> tuple
     character of B; equals 2^(n-|G|) times the sign of x on G on the cylinder
     where x agrees with y outside G, and 0 elsewhere.
     """
-    g = _validate_members(n, members)
-    if not g:
-        raise ValueError("G must be nonempty")
-    outside = tuple(sorted(set(range(1, n + 1)) - g))
+    _, g, outside, _ = _interval_parts(n, members)
     y = tuple(y)
     if len(y) != len(outside):
         raise ValueError(f"local config length {len(y)} != |N\\G| = {len(outside)}")
@@ -142,41 +139,48 @@ def interval_move(n: int, members: Iterable[int], y: Sequence[int]) -> Move:
 
     Entries are the sign of x on G inside the cylinder {x agrees with y
     outside G} and 0 elsewhere; both supports have 2^(|G|-1) elements.  Only
-    the cylinder is visited: one base index for y, plus the 2^|G| offsets of
-    G's variables, each flipping the sign.
+    the cylinder is visited: the base index of y, plus the signed offsets of
+    G's variables (`_cylinder_move`).
     """
-    space, g, outside = _interval_parts(n, members)
+    space, _, outside, cells = _interval_parts(n, members)
+    y = tuple(y)
     _local_index(space, outside, y)  # checks y
-    # coordinate i sits at bit (n - i) of the configuration index
-    cells = [(sum(v << (n - i) for i, v in zip(outside, y)), 1)]
-    for i in g:
-        cells += [(ix | 1 << (n - i), -s) for ix, s in cells]
-    vec = [0] * space.size
-    for ix, s in cells:
-        vec[ix] = s
-    return Move(space, tuple(vec))
+    weights = _place_weights(space.cardinalities)
+    return _cylinder_move(space, cells, sum(v * weights[i - 1] for i, v in zip(outside, y)))
 
 
 def interval_moves(n: int, members: Iterable[int]) -> tuple[Move, ...]:
     """All interval moves of G, one per local configuration outside G.
 
-    G is checked and its character built once, and every move is filled in
-    one pass over the configurations, each landing in the move of its y.
+    G is checked once, and the base index of each y, in lex order, is the
+    index of the configuration that is y outside G and 0 on G.
     """
-    space, g, outside = _interval_parts(n, members)
-    vecs = [[0] * space.size for _ in range(1 << len(outside))]
-    for ix, (v, k) in enumerate(zip(character(n, g).values, _restriction(space, outside))):
-        vecs[k][ix] = v
-    return tuple(Move(space, tuple(vec)) for vec in vecs)
+    space, g, _, cells = _interval_parts(n, members)
+    bases = _image_index((2, (0,) if i in g else (0, 1)) for i in range(1, n + 1))
+    return tuple(_cylinder_move(space, cells, base) for base in bases)
 
 
-def _interval_parts(n: int, members: Iterable[int]
-                    ) -> tuple[ConfigSpace, frozenset[int], tuple[int, ...]]:
-    """The cube, G checked, and the variables outside G."""
+def _interval_parts(n: int, members: Iterable[int]) -> tuple[
+        ConfigSpace, frozenset[int], tuple[int, ...], list[tuple[int, int]]]:
+    """The cube, G checked, the variables outside G, and the cylinder cells
+    of G: the offset and the sign of each setting of G's variables."""
     g = _validate_members(n, members)
     if not g:
         raise ValueError("G must be nonempty")
-    return binary_space(n), g, tuple(sorted(set(range(1, n + 1)) - g))
+    space = binary_space(n)
+    weights = _place_weights(space.cardinalities)
+    cells = [(0, 1)]
+    for i in g:
+        cells += [(ix + weights[i - 1], -s) for ix, s in cells]
+    return space, g, tuple(sorted(set(range(1, n + 1)) - g)), cells
+
+
+def _cylinder_move(space: ConfigSpace, cells: Sequence[tuple[int, int]], base: int) -> Move:
+    """The move with sign s at base + offset for each cylinder cell (offset, s)."""
+    vec = [0] * space.size
+    for ix, s in cells:
+        vec[base + ix] = s
+    return Move(space, tuple(vec))
 
 
 def character_cylinder_sum(n: int, members: Iterable[int], on: Iterable[int],

@@ -94,6 +94,7 @@ from .spaces import (
     MarginalVector,
     _ConeSplit,
     _integers,
+    _place_weights,
     _slices,
     _trusted_tables,
     config_str,
@@ -443,8 +444,8 @@ def _walk_order(lay: MarginalLayout) -> tuple[int, ...]:
 def _walk(lay: MarginalLayout) -> list[int]:
     """Configuration indices in lex order of the variables taken in `_walk_order`."""
     q = lay.space.cardinalities
-    strides = [prod(q[i:]) for i in range(1, len(q) + 1)]
-    axes = [[v * strides[i - 1] for v in range(q[i - 1])] for i in _walk_order(lay)]
+    weights = _place_weights(q)
+    axes = [[v * weights[i - 1] for v in range(q[i - 1])] for i in _walk_order(lay)]
     return [sum(offsets) for offsets in product(*axes)]
 
 

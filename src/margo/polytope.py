@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget
-from .spaces import (Config, ConfigSpace, MarginalMatrix, _interchangeable, layout,
-                     marginal_matrix)
+from .spaces import (Config, ConfigSpace, MarginalMatrix, _interchangeable, _place_weights,
+                     layout, marginal_matrix)
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,15 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
     n = len(objective)
     if any(len(row) != n for row in rows):
         raise ValueError("constraint row length does not match objective")
-    big_l = lcm(*(v.denominator for row in rows for v in row),
-                *(rhs[i].denominator for i in range(m)))
-    big_c = lcm(*(c.denominator for c in objective))
-    a = [[v.numerator * (big_l // v.denominator) for v in row] for row in rows]
-    b = [rhs[i].numerator * (big_l // rhs[i].denominator) for i in range(m)]
-    cost = [c.numerator * (big_c // c.denominator) for c in objective]
+    try:
+        big_l = lcm(*(v.denominator for row in rows for v in row),
+                    *(rhs[i].denominator for i in range(m)))
+        big_c = lcm(*(c.denominator for c in objective))
+        a = [[v.numerator * (big_l // v.denominator) for v in row] for row in rows]
+        b = [rhs[i].numerator * (big_l // rhs[i].denominator) for i in range(m)]
+        cost = [c.numerator * (big_c // c.denominator) for c in objective]
+    except AttributeError:  # a float, say, has no denominator
+        raise ValueError("LP rows, rhs and objective must be ints or Fractions") from None
     flip = [-1 if v < 0 else 1 for v in b]
     tab = [[s * v for v in row] + [int(k == i) for k in range(m)] + [s * bi]
            for i, (row, bi, s) in enumerate(zip(a, b, flip))]
@@ -241,10 +244,10 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
 
     Columns that hit a zero coordinate of the barycenter can carry no mass
     and are eliminated before the LP; when no outside column survives the
-    verdict is immediate.  A face's functional is zero on the kept rows in
-    that case and read off the LP dual otherwise; either way it puts -scale
-    on every zero row, where scale is max(1, 1 + P - c0), P the sum of its
-    positive weights on the kept rows and c0 its value on Y.
+    verdict is immediate.  A face's functional is read off the LP dual, or
+    off the zero dual in that case; either way it puts -scale on every zero
+    row, where scale is max(1, 1 + P - c0), P the sum of its positive
+    weights on the kept rows and c0 its value on Y.
     """
     lay = layout(cx, space)
     y_ix = sorted({space.index(tuple(x)) for x in members})
@@ -254,54 +257,47 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
     size = space.size
     y_configs = tuple(space.config(ix) for ix in y_ix)
 
-    bary = [Fraction(0)] * lay.nrows
+    hits = [0] * lay.nrows  # per row, the members of Y it holds
     for ix in y_ix:
         for r in lay.rows_of[ix]:
-            bary[r] += Fraction(1, len(y_ix))
-    bary_t = tuple(bary)
+            hits[r] += 1
+    share = [Fraction(h, len(y_ix)) for h in range(len(y_ix) + 1)]
+    bary = tuple([share[h] for h in hits])  # each entry is hits / |Y|
 
-    zero_rows = [r for r in range(lay.nrows) if bary[r] == 0]
-    zero_set = set(zero_rows)
+    kept_rows = [r for r in range(lay.nrows) if hits[r]]
+    zero_set = {r for r, h in enumerate(hits) if not h}
     survivors = [ix for ix in range(size) if zero_set.isdisjoint(lay.rows_of[ix])]
     outside = [ix for ix in survivors if ix not in y_set]
 
-    if not outside:
-        theta = [Fraction(0)] * lay.nrows
-        for r in zero_rows:
-            theta[r] = Fraction(-1)
-        return FacialityCertificate(y_configs, True, bary_t,
-                                    separating=tuple(theta),
-                                    separation_value=Fraction(0))
-
-    kept_rows = [r for r in range(lay.nrows) if bary[r] != 0]
-    a_rows = [[int(r in lay.rows_of[ix]) for ix in survivors] for r in kept_rows]
-    a_rows.append([1] * len(survivors))
-    rhs = [bary[r] for r in kept_rows] + [Fraction(1)]
-    objective = [int(ix not in y_set) for ix in survivors]
-    res = lp_solve(a_rows, rhs, objective)
-    if res.status != "optimal":
-        raise AssertionError(f"faciality LP unexpectedly {res.status}")
-
-    if res.optimum > 0:
-        lam = [Fraction(0)] * size
-        for pos, ix in enumerate(survivors):
-            lam[ix] = res.solution[pos]
-        return FacialityCertificate(y_configs, False, bary_t,
-                                    combination=tuple(lam),
-                                    outside_mass=res.optimum)
+    if outside:
+        a_rows = [[int(r in lay.rows_of[ix]) for ix in survivors] for r in kept_rows]
+        a_rows.append([1] * len(survivors))
+        rhs = [bary[r] for r in kept_rows] + [Fraction(1)]
+        objective = [int(ix not in y_set) for ix in survivors]
+        res = lp_solve(a_rows, rhs, objective)
+        if res.status != "optimal":
+            raise AssertionError(f"faciality LP unexpectedly {res.status}")
+        if res.optimum > 0:
+            lam = [Fraction(0)] * size
+            for pos, ix in enumerate(survivors):
+                lam[ix] = res.solution[pos]
+            return FacialityCertificate(y_configs, False, bary,
+                                        combination=tuple(lam),
+                                        outside_mass=res.optimum)
+        w = res.dual
+    else:
+        w = [Fraction(0)] * (len(kept_rows) + 1)
 
     # optimum zero: extract a strictly separating functional from the dual
-    w = res.dual
-    theta = [Fraction(0)] * lay.nrows
-    for pos, r in enumerate(kept_rows):
-        theta[r] = -w[pos]
+    on_kept = [-v for v in w[:-1]]
     c0 = w[-1]
     # an eliminated column hits at least one zero row, so its value is at
     # most P - scale <= c0 - 1
-    scale = max(Fraction(1), 1 + sum(t for t in theta if t > 0) - c0)
-    for r in zero_rows:
-        theta[r] = -scale
-    return FacialityCertificate(y_configs, True, bary_t,
+    scale = max(Fraction(1), 1 + sum(t for t in on_kept if t > 0) - c0)
+    theta = [-scale] * lay.nrows
+    for r, t in zip(kept_rows, on_kept):
+        theta[r] = t
+    return FacialityCertificate(y_configs, True, bary,
                                 separating=tuple(theta), separation_value=c0)
 
 
@@ -349,7 +345,7 @@ def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace
     """
     n, cards = space.n, space.cardinalities
     configs = list(space.configs())
-    weights = [prod(cards[i + 1:]) for i in range(n)]
+    weights = _place_weights(cards)
     classes = _interchangeable(cx, space)
     # a column whose place is settled, with that place's weight; and each
     # group of columns still tied, with the weights of the places it fills

@@ -6,13 +6,24 @@ used everywhere: table entries, matrix columns, and marginal blocks, so that
 matrices and certificates are bit-reproducible.  All arithmetic is plain
 Python integer arithmetic and therefore exact.
 
-One index rule maps configurations to their images under a product map:
+The lex index of x is sum x_i * w_i, where the place weight w_i of
+variable i is the product of the later alphabet sizes.  The weights come
+from `_place_weights` alone; `fiber._walk`, `polytope._orbit_representatives`,
+`characters.character` and the cylinder cells of the interval moves read
+them.  A configuration from the caller is indexed by one checked routine,
+`_lex_index`, behind `ConfigSpace.index` and `_local_index` (a local
+configuration y on B, for `cylinder`, `interval_move` and
+`character_cylinder_sum`); it rejects a wrong length and a value that is
+out of range or not an integer.  `ConfigSpace.config` inverts the rule and
+rejects an index out of range or not an integer.
+
+One index map sends configurations to their images under a product map:
 `_image_index` gives, for every configuration index, the lex index of the
 image.  Restricting x to x_B (`_restriction`) is one use, read by the
-marginal blocks, `marginal`, `cylinder`, the cone split, the interval moves
-and `multiinformation`.  Collapsing each alphabet onto {0, 1} is the other.
-The indices it builds need no range check; a local configuration y from
-the caller is checked once, by `_local_index`.
+marginal blocks, `marginal`, `cylinder`, the cone split and
+`character_cylinder_sum`.  Collapsing each alphabet onto {0, 1} is
+another, and the base index of every cylinder of the interval moves a
+third.  The indices it builds need no range check.
 """
 
 from __future__ import annotations
@@ -62,23 +73,51 @@ class ConfigSpace:
         return product(*(range(q) for q in self.cardinalities))
 
     def index(self, x: Sequence[int]) -> int:
-        if len(x) != self.n:
-            raise ValueError(f"config length {len(x)} != {self.n}")
-        ix = 0
-        for xi, q in zip(x, self.cardinalities):
-            if not 0 <= xi < q:
-                raise ValueError(f"config value {xi} out of range 0..{q - 1}")
-            ix = ix * q + xi
-        return ix
+        return _lex_index(self.cardinalities, x)
 
     def config(self, ix: int) -> Config:
-        out = []
+        rest, out = ix, []
         for q in reversed(self.cardinalities):
-            ix, r = divmod(ix, q)
+            rest, r = divmod(rest, q)
             out.append(r)
-        return tuple(reversed(out))
+        if rest or rest.__class__ is not int:  # ix is out of range or not an int
+            _integers((ix,), "config indices")
+            if not 0 <= ix < self.size:
+                raise ValueError(f"config index {ix} out of range 0..{self.size - 1}")
+        out.reverse()
+        return tuple(out)
 
 
+def _lex_index(cards: Sequence[int], x: Sequence[int], what: str = "config",
+               of: str = "") -> int:
+    """The lex index of x among the configurations on alphabets of sizes
+    `cards`, checked: x must have one integer value in 0..q-1 per alphabet.
+
+    The error messages name x as `what`, and the expected length as `of`
+    followed by the number of alphabets.
+    """
+    if len(x) != len(cards):
+        raise ValueError(f"{what} length {len(x)} != {of}{len(cards)}")
+    ix = 0
+    for xi, q in zip(x, cards):
+        if not 0 <= xi < q:
+            raise ValueError(f"{what} value {xi} out of range 0..{q - 1}")
+        ix = ix * q + xi
+    if ix.__class__ is not int:  # some value is not an int
+        _integers(x, f"{what} values")
+        ix = index(ix)
+    return ix
+
+
+@lru_cache(maxsize=None)
+def _place_weights(cards: tuple[int, ...]) -> tuple[int, ...]:
+    """The place weight of each variable in the lex index: the product of the
+    later alphabet sizes, so the index of x is sum x_i * w_i.  Cached per
+    tuple of alphabet sizes."""
+    return tuple(prod(cards[i + 1:]) for i in range(len(cards)))
+
+
+@lru_cache(maxsize=None)
 def binary_space(n: int) -> ConfigSpace:
     return ConfigSpace((2,) * n)
 
@@ -119,16 +158,8 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
 
 def _local_index(space: ConfigSpace, members: Sequence[int], y: Sequence[int]) -> int:
     """The index in X_B of the local configuration y on B (B sorted), checked."""
-    y = tuple(y)
-    if len(y) != len(members):
-        raise ValueError(f"local config length {len(y)} != |B| = {len(members)}")
-    k = 0
-    for i, v in zip(members, y):
-        q = space.cardinalities[i - 1]
-        if not 0 <= v < q:
-            raise ValueError(f"local config value {v} out of range 0..{q - 1}")
-        k = k * q + v
-    return k
+    cards = space.cardinalities
+    return _lex_index([cards[i - 1] for i in members], tuple(y), "local config", "|B| = ")
 
 
 @dataclass(frozen=True, slots=True)

@@ -169,10 +169,9 @@ def test_interval_moves_are_kernel_vectors_of_interval_complement():
 
 
 def test_interval_moves_match_one_interval_move_per_local_config():
-    # interval_moves checks G and builds its character once for all moves,
-    # while interval_move fills only the cylinder of its y; each move is
-    # still interval_move's for its y, in lex order of y, and the literal
-    # character sum with 2^(n-|G|) divided out
+    # interval_moves checks G once and fills each cylinder from the base
+    # index of its y, in lex order of y; each move is interval_move's for
+    # its y, and the literal character sum with 2^(n-|G|) divided out
     for n in range(1, 7):
         for g in subsets(n):
             if not g:
@@ -184,6 +183,8 @@ def test_interval_moves_match_one_interval_move_per_local_config():
             factor = 2 ** (n - len(g))
             for y, mv in zip(ys, moves):
                 assert interval_move_sum(n, g, y) == tuple(factor * v for v in mv.vector)
+    # y is read once, so an iterator gives the move of its values
+    assert interval_move(3, {2}, iter((1, 1))) == interval_move(3, {2}, (1, 1))
     with pytest.raises(ValueError, match="G must be nonempty"):
         interval_moves(3, ())
     with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ from margo.spaces import (
     _image_index,
     _interchangeable,
     _local_index,
+    _place_weights,
     _restriction,
 )
 
@@ -252,9 +253,15 @@ def test_bad_local_config_messages(y, message):
 @pytest.mark.parametrize("cards", [(2, 3, 2), (3, 2, 2, 2)])
 def test_image_index_matches_the_config_index_rule(cards):
     # the one index map against indexing each image through ConfigSpace.index:
-    # restrictions to every B, the empty set included, and every collapsing
+    # restrictions to every B, the empty set included, and every collapsing;
+    # and the index rule itself: config inverts index, and the index is the
+    # sum of the values times the place weights
     sp = ConfigSpace(cards)
     configs = list(sp.configs())
+    weights = _place_weights(sp.cardinalities)
+    for x in configs:
+        assert sp.config(sp.index(x)) == x
+        assert sp.index(x) == sum(v * w for v, w in zip(x, weights))
     for b in subsets(sp.n):
         members = sorted(b)
         sub = sub_space(sp, members)
