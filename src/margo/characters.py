@@ -121,10 +121,9 @@ def interval_move_sum(n: int, members: Iterable[int], y: Sequence[int]) -> tuple
     character of B; equals 2^(n-|G|) times the sign of x on G on the cylinder
     where x agrees with y outside G, and 0 elsewhere.
     """
-    _, g, outside, _ = _interval_parts(n, members)
+    space, g, outside, _ = _interval_parts(n, members)
     y = tuple(y)
-    if len(y) != len(outside):
-        raise ValueError(f"local config length {len(y)} != |N\\G| = {len(outside)}")
+    _local_index(space, outside, y, "|N\\G| = ")  # checks y
     total = [0] * (1 << n)
     for extra in subsets(len(outside)):
         b = g | frozenset(outside[j - 1] for j in extra)

@@ -23,6 +23,7 @@ from .spaces import (
     ConfigSpace,
     ContingencyTable,
     _image_index,
+    _local_index,
     binary_space,
     marginal,
     marginal_map,
@@ -122,14 +123,13 @@ def verify_phi_identity(c: Collapsing, u: ContingencyTable,
     """Check that collapsing commutes with the B-marginal at the binary z.
 
     The left side marginalizes u onto B and then collapses; the right side
-    collapses u and then marginalizes.  Members must lie in 1..n.
+    collapses u and then marginalizes.  Members must lie in 1..n, and z is
+    checked as a local configuration on B of the collapsed binary space.
     """
-    members = set(members)
-    z = tuple(z)
-    if len(z) != len(members):
-        raise ValueError(f"local config length {len(z)} != |B| = {len(members)}")
+    members = sorted(set(members))
     left, right = _phi_sides(c, u, collapse_table(c, u), members)
-    return left[z] == right[z]
+    k = _local_index(c.target, members, z)
+    return left.counts[k] == right.counts[k]
 
 
 def collapse_commutes(cx: SimplicialComplex, c: Collapsing,

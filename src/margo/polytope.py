@@ -6,7 +6,12 @@ exact rational arithmetic: maximize the mass placed outside Y among the
 convex combinations of all columns that reproduce the barycenter of Y.
 The optimum is zero exactly when Y is facial.  Both verdicts come with
 certificates that re-check by exact arithmetic: a combination with outside
-mass for "not a face", a strictly separating functional for "face".
+mass for "not a face", a strictly separating functional for "face".  The
+barycenter is kept as integer hit counts, the LP gets integer rows and
+right-hand side, and `FacialityCertificate.recheck` scales each certificate
+to integers and builds no Fraction.
+`neighborliness` re-checks every certificate it gets, and decides a set
+with no surviving outside column in closed form.
 
 `lp_solve` is a two-phase simplex on one integer tableau over a common
 positive denominator, whose last row is the objective row; the optimum and
@@ -25,14 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from operator import ge, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget
-from .spaces import (Config, ConfigSpace, MarginalMatrix, _interchangeable, _place_weights,
-                     layout, marginal_matrix)
+from .spaces import (Config, ConfigSpace, MarginalLayout, MarginalMatrix, _interchangeable,
+                     _place_weights, layout, marginal_matrix)
 
 
 @dataclass(frozen=True)
@@ -198,92 +204,112 @@ class FacialityCertificate:
     separation_value: Fraction | None = None
 
     def recheck(self, matrix: MarginalMatrix) -> bool:
-        """Re-verify the certificate against a marginal matrix, exactly."""
+        """Re-verify the certificate against a marginal matrix, in integers.
+
+        Barycenter entry r must be h_r / |Y|, h_r the members on row r; the
+        functional and its value, or the combination, are scaled by the lcm
+        of their denominators, and every rational comparison is made by
+        cross-multiplication.
+        """
         col_of = {x: ix for ix, x in enumerate(matrix.col_labels)}
         if any(x not in col_of for x in self.members):
             return False
         member_ix = {col_of[x] for x in self.members}
-        bary = [Fraction(0)] * matrix.nrows
-        for ix in member_ix:
-            for r, v in enumerate(matrix.column(ix)):
-                bary[r] += Fraction(v, len(member_ix))
-        if tuple(bary) != self.barycenter:
+        m = len(member_ix)
+        hits = [sum(row[ix] for ix in member_ix) for row in matrix.rows]
+        if len(self.barycenter) != matrix.nrows or any(
+                b.numerator * m != h * b.denominator for b, h in zip(self.barycenter, hits)):
             return False
         if self.is_face:
-            theta = self.separating
-            if theta is None or self.separation_value is None:
+            theta, value = self.separating, self.separation_value
+            if theta is None or value is None or len(theta) != matrix.nrows:
                 return False
-            for ix in range(matrix.ncols):
-                val = sum(t * a for t, a in zip(theta, matrix.column(ix)))
-                if ix in member_ix:
-                    if val != self.separation_value:
-                        return False
-                elif val >= self.separation_value:
-                    return False
-            return True
-        lam = self.combination
-        if lam is None or self.outside_mass is None or self.outside_mass <= 0:
+            den = lcm(value.denominator, *(t.denominator for t in theta))
+            top = value.numerator * (den // value.denominator)
+            values = [0] * matrix.ncols  # den times the functional on each column
+            for t, row in zip(theta, matrix.rows):
+                w = t.numerator * (den // t.denominator)
+                if w:
+                    values = [v + w * a for v, a in zip(values, row)]
+            return all(v == top if ix in member_ix else v < top for ix, v in enumerate(values))
+        lam, mass = self.combination, self.outside_mass
+        if lam is None or mass is None or len(lam) != matrix.ncols:
             return False
-        if len(lam) != matrix.ncols or any(v < 0 for v in lam):
+        den = lcm(*(v.denominator for v in lam))
+        mu = [v.numerator * (den // v.denominator) for v in lam]  # den times lam
+        if any(v < 0 for v in mu) or sum(mu) != den:
             return False
-        if sum(lam) != 1:
+        outside = sum(v for ix, v in enumerate(mu) if ix not in member_ix)
+        if outside <= 0 or outside * mass.denominator != mass.numerator * den:
             return False
-        outside = sum(v for ix, v in enumerate(lam) if ix not in member_ix)
-        if outside != self.outside_mass:
-            return False
-        for r in range(matrix.nrows):
-            row = matrix.rows[r]
-            if sum(l * a for l, a in zip(lam, row)) != self.barycenter[r]:
-                return False
-        return True
+        # row r of the combination is sum(mu . row) / den, the barycenter h_r / m
+        return all(sum(map(mul, mu, row)) * m == h * den for row, h in zip(matrix.rows, hits))
+
+
+@lru_cache(maxsize=None)
+def _row_masks(lay: MarginalLayout) -> tuple[int, ...]:
+    """Per column, the rows it hits, as a bit mask."""
+    return tuple([sum(1 << r for r in rows) for rows in lay.rows_of])
+
+
+def _hits(lay: MarginalLayout, y_ix: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Per row, the members of Y it holds; and the survivors, the columns that
+    hit no zero row of those counts, in index order.
+
+    Every member of Y survives.  A column outside Y that does not can carry
+    no mass in a combination with the barycenter's value, so Y is a face
+    when no column outside Y survives.
+    """
+    masks = _row_masks(lay)
+    hits = [0] * lay.nrows
+    held = 0  # the rows with a member of Y, as a bit mask
+    for ix in y_ix:
+        held |= masks[ix]
+        for r in lay.rows_of[ix]:
+            hits[r] += 1
+    return hits, [ix for ix, mask in enumerate(masks) if mask | held == held]
 
 
 def is_facial(cx: SimplicialComplex, space: ConfigSpace,
               members: Iterable[Sequence[int]]) -> FacialityCertificate:
     """Decide whether conv of the columns of Y is a face of the polytope.
 
-    Columns that hit a zero coordinate of the barycenter can carry no mass
-    and are eliminated before the LP; when no outside column survives the
-    verdict is immediate.  A face's functional is read off the LP dual, or
-    off the zero dual in that case; either way it puts -scale on every zero
-    row, where scale is max(1, 1 + P - c0), P the sum of its positive
-    weights on the kept rows and c0 its value on Y.
+    The barycenter of Y is h / |Y|, h the members of Y on each row (`_hits`).
+    Columns that hit a zero row carry no mass and are left out of the LP;
+    when no outside column survives the verdict is immediate.  The LP runs
+    in integers: its rows are 0/1, its right-hand side |Y| times the
+    barycenter, and its solution and optimum are |Y| times the combination
+    and the outside mass, divided out only for a non-face certificate.  A
+    face's functional is read off the LP dual, which the scaling does not
+    change, or off the zero dual when there is no LP; either way it puts
+    -scale on every zero row, where scale is max(1, 1 + P - c0), P the sum
+    of its positive weights on the kept rows and c0 its value on Y.
     """
     lay = layout(cx, space)
     y_ix = sorted({space.index(tuple(x)) for x in members})
     if not y_ix:
         raise ValueError("Y must be nonempty")
-    y_set = set(y_ix)
-    size = space.size
+    m = len(y_ix)
+    hits, survivors = _hits(lay, y_ix)
+    share = [Fraction(h, m) for h in range(m + 1)]
+    bary = tuple([share[h] for h in hits])
     y_configs = tuple(space.config(ix) for ix in y_ix)
+    kept_rows = [r for r, h in enumerate(hits) if h]
 
-    hits = [0] * lay.nrows  # per row, the members of Y it holds
-    for ix in y_ix:
-        for r in lay.rows_of[ix]:
-            hits[r] += 1
-    share = [Fraction(h, len(y_ix)) for h in range(len(y_ix) + 1)]
-    bary = tuple([share[h] for h in hits])  # each entry is hits / |Y|
-
-    kept_rows = [r for r in range(lay.nrows) if hits[r]]
-    zero_set = {r for r, h in enumerate(hits) if not h}
-    survivors = [ix for ix in range(size) if zero_set.isdisjoint(lay.rows_of[ix])]
-    outside = [ix for ix in survivors if ix not in y_set]
-
-    if outside:
+    if len(survivors) > m:  # some outside column survives
+        y_set = set(y_ix)
         a_rows = [[int(r in lay.rows_of[ix]) for ix in survivors] for r in kept_rows]
         a_rows.append([1] * len(survivors))
-        rhs = [bary[r] for r in kept_rows] + [Fraction(1)]
-        objective = [int(ix not in y_set) for ix in survivors]
-        res = lp_solve(a_rows, rhs, objective)
+        res = lp_solve(a_rows, [hits[r] for r in kept_rows] + [m],
+                       [int(ix not in y_set) for ix in survivors])
         if res.status != "optimal":
             raise AssertionError(f"faciality LP unexpectedly {res.status}")
         if res.optimum > 0:
-            lam = [Fraction(0)] * size
-            for pos, ix in enumerate(survivors):
-                lam[ix] = res.solution[pos]
-            return FacialityCertificate(y_configs, False, bary,
-                                        combination=tuple(lam),
-                                        outside_mass=res.optimum)
+            lam = [Fraction(0)] * space.size
+            for ix, v in zip(survivors, res.solution):
+                lam[ix] = v / m
+            return FacialityCertificate(y_configs, False, bary, combination=tuple(lam),
+                                        outside_mass=res.optimum / m)
         w = res.dual
     else:
         w = [Fraction(0)] * (len(kept_rows) + 1)
@@ -308,16 +334,11 @@ class NeighborlinessReport:
     witness: FacialityCertificate | None
 
 
-def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace
-                           ) -> Callable[[Iterable[tuple[int, ...]]], Iterator[tuple[int, ...]]]:
-    """The model's next-level step of orderly generation (Read, 1978).
-
-    Returns `next_level(below)`: given the level-(k-1) orbit representatives
-    in lex order (level 0 is `[()]`), it yields the lex-least k-subset of
-    range(size) in each orbit, in lex order.  The candidates are R + (x,)
-    for R in `below` and x > max R, in lex order, and one is kept when it is
-    the lex-least member of its orbit.  None is lost, because dropping the
-    largest element of a lex-least set leaves a lex-least set.
+def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
+                 ) -> Callable[[tuple[int, ...]], bool]:
+    """The model's test of orderly generation (Read, 1978): `least(combo)`
+    tells whether the sorted tuple combo of configuration indices is the
+    lex-least member of its orbit.
 
     The group is every value permutation of each variable and every
     permutation of each class of interchangeable variables
@@ -444,13 +465,7 @@ def _orbit_representatives(cx: SimplicialComplex, space: ConfigSpace
 
         return not smaller([], list(range(k)), singles0, groups0)
 
-    def next_level(below: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-        for combo in below:
-            for x in range(combo[-1] + 1 if combo else 0, space.size):
-                if least(combo + (x,)):
-                    yield combo + (x,)
-
-    return next_level
+    return least
 
 
 def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
@@ -459,41 +474,64 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
 
     Sweeps set sizes in increasing order and, within a size, subsets in
     lexicographic order; stops at the first non-facial set, which is
-    returned as the witness after its certificate re-checks exactly.
+    returned as the witness.
 
     Faciality is invariant under the model's symmetry group (value
     permutations per variable, and permutations of interchangeable
-    variables), so only the lex-least subset of each orbit is tested
-    (`_orbit_representatives`).  The witness is unchanged by this:
-    the orbit of the lex-first non-facial subset holds only non-facial
+    variables), so only the lex-least subset of each orbit is tested, by
+    orderly generation (Read, 1978).  The candidates of level k are R + (x,)
+    for each level-(k-1) representative R and x > max R, in lex order, and
+    a representative is a candidate that is lex-least in its orbit
+    (`_orbit_least`).  None is lost, because dropping the largest element
+    of a lex-least set leaves a lex-least set.  The witness is unchanged by
+    this: the orbit of the lex-first non-facial subset holds only non-facial
     subsets, none of them earlier, so that subset is the lex-least member
-    of its orbit and is tested.  Each level's representatives are built
-    from the level below as they are tested.  The ceiling counts the
-    candidates of each level, sum over the representatives R below of
-    size - 1 - max R (`size` at level 1), charged before the level is
-    enumerated; its error names the level reached.
+    of its orbit and is tested.
+
+    A candidate with no surviving outside column (`_hits`) is a face in
+    closed form: every outside column hits a zero row of its barycenter.
+    Such a candidate goes to no LP, and at the last level, min(k_max, size),
+    where representatives are never extended, it skips the orbit test too.
+    The witness does not move: every candidate passed over is a face, and
+    the lex-first non-facial set is lex-least in its orbit, so it is still
+    the first set to reach `is_facial` and fail.  Every certificate
+    `is_facial` returns is re-checked in integers against one marginal
+    matrix, and a failure raises AssertionError.
+
+    The ceiling counts the candidates of each level, sum over the
+    representatives R below of size - 1 - max R (`size` at level 1),
+    charged before the level is enumerated; its error names the level
+    reached.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     budget = Budget(ceiling, "subsets tested")
     size = space.size
+    top = min(k_max, size)
     reps: list[tuple[int, ...]] = [()]
-    next_level = None
-    for k in range(1, min(k_max, size) + 1):
+    for k in range(1, top + 1):
         budget.where = f"neighborliness sweep, level {k}"
         budget.spend(sum(size - 1 - (r[-1] if r else -1) for r in reps))
-        if next_level is None:  # it lists the `size` configurations: build once k=1 is paid for
-            next_level = _orbit_representatives(cx, space)
+        if k == 1:  # these list the `size` configurations: build them once k=1 is paid for
+            lay, matrix = layout(cx, space), marginal_matrix(cx, space)
+            least = _orbit_least(cx, space)
         below, reps = reps, []
-        for combo in next_level(below):
-            cert = is_facial(cx, space, [space.config(ix) for ix in combo])
-            if not cert.is_face:
-                if not cert.recheck(marginal_matrix(cx, space)):
-                    raise AssertionError(
-                        f"non-face certificate for k={k} failed its exact re-check")
-                return NeighborlinessReport(k - 1, k_max, cert)
-            reps.append(combo)
-    return NeighborlinessReport(min(k_max, size), k_max, None)
+        for combo in below:
+            for x in range(combo[-1] + 1 if combo else 0, size):
+                combo_x = combo + (x,)
+                closed = len(_hits(lay, combo_x)[1]) == k  # no outside column survives
+                if (closed and k == top) or not least(combo_x):
+                    continue
+                if not closed:
+                    cert = is_facial(cx, space, [space.config(ix) for ix in combo_x])
+                    if not cert.recheck(matrix):
+                        kind = "face" if cert.is_face else "non-face"
+                        raise AssertionError(
+                            f"{kind} certificate for k={k} failed its exact re-check")
+                    if not cert.is_face:
+                        return NeighborlinessReport(k - 1, k_max, cert)
+                reps.append(combo_x)
+    return NeighborlinessReport(top, k_max, None)
 
 
 def polytope_dimension(cx: SimplicialComplex, space: ConfigSpace) -> int:

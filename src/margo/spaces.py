@@ -8,14 +8,15 @@ Python integer arithmetic and therefore exact.
 
 The lex index of x is sum x_i * w_i, where the place weight w_i of
 variable i is the product of the later alphabet sizes.  The weights come
-from `_place_weights` alone; `fiber._walk`, `polytope._orbit_representatives`,
+from `_place_weights` alone; `fiber._walk`, `polytope._orbit_least`,
 `characters.character` and the cylinder cells of the interval moves read
 them.  A configuration from the caller is indexed by one checked routine,
 `_lex_index`, behind `ConfigSpace.index` and `_local_index` (a local
-configuration y on B, for `cylinder`, `interval_move` and
-`character_cylinder_sum`); it rejects a wrong length and a value that is
-out of range or not an integer.  `ConfigSpace.config` inverts the rule and
-rejects an index out of range or not an integer.
+configuration y on B, for `cylinder`, `interval_move`, `interval_move_sum`,
+`character_cylinder_sum` and `collapse.verify_phi_identity`); it rejects a
+wrong length and a value that is out of range or not an integer.
+`ConfigSpace.config` inverts the rule and rejects an index out of range or
+not an integer.
 
 One index map sends configurations to their images under a product map:
 `_image_index` gives, for every configuration index, the lex index of the
@@ -156,10 +157,12 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers") from None
 
 
-def _local_index(space: ConfigSpace, members: Sequence[int], y: Sequence[int]) -> int:
-    """The index in X_B of the local configuration y on B (B sorted), checked."""
+def _local_index(space: ConfigSpace, members: Sequence[int], y: Sequence[int],
+                 of: str = "|B| = ") -> int:
+    """The index in X_B of the local configuration y on B (B sorted), checked;
+    a wrong length names the expected one as `of` and |B|."""
     cards = space.cardinalities
-    return _lex_index([cards[i - 1] for i in members], tuple(y), "local config", "|B| = ")
+    return _lex_index([cards[i - 1] for i in members], tuple(y), "local config", of)
 
 
 @dataclass(frozen=True, slots=True)

@@ -68,6 +68,15 @@ def test_character_rejects_bad_members():
                  id="sum-empty-G"),
     pytest.param(lambda: interval_move_sum(3, {1}, (0,)), "local config length 1 != |N\\G| = 2",
                  id="sum-y-length"),
+    pytest.param(lambda: interval_move_sum(3, {1}, (2, 0)),
+                 "local config value 2 out of range 0..1",
+                 id="sum-y-value"),
+    pytest.param(lambda: interval_move_sum(3, {1}, (0, 0.5)),
+                 "local config values must be integers",
+                 id="sum-y-float"),
+    # interval_move checks the values of y with the same messages
+    pytest.param(lambda: interval_move(3, {1}, (2, 0)), "local config value 2 out of range 0..1",
+                 id="move-y-value"),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -51,6 +51,13 @@ def test_collapsing_validation():
                  "duplicate collapsing line for variable 1", id="duplicate"),
     pytest.param(lambda: Collapsing(((0, 1), (0.0, 1.0))),
                  "map for variable 2 has values outside {0,1}", id="float-images"),
+    # z is a local configuration on B of the collapsed binary space
+    pytest.param(lambda: verify_phi_identity(PHI_SQUASH, ContingencyTable.zero(TERNARY_PAIR),
+                                             {2}, (2,)),
+                 "local config value 2 out of range 0..1", id="phi-z-value"),
+    pytest.param(lambda: verify_phi_identity(PHI_SQUASH, ContingencyTable.zero(TERNARY_PAIR),
+                                             {1, 2}, (0,)),
+                 "local config length 1 != |B| = 2", id="phi-z-length"),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

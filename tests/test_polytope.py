@@ -1,6 +1,7 @@
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ import pytest
 
 from margo import (
     ConfigSpace,
+    FacialityCertificate,
     ResourceCeilingError,
     binary_space,
     from_facets,
@@ -23,7 +25,7 @@ from margo import (
     uniform_complex,
 )
 from margo import cli, polytope
-from margo.polytope import _orbit_representatives
+from margo.polytope import _orbit_least
 
 from conftest import (all_complexes, naive_lp_solve, naive_neighborliness,
                       naive_orbit_representatives, naive_polytope_dimension,
@@ -238,7 +240,6 @@ def test_is_facial_rejects_empty():
 
 def test_certificates_do_not_recheck_when_tampered():
     # one tampering per reject branch of FacialityCertificate.recheck
-    from dataclasses import replace
     mat = marginal_matrix(INDEPENDENCE, B2)
     non_face = is_facial(INDEPENDENCE, B2, [(0, 0), (1, 1)])
     face = is_facial(INDEPENDENCE, B2, [(0, 0)])
@@ -259,6 +260,37 @@ def test_certificates_do_not_recheck_when_tampered():
         (non_face, {"combination": (0, 1, 0, 0)}),  # misses the barycenter
     ]:
         assert not replace(cert, **changes).recheck(mat), changes
+
+
+def test_recheck_compares_rationals_exactly():
+    # the integer re-check scales by the lcm of the denominators and compares
+    # by cross-multiplication: mixed denominators and a rescaled functional
+    # pass, a fraction equal to the right one in its numerator only fails
+    third, sixth, half = Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)
+    # one facet {1} on 2x3: the three configurations with x1 = 0 share a column
+    twins, space = from_facets(2, [{1}]), ConfigSpace((2, 3))
+    twin_mat = marginal_matrix(twins, space)
+    mixed = FacialityCertificate(((0, 0),), False, (Fraction(1), Fraction(0)),
+                                 combination=(half, third, sixth, 0, 0, 0), outside_mass=half)
+    assert mixed.recheck(twin_mat)
+    assert not replace(mixed, outside_mass=third).recheck(twin_mat)  # numerator 1 only
+    assert not replace(mixed, combination=(half, third, Fraction(1, 5), 0, 0, 0)).recheck(twin_mat)
+    # every column hits one row of each facet block, so adding 1/2 on one
+    # block's rows adds 1/2 to every column's value; then scale by 7/3
+    mat = marginal_matrix(D2_3, B3)
+    face = is_facial(D2_3, B3, [(0, 0, 0), (1, 1, 1)])
+    block = mat.row_labels[0][0]
+    shifted = [t + half if label[0] == block else t
+               for t, label in zip(face.separating, mat.row_labels)]
+    scaled = replace(face, separating=tuple(Fraction(7, 3) * t for t in shifted),
+                     separation_value=Fraction(7, 3) * (face.separation_value + half))
+    assert scaled.separation_value == Fraction(7, 6) and scaled.recheck(mat)
+    assert not replace(scaled, separation_value=Fraction(7, 5)).recheck(mat)
+    # a barycenter entry 1/3 where 1/2 is right: the numerator matches
+    non_face = is_facial(INDEPENDENCE, B2, [(0, 0), (1, 1)])
+    assert non_face.barycenter[0] == half
+    bad = (third,) + non_face.barycenter[1:]
+    assert not replace(non_face, barycenter=bad).recheck(marginal_matrix(INDEPENDENCE, B2))
 
 
 def test_every_small_face_certificate_rechecks():
@@ -426,11 +458,78 @@ def test_reduced_sweep_agrees_with_oracle_on_random_complexes():
     check()
 
 
+def test_sweep_rechecks_face_certificates(monkeypatch, capsys, tmp_path):
+    # the LP's dual passes lp_solve's own check and is then moved by one on
+    # its first row, so the face functional built from it no longer takes
+    # its value on every member: the sweep's re-check must raise before the
+    # level is passed
+    solve = polytope.lp_solve
+
+    def corrupted(rows, rhs, objective):
+        res = solve(rows, rhs, objective)
+        if res.optimum == 0:
+            res = replace(res, dual=(res.dual[0] + 1,) + res.dual[1:])
+        return res
+
+    monkeypatch.setattr(polytope, "lp_solve", corrupted)
+    message = "face certificate for k=3 failed its exact re-check"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        neighborliness(D2_3, ConfigSpace((3, 3, 2)), 4)
+    complex_path = tmp_path / "d2.cx"
+    complex_path.write_text("3\n1 2\n1 3\n2 3\n")
+    assert cli.main(["neighborly", "--complex", str(complex_path), "--space", "3,3,2"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"margo: internal error: AssertionError({message!r})\n"
+
+
+def test_sets_without_a_surviving_outside_column_skip_is_facial(monkeypatch):
+    # d2 over 2,2,2 at k_max 4 reaches its last level, where the parity
+    # witness sits; every set the sweep hands to is_facial has a column
+    # outside it that hits no zero row of its barycenter
+    mat = marginal_matrix(D2_3, B3)
+    calls = []
+    facial = polytope.is_facial
+
+    def spy(cx, space, members):
+        calls.append([B3.index(x) for x in members])
+        return facial(cx, space, members)
+
+    monkeypatch.setattr(polytope, "is_facial", spy)
+    assert neighborliness(D2_3, B3, 4) == naive_neighborliness(D2_3, B3, 4)
+    assert max(map(len, calls)) == 4
+    for cols in calls:
+        held = {r for r, row in enumerate(mat.rows) if any(row[j] for j in cols)}
+        outside = [j for j in range(mat.ncols) if j not in cols
+                   and all(r in held for r, row in enumerate(mat.rows) if row[j])]
+        assert outside, cols
+
+
+def test_sweep_agrees_with_oracle_on_random_binary_complexes():
+    # four binary indices at every k_max from 1 to 4; `cover` puts every
+    # index in a facet, so that no two configurations share a column and
+    # more sweeps reach their last level
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    subsets = st.frozensets(st.integers(1, 4), min_size=1)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(facets=st.lists(subsets, max_size=5), k_max=st.sampled_from([4, 3, 2, 1]),
+                      cover=st.booleans())
+    def check(facets, k_max, cover):
+        cx = from_facets(4, facets + [{i} for i in range(1, 5)] * cover)
+        space = binary_space(4)
+        assert neighborliness(cx, space, k_max) == naive_neighborliness(cx, space, k_max)
+
+    check()
+
+
 def _levels(cx, space, top):
     """The first `top` levels of orbit representatives, by orderly generation."""
-    levels, reps, next_level = [], [()], _orbit_representatives(cx, space)
+    levels, reps, least = [], [()], _orbit_least(cx, space)
     for _ in range(min(top, space.size)):
-        reps = list(next_level(reps))
+        reps = [r + (x,) for r in reps for x in range(r[-1] + 1 if r else 0, space.size)
+                if least(r + (x,))]
         levels.append(reps)
     return levels
 
