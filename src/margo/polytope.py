@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm, prod
-from operator import ge, mul
+from operator import ge, gt, mul
 from typing import Callable, Iterable, Sequence
 
 from .complexes import SimplicialComplex
@@ -334,6 +335,23 @@ class NeighborlinessReport:
     witness: FacialityCertificate | None
 
 
+def _prefix_rule(n: int, classes: Sequence[Sequence[int]], head: Sequence[Config]
+                 ) -> Callable[[Config], bool]:
+    """A test of the rows x that make the set of head's rows and x not
+    lex-least, by a symmetry that fixes head and lowers x (`_orbit_least`).
+
+    Free values: x[c] > t, t the number of values head uses in column c.
+    Head is lex-least (or no set on it is), so it uses 0..t-1 there, and
+    swapping x[c] with t fixes head.  Twin columns: x[a] > x[b], a < b of
+    one class, when every row of head agrees on a and b; swapping the two
+    columns fixes head.
+    """
+    counts = [len({row[c] for row in head}) for c in range(n)]
+    twins = [(a, b) for cols in classes for a, b in combinations(cols, 2)
+             if all(row[a] == row[b] for row in head)]
+    return lambda x: any(map(gt, x, counts)) or any(x[a] > x[b] for a, b in twins)
+
+
 def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
                  ) -> Callable[[tuple[int, ...]], bool]:
     """The model's test of orderly generation (Read, 1978): `least(combo)`
@@ -363,6 +381,14 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
     found maps the node onto the node of the candidate's first rows at its
     depth, which was searched earlier and read nothing smaller, so what the
     node skips hides nothing.
+
+    Most rejections need no search.  If a symmetry σ maps the prefix
+    R = combo[:-1] onto itself and σ(x) < x, x = combo[-1], then R with
+    σ(x) is a smaller image of combo.  `_prefix_rule` reads two such σ off
+    R's rows: a swap of x's value with a value R does not use in its column,
+    and a swap of two interchangeable columns on which R's rows agree.  The
+    sweep tests the candidates of one R in a row, so the rule is kept for
+    the last prefix seen.  A candidate it passes gets the full search.
     """
     n, cards = space.n, space.cardinalities
     configs = list(space.configs())
@@ -373,9 +399,16 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
     singles0 = [(cols[0], weights[cols[0]]) for cols in classes if len(cols) == 1]
     groups0 = [(cols, [weights[c] for c in cols]) for cols in classes if len(cols) > 1]
     last = [q - 1 for q in cards]  # a column with this many labels has them all
+    prefix, drops = None, None  # the last prefix seen, and its `_prefix_rule`
 
     def least(combo: tuple[int, ...]) -> bool:
+        nonlocal prefix, drops
         if combo[0]:  # every configuration relabels to configuration 0
+            return False
+        if combo[:-1] != prefix:
+            prefix = combo[:-1]
+            drops = _prefix_rule(n, classes, [configs[ix] for ix in prefix])
+        if drops(configs[combo[-1]]):
             return False
         k = len(combo)
         rows = [configs[ix] for ix in combo]
@@ -486,7 +519,9 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     of a lex-least set leaves a lex-least set.  The witness is unchanged by
     this: the orbit of the lex-first non-facial subset holds only non-facial
     subsets, none of them earlier, so that subset is the lex-least member
-    of its orbit and is tested.
+    of its orbit and is tested.  Most candidates that are not lex-least are
+    rejected without a search, by a symmetry that fixes R and maps x to a
+    smaller configuration (`_prefix_rule`).
 
     A candidate with no surviving outside column (`_hits`) is a face in
     closed form: every outside column hits a zero row of its barycenter.

@@ -192,6 +192,8 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
 
     The simplex that `lp_solve` replaced, kept as its oracle: the objective
     row is rebuilt from the tableau before every pivot instead of carried.
+    Zero entries are skipped in that rebuild and in the pivot's row update,
+    which changes no value.
 
     Two-phase simplex over rationals with Bland's smallest-index rule for
     both the entering and the leaving variable, so cycling is impossible.
@@ -225,7 +227,7 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
         for i in range(len(tab)):
             if i != r and tab[i][j]:
                 f = tab[i][j]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+                tab[i] = [a - f * b if b else a for a, b in zip(tab[i], tab[r])]
         basis[r] = j
 
     def reduced_costs(costs: list[Fraction], allowed: int) -> list[Fraction]:
@@ -235,7 +237,8 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
             if cb:
                 row = tab[i]
                 for j in range(allowed):
-                    z[j] -= cb * row[j]
+                    if row[j]:
+                        z[j] -= cb * row[j]
         return z
 
     def run(costs: list[Fraction], allowed: int) -> str:

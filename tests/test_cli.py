@@ -266,6 +266,20 @@ def test_neighborly_report(capsys, d2_path):
     assert "status: PASS" in out
 
 
+def test_capped_neighborly_run_passes_up_to_kmax(capsys, d2_path):
+    # kmax 2 is below the bound 3 and the sweep finds no witness: nothing
+    # failed, so the run passes and says how far its verdict goes
+    head = ("command: neighborly\ncomplex: 3 ; {1,2} {1,3} {2,3}\nspace: 2 2 2\n"
+            "g: 3\nbound: 3\n")
+    argv = ["neighborly", "--complex", d2_path, "--space", "2,2,2", "--kmax"]
+    assert run(capsys, argv + ["2"]) == (0, head + (
+        "kmax: 2\nk: 2\nstatus: PASS\n"
+        "note: every set of <= 2 configurations spans a face; "
+        "the verdict holds up to kmax only, below the bound\n"), "")
+    # at the bound the verdict is the theorem's, with no note
+    assert run(capsys, argv + ["3"]) == (0, head + "kmax: 3\nk: 3\nstatus: PASS\n", "")
+
+
 @pytest.mark.parametrize("complex_text, space, lines", [
     ("3\n1 2\n", "2,2,2", ["complex: 3 ; {1,2}", "space: 2 2 2", "g: 1", "bound: 0",
                            "kmax: 1", "witness: 000", "certificate: 001=1"]),
