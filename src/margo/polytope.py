@@ -373,15 +373,6 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
     greater is cut.  Once every column's relabeling and place are fixed, the
     bound is the reading.
 
-    A reading equal to the candidate is an automorphism: it maps each row to
-    the row in its place in the candidate's own order.  Below a node whose
-    rows so far are the candidate's first rows, every automorphism found
-    fixes those rows, so rows that such automorphisms join head the same
-    readings and only one is tried.  Below any other node, one automorphism
-    found maps the node onto the node of the candidate's first rows at its
-    depth, which was searched earlier and read nothing smaller, so what the
-    node skips hides nothing.
-
     Most rejections need no search.  If a symmetry σ maps the prefix
     R = combo[:-1] onto itself and σ(x) < x, x = combo[-1], then R with
     σ(x) is a smaller image of combo.  `_prefix_rule` reads two such σ off
@@ -410,20 +401,11 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
             drops = _prefix_rule(n, classes, [configs[ix] for ix in prefix])
         if drops(configs[combo[-1]]):
             return False
-        k = len(combo)
         rows = [configs[ix] for ix in combo]
         # label[c][v] is value v's label in column c so far: values in order
         # of first appearance, and every value not seen yet the next label
         label = [[0] * q for q in cards]
         seen = [0] * n
-        # per node on the search path, a union-find over the rows joined by
-        # the automorphisms found below it
-        orbits: list[list[int]] = []
-
-        def root(orbit: list[int], a: int) -> int:
-            while orbit[a] != a:
-                a = orbit[a]
-            return a
 
         def images(free: list[int], singles, groups) -> list[int]:
             out = []
@@ -437,9 +419,9 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
                 out.append(img)
             return out
 
-        def smaller(path: list[int], free: list[int], singles, groups) -> bool:
-            """True when a row order that starts with `path` reads less than combo."""
-            t = len(path)
+        def smaller(t: int, free: list[int], singles, groups) -> bool:
+            """True when a row order whose first t rows are fixed, the rows
+            `free` left, reads less than combo."""
             order = sorted(zip(images(free, singles, groups), free))
             if order[0][0] < combo[t]:
                 return True
@@ -451,21 +433,10 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
             if len(free) < 2 or not groups and all(map(ge, seen, last)):
                 # the group element is fixed, or one row is left: the bound
                 # is the reading
-                if bound < combo[t:]:
-                    return True
-                # an automorphism: the row in place p goes to row p
-                for p, u in enumerate(path + [v for _, v in order]):
-                    for orbit in orbits:
-                        orbit[root(orbit, u)] = root(orbit, p)
-                return False
-            orbit = list(range(k))
-            orbits.append(orbit)
-            tried: list[int] = []
+                return bound < combo[t:]
             for img, u in order:
                 if img != combo[t]:
                     break
-                if any(root(orbit, u) == root(orbit, v) for v in tried):
-                    continue  # joined to a row tried already (see the docstring)
                 x = rows[u]
                 ones, tied = (list(singles) if groups else singles), []
                 for cols, wts in groups:
@@ -484,19 +455,15 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
                     s, v = seen[c], x[c]
                     label[c] = [a if a < s or w == v else s + 1 for w, a in enumerate(label[c])]
                     seen[c] = s + 1
-                path.append(u)
-                found = smaller(path, [v for v in free if v != u], ones, tied)
-                path.pop()
+                found = smaller(t + 1, [v for v in free if v != u], ones, tied)
                 for c, old in zip(fresh, saved):
                     label[c] = old
                     seen[c] -= 1
                 if found:
                     return True
-                tried.append(u)
-            orbits.pop()
             return False
 
-        return not smaller([], list(range(k)), singles0, groups0)
+        return not smaller(0, list(range(len(combo))), singles0, groups0)
 
     return least
 
@@ -537,12 +504,18 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     representatives R below of size - 1 - max R (`size` at level 1),
     charged before the level is enumerated; its error names the level
     reached.
+
+    The full simplex needs no sweep: its marginal matrix is the identity, so
+    every set is a face, and the report is min(k_max, size) with no witness.
+    Nothing is charged to the ceiling for it.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     budget = Budget(ceiling, "subsets tested")
     size = space.size
     top = min(k_max, size)
+    if cx.n == space.n and cx.facet_masks == ((1 << cx.n) - 1,):
+        return NeighborlinessReport(top, k_max, None)
     reps: list[tuple[int, ...]] = [()]
     for k in range(1, top + 1):
         budget.where = f"neighborliness sweep, level {k}"

@@ -280,6 +280,15 @@ def test_capped_neighborly_run_passes_up_to_kmax(capsys, d2_path):
     assert run(capsys, argv + ["3"]) == (0, head + "kmax: 3\nk: 3\nstatus: PASS\n", "")
 
 
+def test_neighborly_full_simplex_passes_at_every_level(capsys, tmp_path):
+    # no non-face: kmax defaults to the 27 configurations, all decided at once
+    p = tmp_path / "full.cx"
+    p.write_text("3\n1 2 3\n")
+    assert run(capsys, ["neighborly", "--complex", str(p), "--space", "3,3,3"]) == (0, (
+        "command: neighborly\ncomplex: 3 ; {1,2,3}\nspace: 3 3 3\ng: none\nbound: none\n"
+        "kmax: 27\nk: 27\nstatus: PASS\n"), "")
+
+
 @pytest.mark.parametrize("complex_text, space, lines", [
     ("3\n1 2\n", "2,2,2", ["complex: 3 ; {1,2}", "space: 2 2 2", "g: 1", "bound: 0",
                            "kmax: 1", "witness: 000", "certificate: 001=1"]),

@@ -354,9 +354,19 @@ def test_neighborliness_d2_binary():
     assert rep.witness.recheck(marginal_matrix(D2_3, B3))
 
 
-def test_neighborliness_full_simplex_has_every_face():
+def test_neighborliness_full_simplex_has_every_face(monkeypatch):
     rep = neighborliness(full_simplex(2), B2, 4)
     assert rep.k == 4 and rep.witness is None
+    # in closed form: no orbit test runs and nothing is charged
+    def no_orbit_test(cx, space):
+        raise AssertionError("the full simplex was swept")
+
+    monkeypatch.setattr(polytope, "_orbit_least", no_orbit_test)
+    assert neighborliness(full_simplex(3), ConfigSpace((3, 3, 3)), 27, ceiling=0) == \
+        polytope.NeighborlinessReport(27, 27, None)
+    assert neighborliness(full_simplex(3), B3, 20).k == 8
+    with pytest.raises(ValueError, match="complex on 3 indices vs space on 2 variables"):
+        neighborliness(full_simplex(3), B2, 4)
 
 
 def test_neighborliness_meets_theorem_bound_all_small_complexes():
@@ -564,13 +574,18 @@ def test_orbit_representatives_match_the_walk_on_three_indices(sizes):
 
 
 def test_orbit_representatives_match_the_walk_on_larger_models():
-    for cx, space in [(uniform_complex(5, 2), binary_space(5)),
-                      (uniform_complex(5, 1), binary_space(5)),
-                      (interval_complement(5, {2, 3}), binary_space(5)),
-                      (uniform_complex(4, 2), ConfigSpace((2, 2, 3, 3))),
-                      # two interleaved classes of interchangeable variables
-                      (from_facets(4, [{1, 3}, {2, 4}]), ConfigSpace((2, 3, 2, 3)))]:
-        assert _levels(cx, space, 4) == _oracle_levels(cx, space, 4), (cx, space)
+    for cx, space, top in [
+            (uniform_complex(5, 2), binary_space(5), 4),
+            (uniform_complex(5, 1), binary_space(5), 4),
+            (interval_complement(5, {2, 3}), binary_space(5), 4),
+            (uniform_complex(4, 2), ConfigSpace((2, 2, 3, 3)), 4),
+            # two interleaved classes of interchangeable variables
+            (from_facets(4, [{1, 3}, {2, 4}]), ConfigSpace((2, 3, 2, 3)), 4),
+            # every level, on sets with large stabilizers
+            (full_simplex(4), binary_space(4), 16),
+            (uniform_complex(4, 3), binary_space(4), 16),
+            (from_facets(3, []), ConfigSpace((2, 2, 3)), 12)]:
+        assert _levels(cx, space, top) == _oracle_levels(cx, space, top), (cx, space)
 
 
 def test_orbit_representatives_match_the_walk_on_random_complexes():
