@@ -56,9 +56,10 @@ def _load_complex(args, space: spaces.ConfigSpace | None = None
 
 
 def _load_space(args) -> spaces.ConfigSpace:
-    if not args.space:
+    sizes = _parse_int_list(args.space or "", "--space")
+    if not sizes:
         raise UsageError("--space q1,q2,... is required")
-    return spaces.ConfigSpace(_parse_int_list(args.space, "--space"))
+    return spaces.ConfigSpace(sizes)
 
 
 def _emit(args, text: str) -> None:

@@ -79,6 +79,7 @@ identity split), on which the same loop runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, product
 from math import prod
 from operator import itemgetter, lshift
@@ -168,6 +169,14 @@ def _completions(lay: MarginalLayout, walk: Sequence[int]) -> list[tuple[int, ..
     return [tuple(sorted(rs)) for rs in out]
 
 
+@lru_cache(maxsize=None)
+def _lex_completions(lay: MarginalLayout) -> tuple[tuple[int, ...], ...]:
+    """`_completions` over the configurations in index order, the walk of
+    `_dfs`.  Cached per layout, so every walk on one model, such as the
+    slice walks of a product fiber, reads one table."""
+    return tuple(_completions(lay, range(lay.space.size)))
+
+
 def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tuple[int, ...]]:
     """The counts of every table with the given marginal entries, in lex order.
 
@@ -181,8 +190,9 @@ def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tu
     """
     size = lay.space.size
     rows_of = lay.rows_of
-    completions = _completions(lay, range(size))
+    completions = _lex_completions(lay)
     remaining = list(entries)
+    get = remaining.__getitem__
     counts = [0] * size
     top = [0] * size
     tables: list[tuple[int, ...]] = []
@@ -194,12 +204,12 @@ def _dfs(lay: MarginalLayout, entries: Sequence[int], budget: Budget) -> list[tu
             tables.append(tuple(counts))
         else:
             rows = rows_of[ix]
-            hi = min(remaining[r] for r in rows)
+            hi = min(map(get, rows))
             closing = completions[ix]
             lo = 0
             if closing:
                 v = remaining[closing[0]]
-                if 0 <= v <= hi and all(remaining[r] == v for r in closing):
+                if 0 <= v <= hi and {*map(get, closing)} == {v}:
                     lo = hi = v
                 else:
                     hi = -1
@@ -247,9 +257,12 @@ def _fiber(lay: MarginalLayout, entries: Sequence[int], budget: Budget
         parts.append(walks[slice_entries])
     budget.spend(prod(map(len, parts)))
     joined: list[tuple[int, ...]] = [()]
-    for slice_tables in parts:
+    for slice_tables in parts[:-1]:
         joined = [head + t for head in joined for t in slice_tables]
-    return sorted(map(split.assemble, joined)), parts
+    assemble = split.assemble
+    tables = [assemble(head + t) for head in joined for t in parts[-1]]
+    tables.sort()
+    return tables, parts
 
 
 def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector,
@@ -262,10 +275,13 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     facets F minus S on the other variables, with the marginal entries of
     the rows at x_S = s (the toric fiber product of Sullivant, J. Algebra
     2007).  Each distinct slice marginal is enumerated once by the
-    depth-first walk of `_dfs`; the product is then assembled into full
-    tables and sorted.  A marginal whose facet blocks agree can still have
-    a slice with no table; the fiber is then empty, and the slices after
-    it are not walked.  Every other complex runs the walk on the full model.
+    depth-first walk of `_dfs`, and every walk on one model reads one table
+    of forced row completions.  One pass joins the last slice to the
+    product of the others and assembles each full table; the tables are
+    then sorted into lex order.  A marginal whose facet blocks agree can
+    still have a slice with no table; the fiber is then empty, and the
+    slices after it are not walked.  Every other complex runs the walk on
+    the full model.
 
     The ceiling counts fiber assignments: the walk's assignments on the
     full model, or the slice walks' assignments and then the product's size,
@@ -275,8 +291,9 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
 
     The walk's tables are tuples of nonnegative ints, one per configuration,
     so they are wrapped as `ContingencyTable`s without the constructor's
-    checks (`spaces._trusted_tables`); a marginal with a negative entry has
-    an empty fiber.  The tables are built here, not on first use.
+    checks, in passes that run no bytecode per table
+    (`spaces._trusted_tables`); a marginal with a negative entry has an
+    empty fiber.  The tables are built here, not on first use.
     """
     lay = layout(cx, space)
     if lay.nrows == 0:

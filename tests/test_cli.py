@@ -506,6 +506,12 @@ def test_usage_errors(capsys, tmp_path):
      "collapsing map does not match --space"),
     (["collapse", "--space", "3,3", "--map", "{map}", "--table", "{table22}"],
      "table does not match --space"),
+    (["moves", "--space", ",", "--G", "1"], "--space q1,q2,... is required"),
+    (["neighborly", "--complex", "{d2}", "--space", " , "], "--space q1,q2,... is required"),
+    (["verify-markov", "--space", ",", "--G", "1", "--degree-limit", "2"],
+     "--space q1,q2,... is required"),
+    (["degree-bound", "--space", ",", "--G", "1"], "--space q1,q2,... is required"),
+    (["mi", "--space", ",", "--density", "{table22}"], "--space q1,q2,... is required"),
 ])
 def test_usage_error_lines(capsys, tmp_path, argv, message):
     files = {"d2": D2_COMPLEX, "full": FULL_COMPLEX, "map": "1: 0 1 1\n2: 0 1 1\n",

@@ -1050,6 +1050,27 @@ def test_enumerate_fiber_charges_slice_walks_then_the_product(monkeypatch):
     assert built == []
 
 
+def test_completion_table_is_built_once_per_layout(monkeypatch):
+    # the walks of two fibers on one model share one completion table; after
+    # every functools cache in the package is cleared, as in a fresh process,
+    # the next fiber builds it once again
+    import margo
+    caches = [obj for mod in vars(margo).values()
+              if getattr(mod, "__name__", "").startswith("margo.")
+              for obj in vars(mod).values() if callable(getattr(obj, "cache_clear", None))]
+    completions, calls = fiber._completions, []
+    monkeypatch.setattr(fiber, "_completions",
+                        lambda *args: calls.append(args) or completions(*args))
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    tables = [ContingencyTable(sp, counts) for counts in (tuple(range(16)), (3, 1) * 8)]
+    for expected in (1, 2):
+        for cache in caches:
+            cache.cache_clear()
+        for u in tables:
+            assert u in enumerate_fiber(cx, sp, marginal_map(cx, u)).tables
+        assert len(calls) == expected
+
+
 def infeasible_slices(cx, sp, u):
     """The marginal of u with one unit of a facet row moved from the last slice
     to the one before it: the facet blocks still agree, but those two slices'
