@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import characters, collapse, complexes, expfam, fiber, polytope, spaces
-from .guards import ResourceCeilingError
+from .guards import ResourceCeilingError, resolve_ceiling
 
 
 class UsageError(Exception):
@@ -26,6 +26,16 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
+
+
+def _checked(build, *args):
+    """build(*args), where build makes or checks an input: a ValueError it
+    raises is a usage error.  The CLI validates every input this way before
+    it computes, so any other exception is a bug (exit 70)."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -49,9 +59,9 @@ def _load_complex(args, space: spaces.ConfigSpace | None = None
     Every subcommand that takes --G parses --space first and passes it in.
     """
     if getattr(args, "complex", None):
-        return complexes.parse_complex(_read(args.complex))
+        return _checked(complexes.parse_complex, _read(args.complex))
     if getattr(args, "G", None):
-        return complexes.interval_complement(space.n, _parse_int_list(args.G, "--G"))
+        return _checked(complexes.interval_complement, space.n, _parse_int_list(args.G, "--G"))
     raise UsageError("a complex is required (--complex FILE or --G)")
 
 
@@ -59,7 +69,21 @@ def _load_space(args) -> spaces.ConfigSpace:
     sizes = _parse_int_list(args.space or "", "--space")
     if not sizes:
         raise UsageError("--space q1,q2,... is required")
-    return spaces.ConfigSpace(sizes)
+    return _checked(spaces.ConfigSpace, sizes)
+
+
+def _layout(cx: complexes.SimplicialComplex, space: spaces.ConfigSpace) -> spaces.MarginalLayout:
+    """The model's layout, which checks that the complex and space agree on n."""
+    return _checked(spaces.layout, cx, space)
+
+
+def _ceiling(args) -> int:
+    """--ceiling, else MARGO_CEILING, else the default, checked."""
+    return _checked(resolve_ceiling, args.ceiling)
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split()]
 
 
 def _emit(args, text: str) -> None:
@@ -112,7 +136,7 @@ def _kmax(args, default: int) -> int:
 def _cmd_matrix(args) -> int:
     cx = _load_complex(args)
     space = _load_space(args)
-    matrix = spaces.marginal_matrix(cx, space)
+    matrix = _layout(cx, space).matrix()
     _emit(args, spaces.format_matrix(matrix.rows))
     return 0
 
@@ -124,7 +148,7 @@ def _cmd_moves(args) -> int:
     if not args.G:
         raise UsageError("--G i,j,... is required")
     members = _parse_int_list(args.G, "--G")
-    moves = characters.interval_moves(space.n, members)
+    moves = _checked(characters.interval_moves, space.n, members)
     _emit(args, spaces.format_matrix([m.vector for m in moves]))
     return 0
 
@@ -144,20 +168,21 @@ def _cmd_verify_markov(args) -> int:
     space = _load_space(args)
     cx = _load_complex(args, space)
     if args.moves:
-        rows = spaces.parse_matrix(_read(args.moves))
-        moves = [characters.Move(space, tuple(r)) for r in rows]
+        rows = _checked(spaces.parse_matrix, _read(args.moves))
+        moves = [_checked(characters.Move, space, tuple(r)) for r in rows]
     else:
         if not args.G:
             raise UsageError("without --moves, --G is required to build the interval moves")
         if not space.is_binary:
             raise UsageError("interval moves need a binary space; pass --moves instead")
-        moves = list(characters.interval_moves(space.n, _parse_int_list(args.G, "--G")))
+        moves = list(_checked(characters.interval_moves, space.n, _parse_int_list(args.G, "--G")))
     if args.drop_move is not None:
         if not 0 <= args.drop_move < len(moves):
             raise UsageError(f"--drop-move index out of range 0..{len(moves) - 1}")
         del moves[args.drop_move]
+    _checked(fiber._markov_inputs, cx, space, moves, args.degree_limit)
     report = fiber.verify_markov_basis(cx, space, moves, args.degree_limit,
-                                       ceiling=args.ceiling)
+                                       ceiling=_ceiling(args))
     pairs = [
         ("command", "verify-markov"),
         ("complex", _complex_str(cx)),
@@ -196,11 +221,12 @@ def _cmd_verify_markov(args) -> int:
 def _cmd_degree_bound(args) -> int:
     space = _load_space(args)
     cx = _load_complex(args, space)
+    _layout(cx, space)
     g, bound = _g_and_bound(cx)
     if g is None:
         raise UsageError("complex is the full power set: kernel is zero, no binomials exist")
     kmax = _kmax(args, bound if bound else 1)
-    found = fiber.min_binomial_degree(cx, space, kmax, ceiling=args.ceiling)
+    found = fiber.min_binomial_degree(cx, space, kmax, ceiling=_ceiling(args))
     pairs = [
         ("command", "degree-bound"),
         ("complex", _complex_str(cx)),
@@ -233,10 +259,11 @@ def _cmd_degree_bound(args) -> int:
 def _cmd_neighborly(args) -> int:
     space = _load_space(args)
     cx = _load_complex(args, space)
+    _layout(cx, space)
     g, bound = _g_and_bound(cx)
     # by default one past the guaranteed neighborliness, to probe sharpness
     kmax = _kmax(args, bound if bound is not None else space.size)
-    report = polytope.neighborliness(cx, space, kmax, ceiling=args.ceiling)
+    report = polytope.neighborliness(cx, space, kmax, ceiling=_ceiling(args))
     pairs = [
         ("command", "neighborly"),
         ("complex", _complex_str(cx)),
@@ -268,10 +295,10 @@ def _cmd_neighborly(args) -> int:
 
 def _cmd_collapse(args) -> int:
     space = _load_space(args)
-    cmap = collapse.parse_collapsing(_read(args.map))
+    cmap = _checked(collapse.parse_collapsing, _read(args.map))
     if cmap.source != space:
         raise UsageError("collapsing map does not match --space")
-    table = spaces.parse_table(_read(args.table))
+    table = _checked(spaces.parse_table, _read(args.table))
     if table.space != space:
         raise UsageError("table does not match --space")
     collapsed = collapse.collapse_table(cmap, table)
@@ -299,8 +326,8 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_mi(args) -> int:
     space = _load_space(args)
-    values = [float(tok) for tok in _read(args.density).split()]
-    p = expfam.Density(space, tuple(values))
+    values = _checked(_floats, _read(args.density))
+    p = _checked(expfam.Density, space, tuple(values))
     pairs = [
         ("command", "mi"),
         ("space", _space_str(space)),
@@ -313,7 +340,9 @@ def _cmd_mi(args) -> int:
 def _cmd_density(args) -> int:
     space = _load_space(args)
     cx = _load_complex(args)
-    theta = [float(tok) for tok in _read(args.theta).split()]
+    lay = _layout(cx, space)
+    theta = _checked(_floats, _read(args.theta))
+    _checked(expfam._check_theta, lay, theta)
     p = expfam.density(cx, space, theta)
     pairs = [
         ("command", "density"),
@@ -326,7 +355,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_tableau(args) -> int:
-    table = spaces.parse_table(_read(args.table))
+    table = _checked(spaces.parse_table, _read(args.table))
     _emit(args, fiber.tableau(table))
     return 0
 
@@ -410,9 +439,6 @@ def main(argv=None) -> int:
     except ResourceCeilingError as exc:
         print(f"margo: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"margo: usage error: {exc}", file=sys.stderr)
-        return 64
     except Exception as exc:  # noqa: BLE001 - keep exit 1 for counterexamples only
         print(f"margo: internal error: {exc!r}", file=sys.stderr)
         return 70

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
-from .spaces import Config, ConfigSpace, layout
+from .spaces import Config, ConfigSpace, MarginalLayout, layout
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,14 @@ def point_mixture(space: ConfigSpace, points: Sequence[Sequence[int]]) -> Densit
     return Density(space, tuple(probs))
 
 
+def _check_theta(lay: MarginalLayout, theta: Sequence[float]) -> None:
+    """A natural parameter must have one finite entry per matrix row."""
+    if len(theta) != lay.nrows:
+        raise ValueError(f"theta length {len(theta)} != {lay.nrows} matrix rows")
+    if not all(map(isfinite, theta)):
+        raise ValueError("theta must be finite")
+
+
 def density(cx: SimplicialComplex, space: ConfigSpace,
             theta: Sequence[float]) -> Density:
     """The exponential family member with natural parameter theta.
@@ -60,10 +68,7 @@ def density(cx: SimplicialComplex, space: ConfigSpace,
     with log-sum-exp stabilization.
     """
     lay = layout(cx, space)
-    if len(theta) != lay.nrows:
-        raise ValueError(f"theta length {len(theta)} != {lay.nrows} matrix rows")
-    if not all(map(isfinite, theta)):
-        raise ValueError("theta must be finite")
+    _check_theta(lay, theta)
     scores = [sum(theta[r] for r in lay.rows_of[ix]) for ix in range(space.size)]
     peak = max(scores)
     weights = [exp(s - peak) for s in scores]

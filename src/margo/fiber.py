@@ -83,7 +83,7 @@ from functools import lru_cache
 from itertools import chain, product
 from math import prod
 from operator import itemgetter, lshift
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
@@ -597,6 +597,22 @@ def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
             raise ValueError("move is not in the kernel of the marginal map")
 
 
+def _markov_inputs(cx: SimplicialComplex, space: ConfigSpace, moves: Iterable[Move],
+                   degree_limit: int) -> tuple[MarginalLayout, tuple[Move, ...]]:
+    """The input checks of `verify_markov_basis`, each a ValueError: a
+    nonnegative degree limit, a complex and space on the same n, moves on
+    that space in the kernel of the marginal map, and at least one facet.
+    Returns the layout and the moves."""
+    if degree_limit < 0:
+        raise ValueError("degree limit must be nonnegative")
+    lay = layout(cx, space)
+    moves = tuple(moves)
+    _validate_moves(lay, moves)
+    if lay.nrows == 0:
+        raise ValueError("cannot verify a model with no facets: every fiber is infinite")
+    return lay, moves
+
+
 def _one_support_class(tables: Sequence[tuple[int, ...]]) -> bool:
     """Whether the tables' counts form one class under "share a support cell".
 
@@ -652,14 +668,8 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     the run's ceiling, the phase and the degree: the search's degree limit,
     or the degree of the fibers being checked.
     """
-    if degree_limit < 0:
-        raise ValueError("degree limit must be nonnegative")
-    lay = layout(cx, space)
-    moves = tuple(moves)
-    _validate_moves(lay, moves)
+    lay, moves = _markov_inputs(cx, space, moves, degree_limit)
     budget = Budget(ceiling, "enumerated tables")
-    if lay.nrows == 0:
-        raise ValueError("cannot verify a model with no facets: every fiber is infinite")
     vectors = [m.vector for m in moves if any(m.vector)]
     split, slice_vectors = _split_moves(lay, _slices(lay), vectors)
     model = split.part

@@ -10,8 +10,10 @@ mass for "not a face", a strictly separating functional for "face".  The
 barycenter is kept as integer hit counts, the LP gets integer rows and
 right-hand side, and `FacialityCertificate.recheck` scales each certificate
 to integers and builds no Fraction.
-`neighborliness` re-checks every certificate it gets, and decides a set
-with no surviving outside column in closed form.
+`is_facial` checks its input and hands its hit counts to the faciality
+core `_facial`, which `neighborliness` calls directly.  The sweep
+re-checks every certificate it gets, and decides a set with no surviving
+outside column in closed form.
 
 `lp_solve` is a two-phase simplex on one integer tableau over a common
 positive denominator, whose last row is the objective row; the optimum and
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import lcm, prod
-from operator import ge, gt, mul
+from operator import add, and_, ge, gt, mul
 from typing import Callable, Iterable, Sequence
 
 from .complexes import SimplicialComplex
@@ -85,12 +87,14 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
     positive denominator d (`_pivot`), and compares ratios by
     cross-multiplication.  Each constraint row starts with an artificial
     column of its own; the last row is the objective row: the reduced costs,
-    then minus the objective value, updated by every pivot.
+    then minus the objective value, updated by every pivot.  Phase 1 prices
+    that row as one column sum of the constraint rows, since every basic
+    variable is then an artificial of cost -1.
 
     Before it returns, the optimum is checked in the scaled integers against
     every input row, dropped redundant ones included: x >= 0, rows.x = rhs,
     objective.x = y.rhs = the optimum read off the objective row, and
-    y.rows_j >= objective_j for every column j.  A failure raises
+    y.A_j >= objective_j for every input column A_j.  A failure raises
     AssertionError.  Fractions are built only then: the optimum, an optimal
     basic solution, and a dual vector y (one multiplier per input row, read
     off the objective row's artificial columns).
@@ -114,14 +118,6 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
     basis = [n + i for i in range(m)]
     d = 1
 
-    def price(costs: list[int]) -> None:
-        """Append the objective row of `costs` priced out against the basis."""
-        z = [d * c for c in costs] + [0]
-        for row, bi in zip(tab, basis):
-            if costs[bi]:
-                z = [u - costs[bi] * v for u, v in zip(z, row)]
-        tab.append(z)
-
     def run(allowed: int) -> str:
         nonlocal d
         while True:
@@ -143,9 +139,12 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
             d = _pivot(tab, leave, enter, d)
             basis[leave] = enter
 
-    # phase 1: maximize minus the sum of artificials; the row's last entry
-    # is then what the artificials still carry
-    price([0] * n + [-1] * m)
+    # phase 1: maximize minus the sum of artificials.  Every basic variable
+    # is an artificial of cost -1, so the priced row is the column sum of the
+    # rows, 0 on the artificials; its last entry is what they still carry
+    z = [sum(col) for col in zip(*tab)] or [0] * (n + 1)
+    z[n:-1] = [0] * m
+    tab.append(z)
     run(n + m)
     if tab.pop()[-1] > 0:
         return LPResult("infeasible", None, None, None)
@@ -161,7 +160,12 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
             del tab[i]
             del basis[i]
 
-    price(cost + [0] * m)
+    # phase 2: the objective row priced out against the basis
+    z = [d * c for c in cost] + [0] * (m + 1)
+    for row, bi in zip(tab, basis):
+        if bi < n and cost[bi]:
+            z = [u - cost[bi] * v for u, v in zip(z, row)]
+    tab.append(z)
     if run(n) == "unbounded":
         return LPResult("unbounded", None, None, None)
 
@@ -175,11 +179,11 @@ def lp_solve(rows: Sequence[Sequence[Fraction | int]],
     # artificial column
     y = [-z[n + i] * flip[i] for i in range(m)]
     value = -z[-1]  # d*C times the optimum
+    cols = list(zip(*a)) or [()] * n  # the input columns; empty ones when m is 0
     if (any(v < 0 for v in x)
             or any(sum(map(mul, row, x)) != d * bi for row, bi in zip(a, b))
             or sum(map(mul, cost, x)) != value or sum(map(mul, y, b)) != value
-            or any(sum(yi * row[j] for yi, row in zip(y, a)) < d * c
-                   for j, c in enumerate(cost))):
+            or any(sum(map(mul, y, col)) < d * c for col, c in zip(cols, cost))):
         raise AssertionError("LP optimum failed its exact check")
     den = d * big_c
     return LPResult("optimal", Fraction(value, den), tuple(Fraction(v, d) for v in x),
@@ -210,14 +214,18 @@ class FacialityCertificate:
         Barycenter entry r must be h_r / |Y|, h_r the members on row r; the
         functional and its value, or the combination, are scaled by the lcm
         of their denominators, and every rational comparison is made by
-        cross-multiplication.
+        cross-multiplication.  The hit counts and the functional's values
+        are read off the matrix's columns.
         """
         col_of = {x: ix for ix, x in enumerate(matrix.col_labels)}
         if any(x not in col_of for x in self.members):
             return False
         member_ix = {col_of[x] for x in self.members}
         m = len(member_ix)
-        hits = [sum(row[ix] for ix in member_ix) for row in matrix.rows]
+        cols = list(zip(*matrix.rows)) or [()] * matrix.ncols  # empty when there are no rows
+        hits = [0] * matrix.nrows
+        for ix in member_ix:
+            hits = list(map(add, hits, cols[ix]))
         if len(self.barycenter) != matrix.nrows or any(
                 b.numerator * m != h * b.denominator for b, h in zip(self.barycenter, hits)):
             return False
@@ -227,11 +235,8 @@ class FacialityCertificate:
                 return False
             den = lcm(value.denominator, *(t.denominator for t in theta))
             top = value.numerator * (den // value.denominator)
-            values = [0] * matrix.ncols  # den times the functional on each column
-            for t, row in zip(theta, matrix.rows):
-                w = t.numerator * (den // t.denominator)
-                if w:
-                    values = [v + w * a for v, a in zip(values, row)]
+            weights = [t.numerator * (den // t.denominator) for t in theta]  # den times theta
+            values = [sum(map(mul, weights, col)) for col in cols]  # on each column
             return all(v == top if ix in member_ix else v < top for ix, v in enumerate(values))
         lam, mass = self.combination, self.outside_mass
         if lam is None or mass is None or len(lam) != matrix.ncols:
@@ -248,9 +253,28 @@ class FacialityCertificate:
 
 
 @lru_cache(maxsize=None)
-def _row_masks(lay: MarginalLayout) -> tuple[int, ...]:
-    """Per column, the rows it hits, as a bit mask."""
-    return tuple([sum(1 << r for r in rows) for rows in lay.rows_of])
+def _row_columns(lay: MarginalLayout) -> tuple[int, ...]:
+    """Per row, the columns that hit it, as a bit mask."""
+    cols = [0] * lay.nrows
+    for ix, rows in enumerate(lay.rows_of):
+        for r in rows:
+            cols[r] |= 1 << ix
+    return tuple(cols)
+
+
+def _reach(lay: MarginalLayout, y_ix: Iterable[int]) -> list[int]:
+    """Per facet block, the columns whose row in that block holds a member of
+    Y, as a bit mask.
+
+    Each column hits one row per block, so the columns that hit no zero row
+    of Y's hit counts, the survivors of `_hits`, are those in every mask.
+    """
+    cols = _row_columns(lay)
+    reach = [0] * len(lay.facet_members)
+    for ix in y_ix:
+        for b, r in enumerate(lay.rows_of[ix]):
+            reach[b] |= cols[r]
+    return reach
 
 
 def _hits(lay: MarginalLayout, y_ix: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -261,21 +285,35 @@ def _hits(lay: MarginalLayout, y_ix: Iterable[int]) -> tuple[list[int], list[int
     no mass in a combination with the barycenter's value, so Y is a face
     when no column outside Y survives.
     """
-    masks = _row_masks(lay)
     hits = [0] * lay.nrows
-    held = 0  # the rows with a member of Y, as a bit mask
     for ix in y_ix:
-        held |= masks[ix]
         for r in lay.rows_of[ix]:
             hits[r] += 1
-    return hits, [ix for ix, mask in enumerate(masks) if mask | held == held]
+    alive = reduce(and_, _reach(lay, y_ix), (1 << lay.space.size) - 1)
+    return hits, [ix for ix in range(lay.space.size) if alive >> ix & 1]
 
 
 def is_facial(cx: SimplicialComplex, space: ConfigSpace,
               members: Iterable[Sequence[int]]) -> FacialityCertificate:
     """Decide whether conv of the columns of Y is a face of the polytope.
 
-    The barycenter of Y is h / |Y|, h the members of Y on each row (`_hits`).
+    A thin wrapper: it checks the members (each must be a configuration of
+    the space, and Y nonempty), computes their `_hits` and hands both to the
+    faciality core `_facial`, which `neighborliness` calls directly.
+    """
+    lay = layout(cx, space)
+    y_ix = sorted({space.index(tuple(x)) for x in members})
+    if not y_ix:
+        raise ValueError("Y must be nonempty")
+    return _facial(lay, y_ix, *_hits(lay, y_ix))
+
+
+def _facial(lay: MarginalLayout, y_ix: Sequence[int], hits: Sequence[int],
+            survivors: Sequence[int]) -> FacialityCertificate:
+    """The faciality core: the verdict and certificate of Y, given as its
+    sorted configuration indices with their `_hits`.
+
+    The barycenter of Y is h / |Y|, h the members of Y on each row.
     Columns that hit a zero row carry no mass and are left out of the LP;
     when no outside column survives the verdict is immediate.  The LP runs
     in integers: its rows are 0/1, its right-hand side |Y| times the
@@ -286,15 +324,10 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
     -scale on every zero row, where scale is max(1, 1 + P - c0), P the sum
     of its positive weights on the kept rows and c0 its value on Y.
     """
-    lay = layout(cx, space)
-    y_ix = sorted({space.index(tuple(x)) for x in members})
-    if not y_ix:
-        raise ValueError("Y must be nonempty")
     m = len(y_ix)
-    hits, survivors = _hits(lay, y_ix)
     share = [Fraction(h, m) for h in range(m + 1)]
     bary = tuple([share[h] for h in hits])
-    y_configs = tuple(space.config(ix) for ix in y_ix)
+    y_configs = tuple(map(lay.space.config, y_ix))
     kept_rows = [r for r, h in enumerate(hits) if h]
 
     if len(survivors) > m:  # some outside column survives
@@ -306,7 +339,7 @@ def is_facial(cx: SimplicialComplex, space: ConfigSpace,
         if res.status != "optimal":
             raise AssertionError(f"faciality LP unexpectedly {res.status}")
         if res.optimum > 0:
-            lam = [Fraction(0)] * space.size
+            lam = [Fraction(0)] * lay.space.size
             for ix, v in zip(survivors, res.solution):
                 lam[ix] = v / m
             return FacialityCertificate(y_configs, False, bary, combination=tuple(lam),
@@ -352,6 +385,42 @@ def _prefix_rule(n: int, classes: Sequence[Sequence[int]], head: Sequence[Config
     return lambda x: any(map(gt, x, counts)) or any(x[a] > x[b] for a, b in twins)
 
 
+class _Relabels(dict):
+    """A memo of column relabelings: (labels, v) -> the labels once value v,
+    not seen yet, is seen.
+
+    labels[w] is value w's label in a column so far: the values seen get
+    0, 1, ... in order of first appearance, and every value not seen yet
+    gets the next label s.  Seeing v gives v the label s and every other
+    value not seen yet s + 1.
+    """
+
+    def __missing__(self, key: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+        labels, v = key
+        s = labels[v]
+        new = self[key] = tuple([a if a < s or w == v else s + 1 for w, a in enumerate(labels)])
+        return new
+
+
+def _small_least(combo: tuple[int, ...], x: Config, classes: Sequence[Sequence[int]],
+                 weights: Sequence[int]) -> bool | None:
+    """The orbit test of a singleton or a pair in closed form, None for a
+    larger set (`_orbit_least`).
+
+    combo starts at configuration 0 and ends at x.  The singleton (0,) is
+    least.  Both row orders of a pair (0, x) image it to (0, p), p the index
+    of x's support pattern (1 where x is nonzero) with the 1s of each class
+    of interchangeable variables moved to that class's least-weighted
+    places, and p <= x; so the pair is least exactly when x is p.
+    """
+    if len(combo) == 1:
+        return True
+    if len(combo) == 2:
+        return combo[1] == sum(sum(map(mul, sorted([x[c] > 0 for c in cols]),
+                                       [weights[c] for c in cols])) for cols in classes)
+    return None
+
+
 def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
                  ) -> Callable[[tuple[int, ...]], bool]:
     """The model's test of orderly generation (Read, 1978): `least(combo)`
@@ -371,7 +440,10 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
     row order is fixed further, so the rows left, imaged now and sorted,
     bound every reading below a node from under; a node whose bound reads
     greater is cut.  Once every column's relabeling and place are fixed, the
-    bound is the reading.
+    bound is the reading.  The root is not imaged: before any row is fixed,
+    every row images to 0, so each row is tried first in turn.  A column's
+    new labels are read from a memo of label tuples (`_Relabels`) that lives
+    as long as this test, one per model, and not in a module-level cache.
 
     Most rejections need no search.  If a symmetry σ maps the prefix
     R = combo[:-1] onto itself and σ(x) < x, x = combo[-1], then R with
@@ -379,7 +451,9 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
     R's rows: a swap of x's value with a value R does not use in its column,
     and a swap of two interchangeable columns on which R's rows agree.  The
     sweep tests the candidates of one R in a row, so the rule is kept for
-    the last prefix seen.  A candidate it passes gets the full search.
+    the last prefix seen.  A singleton or a pair that the rule passes is
+    decided in closed form (`_small_least`); a larger candidate gets the
+    full search.
     """
     n, cards = space.n, space.cardinalities
     configs = list(space.configs())
@@ -390,6 +464,8 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
     singles0 = [(cols[0], weights[cols[0]]) for cols in classes if len(cols) == 1]
     groups0 = [(cols, [weights[c] for c in cols]) for cols in classes if len(cols) > 1]
     last = [q - 1 for q in cards]  # a column with this many labels has them all
+    unseen = [(0,) * q for q in cards]  # each column's labels before any row is fixed
+    relabel = _Relabels()
     prefix, drops = None, None  # the last prefix seen, and its `_prefix_rule`
 
     def least(combo: tuple[int, ...]) -> bool:
@@ -401,14 +477,17 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
             drops = _prefix_rule(n, classes, [configs[ix] for ix in prefix])
         if drops(configs[combo[-1]]):
             return False
+        small = _small_least(combo, configs[combo[-1]], classes, weights)
+        if small is not None:
+            return small
         rows = [configs[ix] for ix in combo]
-        # label[c][v] is value v's label in column c so far: values in order
-        # of first appearance, and every value not seen yet the next label
-        label = [[0] * q for q in cards]
+        label = unseen.copy()  # label[c][v]: value v's label in column c so far
         seen = [0] * n
 
-        def images(free: list[int], singles, groups) -> list[int]:
-            out = []
+        def smaller(t: int, free: list[int], singles, groups) -> bool:
+            """True when a row order whose first t rows are fixed, the rows
+            `free` left, reads less than combo."""
+            order = []
             for u in free:
                 x = rows[u]
                 img = 0
@@ -416,13 +495,8 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
                     img += label[c][x[c]] * w
                 for cols, wts in groups:
                     img += sum(map(mul, sorted([label[c][x[c]] for c in cols]), wts))
-                out.append(img)
-            return out
-
-        def smaller(t: int, free: list[int], singles, groups) -> bool:
-            """True when a row order whose first t rows are fixed, the rows
-            `free` left, reads less than combo."""
-            order = sorted(zip(images(free, singles, groups), free))
+                order.append((img, u))
+            order.sort()
             if order[0][0] < combo[t]:
                 return True
             # a row's image only grows as the search goes deeper, so the rows
@@ -437,33 +511,44 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
             for img, u in order:
                 if img != combo[t]:
                     break
-                x = rows[u]
-                ones, tied = (list(singles) if groups else singles), []
-                for cols, wts in groups:
-                    keyed = sorted((label[c][x[c]], c) for c in cols)
-                    lo = 0
-                    for hi in range(1, len(keyed) + 1):
-                        if hi == len(keyed) or keyed[hi][0] != keyed[lo][0]:
-                            if hi - lo == 1:
-                                ones.append((keyed[lo][1], wts[lo]))
-                            else:
-                                tied.append(([c for _, c in keyed[lo:hi]], wts[lo:hi]))
-                            lo = hi
-                fresh = [c for c in range(n) if label[c][x[c]] == seen[c]]
-                saved = [label[c] for c in fresh]
-                for c in fresh:
-                    s, v = seen[c], x[c]
-                    label[c] = [a if a < s or w == v else s + 1 for w, a in enumerate(label[c])]
-                    seen[c] = s + 1
-                found = smaller(t + 1, [v for v in free if v != u], ones, tied)
-                for c, old in zip(fresh, saved):
-                    label[c] = old
-                    seen[c] -= 1
-                if found:
+                if fix(t, u, [v for v in free if v != u], singles, groups):
                     return True
             return False
 
-        return not smaller(0, list(range(len(combo))), singles0, groups0)
+        def fix(t: int, u: int, rest: list[int], singles, groups) -> bool:
+            """True when a row order that puts row u at place t, after the
+            rows already fixed, reads less than combo."""
+            x = rows[u]
+            ones, tied = (list(singles) if groups else singles), []
+            for cols, wts in groups:
+                keyed = sorted((label[c][x[c]], c) for c in cols)
+                if keyed[0][0] == keyed[-1][0]:  # one label: the group stays tied
+                    tied.append((cols, wts))
+                    continue
+                lo = 0
+                for hi in range(1, len(keyed) + 1):
+                    if hi == len(keyed) or keyed[hi][0] != keyed[lo][0]:
+                        if hi - lo == 1:
+                            ones.append((keyed[lo][1], wts[lo]))
+                        else:
+                            tied.append(([c for _, c in keyed[lo:hi]], wts[lo:hi]))
+                        lo = hi
+            fresh = [c for c in range(n) if label[c][x[c]] == seen[c]]
+            saved = [label[c] for c in fresh]
+            for c in fresh:
+                label[c] = relabel[label[c], x[c]]
+                seen[c] += 1
+            found = smaller(t + 1, rest, ones, tied)
+            for c, old in zip(fresh, saved):
+                label[c] = old
+                seen[c] -= 1
+            return found
+
+        # the root: every row images to 0 = combo[0], so none is cut and each
+        # is tried first in turn; a lone row reads (0,), combo itself
+        everyone = range(len(combo))
+        return len(combo) < 2 or not any(
+            fix(0, u, [v for v in everyone if v != u], singles0, groups0) for u in everyone)
 
     return least
 
@@ -488,17 +573,23 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     subsets, none of them earlier, so that subset is the lex-least member
     of its orbit and is tested.  Most candidates that are not lex-least are
     rejected without a search, by a symmetry that fixes R and maps x to a
-    smaller configuration (`_prefix_rule`).
+    smaller configuration (`_prefix_rule`), and singletons and pairs are
+    decided in closed form (`_small_least`).
 
     A candidate with no surviving outside column (`_hits`) is a face in
     closed form: every outside column hits a zero row of its barycenter.
-    Such a candidate goes to no LP, and at the last level, min(k_max, size),
-    where representatives are never extended, it skips the orbit test too.
-    The witness does not move: every candidate passed over is a face, and
-    the lex-first non-facial set is lex-least in its orbit, so it is still
-    the first set to reach `is_facial` and fail.  Every certificate
-    `is_facial` returns is re-checked in integers against one marginal
-    matrix, and a failure raises AssertionError.
+    The survivors are read off bit masks: per facet block, the columns
+    whose row there holds a member of R (`_reach`, once per R), widened by
+    x's row.  Such a candidate goes to no LP, and at the last level,
+    min(k_max, size), where representatives are never extended, it skips
+    the orbit test too.  The witness does not move: every candidate passed
+    over is a face, and the lex-first non-facial set is lex-least in its
+    orbit, so it is still the first set to reach the LP and fail.  Any
+    other candidate goes to the faciality core `_facial`, the one that
+    `is_facial` wraps, with its `_hits`, so no configuration is built or
+    indexed for it.  Every certificate the core returns is re-checked in
+    integers against one marginal matrix, and a failure raises
+    AssertionError.
 
     The ceiling counts the candidates of each level, sum over the
     representatives R below of size - 1 - max R (`size` at level 1),
@@ -523,15 +614,20 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
         if k == 1:  # these list the `size` configurations: build them once k=1 is paid for
             lay, matrix = layout(cx, space), marginal_matrix(cx, space)
             least = _orbit_least(cx, space)
+            cols, every_column = _row_columns(lay), (1 << size) - 1
         below, reps = reps, []
         for combo in below:
+            reach = _reach(lay, combo)
             for x in range(combo[-1] + 1 if combo else 0, size):
                 combo_x = combo + (x,)
-                closed = len(_hits(lay, combo_x)[1]) == k  # no outside column survives
+                alive = every_column  # the survivors of combo_x, as a bit mask
+                for r, held in zip(lay.rows_of[x], reach):
+                    alive &= held | cols[r]
+                closed = alive.bit_count() == k  # no outside column survives
                 if (closed and k == top) or not least(combo_x):
                     continue
                 if not closed:
-                    cert = is_facial(cx, space, [space.config(ix) for ix in combo_x])
+                    cert = _facial(lay, combo_x, *_hits(lay, combo_x))
                     if not cert.recheck(matrix):
                         kind = "face" if cert.is_face else "non-face"
                         raise AssertionError(

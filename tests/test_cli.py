@@ -316,7 +316,7 @@ def test_internal_errors_exit_70(capsys, d2_path, monkeypatch):
     def broken_lp(*args, **kwargs):
         raise AssertionError("faciality LP unexpectedly infeasible")
 
-    monkeypatch.setattr(polytope, "is_facial", broken_lp)
+    monkeypatch.setattr(polytope, "_facial", broken_lp)
     code, out, err = run(capsys, argv)
     assert code == 70 and out == ""
     assert err.startswith("margo: internal error: ") and err.count("\n") == 1
@@ -327,6 +327,18 @@ def test_internal_errors_exit_70(capsys, d2_path, monkeypatch):
     code, out, err = run(capsys, argv)
     assert code == 70 and out == ""
     assert "re-check" in err
+
+
+def test_a_library_value_error_exits_70(capsys, d2_path, monkeypatch):
+    # inputs are checked at the CLI boundary, so a ValueError from a library
+    # call on checked inputs is a bug, not a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("k_max must be at least 1")
+
+    monkeypatch.setattr(polytope, "neighborliness", broken)
+    argv = ["neighborly", "--complex", d2_path, "--space", "2,2,2", "--kmax", "4"]
+    assert run(capsys, argv) == (
+        70, "", "margo: internal error: ValueError('k_max must be at least 1')\n")
 
 
 def test_collapse_subcommand(capsys, tmp_path):
@@ -512,10 +524,32 @@ def test_usage_errors(capsys, tmp_path):
      "--space q1,q2,... is required"),
     (["degree-bound", "--space", ",", "--G", "1"], "--space q1,q2,... is required"),
     (["mi", "--space", ",", "--density", "{table22}"], "--space q1,q2,... is required"),
+    # every input is checked at the CLI boundary, before anything is computed
+    (["neighborly", "--complex", "{d2}", "--space", "2,2"],
+     "complex on 3 indices vs space on 2 variables"),
+    (["matrix", "--complex", "{d2}", "--space", "2,2,1"], "alphabet sizes must be >= 2, got 1"),
+    (["neighborly", "--space", "2,2", "--G", "1,3"], "element 3 out of range 1..2"),
+    (["moves", "--space", "2,2", "--G", "3"], "element 3 out of range 1..2"),
+    (["verify-markov", "--space", "2,2,2", "--G", "1,2", "--degree-limit", "-1"],
+     "degree limit must be nonnegative"),
+    (["verify-markov", "--complex", "{empty}", "--space", "2,2", "--moves", "{moves}",
+      "--degree-limit", "2"], "cannot verify a model with no facets: every fiber is infinite"),
+    (["verify-markov", "--complex", "{d2}", "--space", "2,2,2", "--moves", "{moves8}",
+      "--degree-limit", "2"], "move is not in the kernel of the marginal map"),
+    (["mi", "--space", "2,2", "--density", "{words}"], "could not convert string to float: 'a'"),
+    (["density", "--complex", "{d2}", "--space", "2,2,2", "--theta", "{words}"],
+     "could not convert string to float: 'a'"),
+    (["density", "--complex", "{d2}", "--space", "2,2,2", "--theta", "{moves}"],
+     "theta length 6 != 12 matrix rows"),
+    (["degree-bound", "--complex", "{d2}", "--space", "2,2,2", "--ceiling", "-2"],
+     "ceiling must be nonnegative, got -2"),
+    (["tableau", "--table", "{words}"], "table text needs three lines: n, cardinalities, entries"),
 ])
 def test_usage_error_lines(capsys, tmp_path, argv, message):
     files = {"d2": D2_COMPLEX, "full": FULL_COMPLEX, "map": "1: 0 1 1\n2: 0 1 1\n",
-             "table": "2\n3 3\n1 0 0 0 1 0 0 0 2\n", "table22": "2\n2 2\n1 0 0 1\n"}
+             "table": "2\n3 3\n1 0 0 0 1 0 0 0 2\n", "table22": "2\n2 2\n1 0 0 1\n",
+             "empty": "2\n", "moves": "1 4\n1 -1 -1 1\n", "moves8": "1 8\n1 -1 0 0 0 0 0 0\n",
+             "words": "a b\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     paths = {name: str(tmp_path / name) for name in files}

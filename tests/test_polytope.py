@@ -495,18 +495,19 @@ def test_sweep_rechecks_face_certificates(monkeypatch, capsys, tmp_path):
 
 def test_sets_without_a_surviving_outside_column_skip_is_facial(monkeypatch):
     # d2 over 2,2,2 at k_max 4 reaches its last level, where the parity
-    # witness sits; every set the sweep hands to is_facial has a column
-    # outside it that hits no zero row of its barycenter
+    # witness sits; every set the sweep hands to the faciality core has a
+    # column outside it that hits no zero row of its barycenter
     mat = marginal_matrix(D2_3, B3)
     calls = []
-    facial = polytope.is_facial
+    facial = polytope._facial
 
-    def spy(cx, space, members):
-        calls.append([B3.index(x) for x in members])
-        return facial(cx, space, members)
+    def spy(lay, y_ix, hits, survivors):
+        calls.append(list(y_ix))
+        return facial(lay, y_ix, hits, survivors)
 
-    monkeypatch.setattr(polytope, "is_facial", spy)
-    assert neighborliness(D2_3, B3, 4) == naive_neighborliness(D2_3, B3, 4)
+    want = naive_neighborliness(D2_3, B3, 4)  # the oracle's calls go through the core too
+    monkeypatch.setattr(polytope, "_facial", spy)
+    assert neighborliness(D2_3, B3, 4) == want
     assert max(map(len, calls)) == 4
     for cols in calls:
         held = {r for r, row in enumerate(mat.rows) if any(row[j] for j in cols)}
@@ -694,6 +695,120 @@ def test_sweep_reports_equal_with_the_prefix_rules_off(monkeypatch):
     reports = [neighborliness(*case) for case in cases]
     _rules_off(monkeypatch)
     assert [neighborliness(*case) for case in cases] == reports
+
+
+def _closed_forms_off(monkeypatch):
+    """Patch the closed-form orbit tests off: every singleton and pair gets
+    the full search of row orders."""
+    monkeypatch.setattr(polytope, "_small_least", lambda combo, x, classes, weights: None)
+
+
+class _Unmemoized(dict):
+    """Column relabelings recomputed at every lookup, as the search did
+    before the memo."""
+
+    def __missing__(self, key):
+        labels, v = key
+        s = labels[v]
+        return tuple(a if a < s or w == v else s + 1 for w, a in enumerate(labels))
+
+
+def _check_closed_forms(monkeypatch, cx, space, decided):
+    """The closed forms give the full search's verdict on every singleton
+    and pair; each verdict they give on a pair is appended to `decided`."""
+    combos = [c for k in (1, 2) for c in combinations(range(space.size), k)]
+    rule = polytope._small_least
+
+    def spy(combo, x, classes, weights):
+        verdict = rule(combo, x, classes, weights)
+        if len(combo) == 2:
+            decided.append(verdict)
+        return verdict
+
+    with monkeypatch.context() as mp:
+        mp.setattr(polytope, "_small_least", spy)
+        closed = list(map(_orbit_least(cx, space), combos))
+    with monkeypatch.context() as mp:
+        _closed_forms_off(mp)
+        assert list(map(_orbit_least(cx, space), combos)) == closed, (cx, space)
+
+
+@pytest.mark.parametrize("prefix_rules", [True, False])
+def test_closed_forms_agree_with_the_search_on_small_models(monkeypatch, prefix_rules):
+    # every complex on 1-3 indices over alphabets of 2 and 3.  With the
+    # prefix rules off, the pair rule sees every pair (0, x) and decides
+    # both ways; after them, x is 0/1 and sorted in each class, so every
+    # pair left is least
+    if not prefix_rules:
+        _rules_off(monkeypatch)
+    decided = []
+    for n in (1, 2, 3):
+        for sizes in product((2, 3), repeat=n):
+            for cx in all_complexes(n):
+                _check_closed_forms(monkeypatch, cx, ConfigSpace(sizes), decided)
+    assert True in decided and (False in decided) == (not prefix_rules)
+
+
+def test_closed_forms_agree_with_the_search_on_random_complexes(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    subsets = st.frozensets(st.integers(1, 4), min_size=1)
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(facets=st.lists(subsets, max_size=5),
+                      sizes=st.tuples(*[st.sampled_from([2, 3])] * 4),
+                      prefix_rules=st.booleans())
+    def check(facets, sizes, prefix_rules):
+        with monkeypatch.context() as mp:
+            if not prefix_rules:
+                _rules_off(mp)
+            _check_closed_forms(mp, from_facets(4, facets), ConfigSpace(sizes), [])
+
+    check()
+
+
+def test_sweep_reports_equal_without_the_closed_forms_and_the_memo(monkeypatch):
+    # every complex on 3 indices, and random ones on 4 binary indices: the
+    # reports, certificates included, are byte-identical
+    cases = [(cx, ConfigSpace(sizes), k_max) for sizes in [(2, 2, 2), (3, 2, 2), (3, 3, 2)]
+             for cx in all_complexes(3) for k_max in (2, 4)]
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    subsets = st.frozensets(st.integers(1, 4), min_size=1)
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(facets=st.lists(subsets, max_size=5), k_max=st.integers(1, 4))
+    def more(facets, k_max):
+        cases.append((from_facets(4, facets), binary_space(4), k_max))
+
+    more()
+    reports = [repr(neighborliness(*case)) for case in cases]
+    memos = []
+    _closed_forms_off(monkeypatch)
+    monkeypatch.setattr(polytope, "_Relabels", lambda: memos.append(_Unmemoized()) or memos[-1])
+    assert [repr(neighborliness(*case)) for case in cases] == reports
+    assert memos  # the sweeps ran the search with the patched relabeling
+
+
+def test_the_sweeps_faciality_core_equals_is_facial(monkeypatch):
+    # every candidate the benchmark's d2 sweeps send to an LP: the core,
+    # called with the sweep's own hit counts, returns is_facial's certificate
+    core, sent = polytope._facial, []
+
+    def spy(lay, y_ix, hits, survivors):
+        cert = core(lay, y_ix, hits, survivors)
+        sent.append((lay.space, tuple(y_ix), len(survivors) > len(y_ix), cert))
+        return cert
+
+    monkeypatch.setattr(polytope, "_facial", spy)
+    for sizes, k_max in [((3, 3, 2), 4), ((3, 3, 3), 3), ((2, 2, 2), 4)]:
+        neighborliness(D2_3, ConfigSpace(sizes), k_max)
+    monkeypatch.undo()
+    assert len(sent) == 11
+    for space, y_ix, lp, cert in sent:
+        assert lp  # some outside column survives
+        assert is_facial(D2_3, space, [space.config(ix) for ix in y_ix]) == cert, y_ix
+    assert sum(not cert.is_face for *_, cert in sent) == 2
 
 
 def test_polytope_dimension():
