@@ -677,9 +677,9 @@ def test_prefix_rules_drop_most_rejections_of_the_d2_sweeps(monkeypatch):
     assert counts == [48, 26, 7]
 
 
-def test_sweep_reports_equal_with_the_prefix_rules_off(monkeypatch):
-    # every complex on 3 indices, and random ones on 4 binary indices; the
-    # reports hold the witness and its certificate
+def _sweep_cases():
+    """Every complex on 3 indices over 2,2,2 / 3,2,2 / 3,3,2 at k_max 2 and
+    4, and random ones on 4 binary indices, as neighborliness arguments."""
     cases = [(cx, ConfigSpace(sizes), k_max) for sizes in [(2, 2, 2), (3, 2, 2), (3, 3, 2)]
              for cx in all_complexes(3) for k_max in (2, 4)]
     hypothesis = pytest.importorskip("hypothesis")
@@ -692,6 +692,12 @@ def test_sweep_reports_equal_with_the_prefix_rules_off(monkeypatch):
         cases.append((from_facets(4, facets), binary_space(4), k_max))
 
     more()
+    return cases
+
+
+def test_sweep_reports_equal_with_the_prefix_rules_off(monkeypatch):
+    # the reports hold the witness and its certificate
+    cases = _sweep_cases()
     reports = [neighborliness(*case) for case in cases]
     _rules_off(monkeypatch)
     assert [neighborliness(*case) for case in cases] == reports
@@ -768,20 +774,8 @@ def test_closed_forms_agree_with_the_search_on_random_complexes(monkeypatch):
 
 
 def test_sweep_reports_equal_without_the_closed_forms_and_the_memo(monkeypatch):
-    # every complex on 3 indices, and random ones on 4 binary indices: the
-    # reports, certificates included, are byte-identical
-    cases = [(cx, ConfigSpace(sizes), k_max) for sizes in [(2, 2, 2), (3, 2, 2), (3, 3, 2)]
-             for cx in all_complexes(3) for k_max in (2, 4)]
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    subsets = st.frozensets(st.integers(1, 4), min_size=1)
-
-    @hypothesis.settings(max_examples=20, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(facets=st.lists(subsets, max_size=5), k_max=st.integers(1, 4))
-    def more(facets, k_max):
-        cases.append((from_facets(4, facets), binary_space(4), k_max))
-
-    more()
+    # the reports, certificates included, are byte-identical
+    cases = _sweep_cases()
     reports = [repr(neighborliness(*case)) for case in cases]
     memos = []
     _closed_forms_off(monkeypatch)
