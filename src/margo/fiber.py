@@ -80,10 +80,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import prod
 from operator import itemgetter, lshift
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .characters import Move
 from .complexes import SimplicialComplex
@@ -242,7 +242,15 @@ def _fiber(lay: MarginalLayout, entries: Sequence[int], budget: Budget
            ) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
     """The counts of every table with the marginal entries, in lex order, and
     the slice fibers of a nonempty product: `enumerate_fiber` after its input
-    checks, charging every walk assignment and product table to the budget."""
+    checks, charging every walk assignment and product table to the budget.
+
+    The product is built a column at a time.  Its tables run through the
+    slice fibers like nested loops, the first slice outermost, so a cell of
+    slice s holds each value of its slice fiber's column `inner` times in a
+    row (the product of the later slices' sizes), and that run repeats once
+    per combination of the earlier slices.  Zipping the columns in cell
+    order gives the full tables in that product order, which the sort puts
+    into lex order."""
     split = _slices(lay)
     if split is None:
         return _dfs(lay, entries, budget), []
@@ -255,12 +263,18 @@ def _fiber(lay: MarginalLayout, entries: Sequence[int], budget: Budget
         if not walks[slice_entries]:
             return [], []  # an empty slice fiber empties the product
         parts.append(walks[slice_entries])
-    budget.spend(prod(map(len, parts)))
-    joined: list[tuple[int, ...]] = [()]
-    for slice_tables in parts[:-1]:
-        joined = [head + t for head in joined for t in slice_tables]
-    assemble = split.assemble
-    tables = [assemble(head + t) for head in joined for t in parts[-1]]
+    total = prod(map(len, parts))
+    budget.spend(total)
+    columns: list[list[int]] = [[]] * lay.space.size
+    outer = 1
+    for cells, slice_tables in zip(split.cells, parts):
+        inner = total // (outer * len(slice_tables))
+        for c, values in zip(cells, zip(*slice_tables)):
+            if inner > 1:
+                values = chain.from_iterable(map(repeat, values, repeat(inner)))
+            columns[c] = list(values) * outer
+        outer *= len(slice_tables)
+    tables = list(zip(*columns))
     tables.sort()
     return tables, parts
 
@@ -276,8 +290,10 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     the rows at x_S = s (the toric fiber product of Sullivant, J. Algebra
     2007).  Each distinct slice marginal is enumerated once by the
     depth-first walk of `_dfs`, and every walk on one model reads one table
-    of forced row completions.  One pass joins the last slice to the
-    product of the others and assembles each full table; the tables are
+    of forced row completions.  The product is built a column per full
+    cell, each the column of one slice fiber, each value repeated by the
+    sizes of the later slices and the whole repeated by those of the earlier
+    ones; zipping the columns gives every full table, and the tables are
     then sorted into lex order.  A marginal whose facet blocks agree can
     still have a slice with no table; the fiber is then empty, and the
     slices after it are not walked.  Every other complex runs the walk on
@@ -310,10 +326,44 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
     return fib
 
 
-def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple[int, ...]]
+class _Steps(NamedTuple):
+    """The packed steps of one move set, for `_label_components`."""
+
+    width: int  # bits per cell
+    guard: int  # the top bit of every cell's field
+    steps: list[tuple[int, int]]  # per signed vector, (guard - packed N, packed delta)
+
+
+def _width(degree: int, vectors: Iterable[Sequence[int]]) -> int:
+    """The cell width of the packed search on tables of degree <= degree: enough
+    bits for the largest entry a step can reach (the degree plus the largest
+    vector entry) and one guard bit on top, and at least 8, so that small
+    entries pack a byte each."""
+    reach = max(map(abs, chain.from_iterable(vectors)), default=0)
+    return max(8, (degree + reach).bit_length() + 1)
+
+
+def _pack(vec: Sequence[int], width: int) -> int:
+    """The entries as one integer, `width` bits per cell with cell 0 lowest."""
+    return sum(map(lshift, vec, range(0, width * len(vec), width)))
+
+
+def _packed_steps(vectors: Iterable[Sequence[int]], size: int, width: int) -> _Steps:
+    """The vectors on `size` cells packed `width` bits per cell, both signs of
+    each: its packed delta, and the guard minus its packed negative part."""
+    guard = _pack([1 << (width - 1)] * size, width)
+    steps = []
+    for vec in vectors:
+        plus = _pack([max(v, 0) for v in vec], width)
+        minus = _pack([max(-v, 0) for v in vec], width)
+        steps += [(guard - minus, plus - minus), (guard - plus, minus - plus)]
+    return _Steps(width, guard, steps)
+
+
+def _label_components(tables: Sequence[tuple[int, ...]], packed: _Steps
                       ) -> tuple[int, int | None]:
-    """The number of components of the tables' graph under the vectors, and
-    the index of the first table outside table 0's component (None when
+    """The number of components of the tables' graph under the packed steps,
+    and the index of the first table outside table 0's component (None when
     there is one component or none).
 
     The tables are searched in order, each unreached one opening a component,
@@ -321,35 +371,21 @@ def _label_components(tables: Sequence[tuple[int, ...]], vectors: Sequence[tuple
     the first, and no pass beyond the search finds it.
 
     Edges join tables differing by plus or minus one vector; a neighbour is
-    searched for among the given tables only.  Each table is packed into one
-    integer, `width` bits per cell with cell 0 lowest: enough bits for the
-    largest entry a step can reach (the largest table degree plus the largest
-    vector entry) and one guard bit on top, and at least 8, so that small
-    entries pack a byte each.  Each signed vector is precomputed as its
-    packed delta and its packed negative part N.  A step applies when the
-    table covers N: adding the guard bits and subtracting N borrows across no
-    field, and leaves a field's guard bit set exactly when its entry covers
-    that field of N.  The neighbour's key is then the table's key plus the
-    delta, looked up among the tables' keys.
+    searched for among the given tables only.  The caller sets the search up
+    once for all the parts it searches (`_width`, `_packed_steps`): one cell
+    width, wide enough for every part's tables, and per move set its packed
+    steps.  Here each table is only packed into one integer, `width` bits per
+    cell with cell 0 lowest, and walked.  A step applies when the table
+    covers the vector's negative part N: adding the guard bits and
+    subtracting N borrows across no field, and leaves a field's guard bit set
+    exactly when its entry covers that field of N.  The neighbour's key is
+    then the table's key plus the delta, looked up among the tables' keys.
     """
-    size = len(tables[0]) if tables else 0
-    reach = max((abs(v) for vec in vectors for v in vec), default=0)
-    width = max(8, (max(map(sum, tables), default=0) + reach).bit_length() + 1)
-    shifts = [width * i for i in range(size)]
-
-    def pack(vec: Sequence[int]) -> int:
-        return sum(map(lshift, vec, shifts))
-
-    guard = pack([1 << (width - 1)] * size)
-    steps = []
-    for vec in vectors:
-        for signed in (vec, tuple(-v for v in vec)):
-            steps.append((guard - pack([max(-v, 0) for v in signed]), pack(signed)))
-
+    width, guard, steps = packed
     if width == 8:  # bytes() packs 8-bit cells in C
         keys = [int.from_bytes(bytes(t), "little") for t in tables]
     else:
-        keys = list(map(pack, tables))
+        keys = [_pack(t, width) for t in tables]
     index = {key: i for i, key in enumerate(keys)}
     reached = [False] * len(tables)
     ncomp, other = 0, None
@@ -410,7 +446,10 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     graph is the Cartesian product of their graphs.  Otherwise, and for
     every fiber built by hand, the identity split's one part is the fiber's
     own tables.  `_label_components` searches each part under its moves; the
-    component count is the product of the parts' counts.
+    component count is the product of the parts' counts.  The search is set
+    up once per call: one cell width for every part, from the fiber's degree
+    (`_width`), and the packed steps once per distinct move set of a part
+    (`_packed_steps`), so a part's search only packs its tables and walks.
 
     The witness is read off the parts.  The tables outside table 0's
     component in part s form a product set: part s's tables outside the
@@ -429,10 +468,20 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     vectors = [m.vector for m in moves if any(m.vector)]
     split, slice_vectors = _split_moves(
         lay, None if fiber._slice_fibers is None else _slices(lay), vectors)
-    parts = [[t.counts for t in fiber.tables]] if split.part is lay else fiber._slice_fibers
+    if split.part is lay:
+        parts = [[t.counts for t in fiber.tables]]
+        degree = max(map(sum, parts[0]), default=0)
+    else:  # a slice fiber's tables share one degree
+        parts = fiber._slice_fibers
+        degree = sum(sum(part[0]) for part in parts)
+    width = _width(degree, vectors)
+    packed: dict[tuple[tuple[int, ...], ...], _Steps] = {}
     ncomp, candidates = 1, []
     for s, (slice_tables, vecs) in enumerate(zip(parts, slice_vectors)):
-        count, other = _label_components(slice_tables, vecs)
+        key = tuple(vecs)
+        if key not in packed:
+            packed[key] = _packed_steps(vecs, split.part.space.size, width)
+        count, other = _label_components(slice_tables, packed[key])
         ncomp *= count
         if other is not None:
             heads = [part[0] for part in parts]
@@ -669,6 +718,14 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     or the degree of the fibers being checked.
     """
     lay, moves = _markov_inputs(cx, space, moves, degree_limit)
+    return _verify_markov(lay, moves, degree_limit, ceiling)
+
+
+def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int,
+                   ceiling: int | None) -> MarkovReport:
+    """`verify_markov_basis` on the layout and moves that `_markov_inputs`
+    returned, so a caller that ran those checks itself does not repeat them."""
+    cx, space = lay.complex, lay.space
     budget = Budget(ceiling, "enumerated tables")
     vectors = [m.vector for m in moves if any(m.vector)]
     split, slice_vectors = _split_moves(lay, _slices(lay), vectors)
@@ -687,6 +744,10 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
     for s, vecs in enumerate(slice_vectors):
         groups.setdefault(frozenset(vecs), []).append(s)
+    # one search set-up per group, wide enough for every fiber of the run
+    width = _width(max(by_degree, default=0), vectors)
+    searches = [(_packed_steps(vecs, model.space.size, width), members)
+                for vecs, members in groups.items()]
     bad = []
     for deg in sorted(by_degree):
         budget.where = f"fiber enumeration, degree {deg}"
@@ -694,8 +755,8 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
             tables, _ = _fiber(model, entries, budget)
             if _one_support_class(tables):
                 continue
-            for vecs, members in groups.items():
-                ncomp, other = _label_components(tables, list(vecs))
+            for packed, members in searches:
+                ncomp, other = _label_components(tables, packed)
                 if ncomp > 1:
                     bad += [(_lift(split.rows[s], entries, lay.nrows), s, tables, ncomp, other)
                             for s in members]

@@ -190,10 +190,12 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
                    objective: Sequence[Fraction | int]) -> LPResult:
     """Maximize objective.x subject to rows.x = rhs, x >= 0, exactly.
 
-    The simplex that `lp_solve` replaced, kept as its oracle: the objective
-    row is rebuilt from the tableau before every pivot instead of carried.
-    Zero entries are skipped in that rebuild and in the pivot's row update,
-    which changes no value.
+    The simplex that `lp_solve` replaced, kept as its oracle, in Fractions:
+    each phase builds its objective row of reduced costs from the tableau
+    once and carries it through its pivots like a tableau row (after a
+    pivot on column j, subtract z_j times the new pivot row).  Zero entries
+    are skipped in that build and in every row update, which changes no
+    value.
 
     Two-phase simplex over rationals with Bland's smallest-index rule for
     both the entering and the leaving variable, so cycling is impossible.
@@ -223,7 +225,7 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
 
     def pivot(r: int, j: int) -> None:
         piv = tab[r][j]
-        tab[r] = [v / piv for v in tab[r]]
+        tab[r] = [v / piv if v else v for v in tab[r]]
         for i in range(len(tab)):
             if i != r and tab[i][j]:
                 f = tab[i][j]
@@ -242,8 +244,8 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
         return z
 
     def run(costs: list[Fraction], allowed: int) -> str:
+        z = reduced_costs(costs, allowed)
         while True:
-            z = reduced_costs(costs, allowed)
             enter = next((j for j in range(allowed)
                           if j not in basis and z[j] > 0), None)
             if enter is None:
@@ -260,6 +262,8 @@ def naive_lp_solve(rows: Sequence[Sequence[Fraction | int]],
             if leave is None:
                 return "unbounded"
             pivot(leave, enter)
+            f = z[enter]
+            z = [a - f * b if b else a for a, b in zip(z, tab[leave])]
 
     # phase 1: maximize minus the sum of artificials
     costs1 = [Fraction(0)] * n + [Fraction(-1)] * m

@@ -121,6 +121,23 @@ def test_verify_markov_table_method_agrees(capsys):
         config_str(x, space) for x in space.configs() for _ in range(v[x]))
 
 
+def test_verify_markov_checks_each_move_once(capsys, monkeypatch):
+    # the CLI checks its inputs up front, and the run does not check them
+    # again: one marginal of each move on the full model, on a PASS and a FAIL
+    cx, space = interval_complement(4, (1, 2, 3)), binary_space(4)
+    lay = layout(cx, space)
+    full = []
+    marginal_entries = type(lay).marginal_entries
+    monkeypatch.setattr(type(lay), "marginal_entries", lambda self, counts: (
+        full.append(tuple(counts)) if self is lay else None) or marginal_entries(self, counts))
+    vectors = [m.vector for m in interval_moves(4, (1, 2, 3))]
+    for extra, kept, code in (([], vectors, 0), (["--drop-move", "0"], vectors[1:], 1)):
+        full.clear()
+        argv = ["verify-markov", "--space", "2,2,2,2", "--G", "1,2,3", "--degree-limit", "4"]
+        assert run(capsys, argv + extra)[0] == code
+        assert sorted(full) == sorted(kept)
+
+
 def test_removed_flags_are_usage_errors(capsys, ind_path):
     for argv in (["verify-markov", "--space", "2,2,2", "--G", "1,2,3",
                   "--degree-limit", "6", "--method", "tables"],

@@ -907,6 +907,48 @@ def test_enumerate_fiber_splits_one_facet_complexes(rng):
                 assert got == [t.counts for t in naive_fiber(cx, sp, b)], (cx, b)
 
 
+def test_product_fibers_equal_the_whole_walk(rng, monkeypatch):
+    # cone-point complexes cut into three or more slices, with ternary
+    # variables inside the slices or on the cone point, at degrees 0-5: the
+    # product's tables equal the whole-model walk's (the split withheld) and,
+    # where it has at most 5,000 tables to filter, naive_fiber's; the slice
+    # fibers are the walk's distinct projections, in lex order
+    cases = [(interval_complement(4, {1, 2}), ConfigSpace((3, 2, 2, 2))),  # 4 slices, 3x2
+             (interval_complement(4, {1, 2}), ConfigSpace((2, 2, 3, 2))),  # 6 slices, 2x2
+             (interval_complement(4, {1, 2, 3}), ConfigSpace((2, 2, 2, 3))),  # 3, 2x2x2
+             (from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((3, 3, 3))),  # 3 slices, 3x3
+             (from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((2, 3, 3))),  # 3 slices, 2x3
+             (from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((2, 2, 3)))]  # 3 slices, 2x2
+    # on the first model, slice 0's two tables agree at their first cell and
+    # slice 1's differ there, so the product order is not lex order
+    tie = ContingencyTable(cases[0][1], tuple(int(ix in (5, 9, 12, 16)) for ix in range(24)))
+    unsorted = 0
+    for cx, sp in cases:
+        split = fiber._slices(layout(cx, sp))
+        assert len(split.cells) >= 3
+        tables = [random_table(rng, sp, degree) for degree in range(6)]
+        for u in tables + ([tie] if (cx, sp) == cases[0] else []):
+            degree = u.degree
+            b = marginal_map(cx, u)
+            fib = enumerate_fiber(cx, sp, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(fiber, "_slices", lambda lay: None)
+                whole = enumerate_fiber(cx, sp, b)
+            got = [t.counts for t in fib.tables]
+            assert got == [t.counts for t in whole.tables], (cx, sp, b)
+            if comb(degree + sp.size - 1, degree) <= 5_000:
+                assert got == [t.counts for t in naive_fiber(cx, sp, b)], (cx, sp, b)
+            assert whole._slice_fibers is None
+            assert list(fib._slice_fibers) == [sorted({itemgetter(*cells)(t) for t in got})
+                                               for cells in split.cells], (cx, sp, b)
+            # the product's own order, the first slice outermost, before the sort
+            joined = [split.assemble(tuple(chain.from_iterable(heads)))
+                      for heads in product(*fib._slice_fibers)]
+            assert sorted(joined) == got
+            unsorted += joined != got
+    assert unsorted  # the sort is exercised
+
+
 def assert_public_tables(fib):
     """The fiber's tables, wrapped unchecked, equal, hash and repr like
     tables built by the public constructor, with tuples of ints as counts."""
@@ -1157,10 +1199,10 @@ def count_whole_fiber_searches(monkeypatch, sp):
     calls = []
     search = fiber._label_components
 
-    def counted(tables, vectors):
+    def counted(tables, packed):
         if tables and len(tables[0]) == sp.size:
             calls.append(len(tables))
-        return search(tables, vectors)
+        return search(tables, packed)
 
     monkeypatch.setattr(fiber, "_label_components", counted)
     return calls
@@ -1271,6 +1313,39 @@ def test_fiber_connected_with_two_disconnected_slices(monkeypatch):
                 lesser.add(pair.index(where))
     # the witness comes from the earlier slice of a pair, and from the later
     assert lesser == {0, 1}
+
+
+def test_fiber_connected_shares_one_set_up_across_slices(monkeypatch):
+    # interval_complement(4, {1, 2}): the 2x2 swap s placed in slice 0, twice
+    # it in slice 1, both in slice 2 and nothing in slice 3, so each slice has
+    # its own move set; slice 0 holds entries above 127, so every slice is
+    # packed wider than a byte.  The search packs each move set once.
+    cx, sp = interval_complement(4, {1, 2}), binary_space(4)
+    cells = slice_cells(cx, sp)
+
+    def lifted(s, values):
+        return tuple(fiber._lift(cells[s], values, sp.size))
+
+    swap, double = (1, -1, -1, 1), (2, -2, -2, 2)
+    moves = [Move(sp, lifted(s, v))
+             for s, v in ((0, swap), (1, double), (2, swap), (2, double))]
+    u = ContingencyTable(sp, tuple(map(sum, zip(
+        lifted(0, (150, 10, 10, 0)), lifted(1, (2, 1, 1, 2)),
+        lifted(2, (1, 1, 1, 1)), lifted(3, (1, 0, 0, 1))))))
+    fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
+    assert [len(part) for part in fib._slice_fibers] == [11, 4, 3, 2]
+    packed, search = [], fiber._packed_steps
+    monkeypatch.setattr(fiber, "_packed_steps",
+                        lambda *args: packed.append(args) or search(*args))
+    whole = count_whole_fiber_searches(monkeypatch, sp)
+    # four, two, two and one distinct move sets over the four slices
+    for chosen, sets in ((moves, 4), (moves[:1], 2), (moves[1:2], 2), ([], 1)):
+        packed.clear()
+        assert_matches_oracle(fib, chosen)
+        assert whole == []
+        assert len(packed) == sets and {width for _, _, width in packed} == {9}
+    # slice 1 splits by parity under twice the swap, slice 3 has no move
+    assert fiber_connected(fib, moves).components == 2 * 2
 
 
 def test_fiber_connected_edge_cases_on_both_paths(monkeypatch):
