@@ -220,7 +220,7 @@ def _cmd_verify_markov(args) -> int:
 def _cmd_degree_bound(args) -> int:
     space = _load_space(args)
     cx = _load_complex(args, space)
-    _layout(cx, space)
+    _checked(spaces._check_model, cx, space)
     g, bound = _g_and_bound(cx)
     if g is None:
         raise UsageError("complex is the full power set: kernel is zero, no binomials exist")
@@ -258,7 +258,7 @@ def _cmd_degree_bound(args) -> int:
 def _cmd_neighborly(args) -> int:
     space = _load_space(args)
     cx = _load_complex(args, space)
-    _layout(cx, space)
+    _checked(spaces._check_model, cx, space)
     g, bound = _g_and_bound(cx)
     # by default one past the guaranteed neighborliness, to probe sharpness
     kmax = _kmax(args, bound if bound is not None else space.size)

@@ -42,8 +42,11 @@ facets F minus S (a lone facet leaves one empty facet, fixing each
 slice's total).  The fiber is therefore the product of the slice fibers (the
 toric fiber product of Sullivant, J. Algebra 2007; used for Markov bases
 by Dobra and Sullivant, Comput. Stat. 2004).  `enumerate_fiber` walks each
-distinct slice marginal once and assembles the product; every
-`interval_complement(n, G)` is such a complex, with S = [n] minus G.
+distinct slice marginal once and builds the product a column per full
+cell; every `interval_complement(n, G)` is such a complex, with S = [n]
+minus G.  The split keeps one map, per slice the full row of each slice
+row and the full cell of each slice cell (`spaces._slices`), and slice
+values go into the full model by one rule, `_lift`.
 
 The fiber graph splits the same way when every move's support lies in one
 slice, as every interval move's does.  A step by such a move changes that
@@ -64,7 +67,8 @@ of a kernel vector's positive part picks, per slice, nothing or one slice
 marginal P of that kind, and the number of marginals of degree d is the
 coefficient of x^d in (1 + sum over P of x^deg P) to the power of the
 number of slices.  A fiber is connected exactly when each of its slice
-fibers is, under that slice's moves.  Group the slices by their moves.
+fibers is, under that slice's moves.  Group the slices by their set of
+moves, as `fiber_connected` groups its parts (`_split_moves`).
 One degree loop on the slice model walks each slice marginal once and
 searches it once per group, and stops at the first degree at which any
 group fails: no group failed below it, so the induction holds for all of
@@ -301,7 +305,7 @@ def enumerate_fiber(cx: SimplicialComplex, space: ConfigSpace, b: MarginalVector
 
     The ceiling counts fiber assignments: the walk's assignments on the
     full model, or the slice walks' assignments and then the product's size,
-    charged before any table of the product is assembled.  The product path
+    charged before any table of the product is built.  The product path
     charges less than the full walk on the same fiber.  A nonempty product
     keeps its slice fibers, which `fiber_connected` searches.
 
@@ -408,13 +412,27 @@ def _label_components(tables: Sequence[tuple[int, ...]], packed: _Steps
     return ncomp, other
 
 
+def _lift(size: int, *pairs: tuple[Sequence[int], Sequence[int]]) -> tuple[int, ...]:
+    """A zero vector of the given size with each pair's values placed at its
+    positions: slice values placed into the full model at a split's `rows`
+    or `cells`."""
+    full = [0] * size
+    for positions, values in pairs:
+        for p, v in zip(positions, values):
+            full[p] = v
+    return tuple(full)
+
+
 def _split_moves(lay: MarginalLayout, split: _ConeSplit | None,
                  vectors: Sequence[tuple[int, ...]]
-                 ) -> tuple[_ConeSplit, list[list[tuple[int, ...]]]]:
-    """The cone split with, per slice, the projections of the nonzero vectors
-    whose support lies in it.  Without a split, or when some vector's support
+                 ) -> tuple[_ConeSplit, list[tuple[list[tuple[int, ...]], list[int]]]]:
+    """The cone split with its slices grouped by their moves: per group, the
+    projections of the nonzero vectors whose support lies in its first
+    slice, and its slices in order.  Slices share a group when their
+    projections are equal as sets; a group's search does not depend on their
+    order or on repeats.  Without a split, or when some vector's support
     spans two slices, the identity split instead: the model as its one slice
-    (its `part` is `lay` itself), with every vector."""
+    (its `part` is `lay` itself), in one group with every vector."""
     if split is not None:
         getters = [itemgetter(*cells) for cells in split.cells]
         slice_vectors: list[list[tuple[int, ...]]] = [[] for _ in getters]
@@ -424,10 +442,12 @@ def _split_moves(lay: MarginalLayout, split: _ConeSplit | None,
                 break
             slice_vectors[touched[0]].append(getters[touched[0]](vec))
         else:
-            return split, slice_vectors
-    every = tuple(range(lay.space.size))
-    return (_ConeSplit(lay, (tuple(range(lay.nrows)),), itemgetter(*every), (every,)),
-            [list(vectors)])
+            groups: dict[frozenset[tuple[int, ...]], tuple[list, list[int]]] = {}
+            for s, vecs in enumerate(slice_vectors):
+                groups.setdefault(frozenset(vecs), (vecs, []))[1].append(s)
+            return split, list(groups.values())
+    split = _ConeSplit(lay, (tuple(range(lay.nrows)),), (tuple(range(lay.space.size)),))
+    return split, [(list(vectors), [0])]
 
 
 def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
@@ -448,16 +468,16 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     own tables.  `_label_components` searches each part under its moves; the
     component count is the product of the parts' counts.  The search is set
     up once per call: one cell width for every part, from the fiber's degree
-    (`_width`), and the packed steps once per distinct move set of a part
-    (`_packed_steps`), so a part's search only packs its tables and walks.
+    (`_width`), and the packed steps once per group of slices with one move
+    set (`_packed_steps`), so a part's search only packs its tables and walks.
 
-    The witness is read off the parts.  The tables outside table 0's
-    component in part s form a product set: part s's tables outside the
-    component of its first, times every other part's tables.  The parts
-    are in lex order, and so is the fiber, whose lex order restricted to one
-    slice's cells, which are increasing, is that slice's; so the set's
-    least table is every part's first table with part s's first table
-    outside that component.  The least of these over the parts is the
+    The witness is read off the parts, each placed at its slice's cells
+    (`_lift`).  The tables outside table 0's component in part s form a
+    product set: part s's tables outside the component of its first, times
+    every other part's tables.  The parts are in lex order, and so is the
+    fiber, whose lex order restricted to one slice's cells, which are
+    increasing, is that slice's; so the set's least table is every part's
+    first table with part s's first table outside that component.  The least of these over the parts is the
     first table outside table 0's component.  On the identity split the
     one part is the fiber's tables in their own order, so the witness is
     the first table outside, in that order.  No induction hypothesis and
@@ -466,7 +486,7 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     lay = layout(fiber.complex, fiber.space)
     _validate_moves(lay, moves)
     vectors = [m.vector for m in moves if any(m.vector)]
-    split, slice_vectors = _split_moves(
+    split, groups = _split_moves(
         lay, None if fiber._slice_fibers is None else _slices(lay), vectors)
     if split.part is lay:
         parts = [[t.counts for t in fiber.tables]]
@@ -475,18 +495,16 @@ def fiber_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
         parts = fiber._slice_fibers
         degree = sum(sum(part[0]) for part in parts)
     width = _width(degree, vectors)
-    packed: dict[tuple[tuple[int, ...], ...], _Steps] = {}
     ncomp, candidates = 1, []
-    for s, (slice_tables, vecs) in enumerate(zip(parts, slice_vectors)):
-        key = tuple(vecs)
-        if key not in packed:
-            packed[key] = _packed_steps(vecs, split.part.space.size, width)
-        count, other = _label_components(slice_tables, packed[key])
-        ncomp *= count
-        if other is not None:
-            heads = [part[0] for part in parts]
-            heads[s] = slice_tables[other]
-            candidates.append(split.assemble(tuple(chain.from_iterable(heads))))
+    for vecs, members in groups:
+        packed = _packed_steps(vecs, split.part.space.size, width)
+        for s in members:
+            count, other = _label_components(parts[s], packed)
+            ncomp *= count
+            if other is not None:
+                heads = [part[0] for part in parts]
+                heads[s] = parts[s][other]
+                candidates.append(_lift(lay.space.size, *zip(split.cells, heads)))
     witness = None if not candidates else (
         fiber.tables[0], ContingencyTable(fiber.space, min(candidates)))
     return ConnectivityReport(fiber.size, ncomp, witness)
@@ -686,14 +704,6 @@ def _one_support_class(tables: Sequence[tuple[int, ...]]) -> bool:
     return len({find(c) for c in firsts}) == 1
 
 
-def _lift(positions: Sequence[int], values: Sequence[int], size: int) -> tuple[int, ...]:
-    """The values placed at the positions of a zero vector of the given size."""
-    full = [0] * size
-    for p, v in zip(positions, values):
-        full[p] = v
-    return tuple(full)
-
-
 def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequence[Move],
                         degree_limit: int, *, ceiling: int | None = None) -> MarkovReport:
     """Check that the moves connect every fiber of degree <= degree_limit.
@@ -713,7 +723,7 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     witness fiber is the failing slice fiber lifted into its slice, with
     that fiber's component count and witness pair.  One ceiling bounds the
     run's work: every assignment of the kernel-vector search and of the
-    fiber walks, and every product table assembled.  A ceiling error names
+    fiber walks, and every product table built.  A ceiling error names
     the run's ceiling, the phase and the degree: the search's degree limit,
     or the degree of the fibers being checked.
     """
@@ -724,11 +734,16 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
 def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int,
                    ceiling: int | None) -> MarkovReport:
     """`verify_markov_basis` on the layout and moves that `_markov_inputs`
-    returned, so a caller that ran those checks itself does not repeat them."""
+    returned, so a caller that ran those checks itself does not repeat them.
+
+    It shares its slice grouping with `fiber_connected` (`_split_moves`) but
+    searches other tables: each slice marginal's fiber, against every group
+    of slices.  The failing marginal and the witness fiber's tables are
+    lifted into their slice by `_lift`, at the split's `rows` and `cells`."""
     cx, space = lay.complex, lay.space
     budget = Budget(ceiling, "enumerated tables")
     vectors = [m.vector for m in moves if any(m.vector)]
-    split, slice_vectors = _split_moves(lay, _slices(lay), vectors)
+    split, groups = _split_moves(lay, _slices(lay), vectors)
     model = split.part
 
     by_degree: dict[int, set[tuple[int, ...]]] = {}
@@ -741,13 +756,10 @@ def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int
     # The first degree at which any group of slices fails is the whole
     # model's, and there the disconnected fibers are the failing slice
     # marginals, each in a slice of its group with every other slice zero.
-    groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
-    for s, vecs in enumerate(slice_vectors):
-        groups.setdefault(frozenset(vecs), []).append(s)
     # one search set-up per group, wide enough for every fiber of the run
     width = _width(max(by_degree, default=0), vectors)
     searches = [(_packed_steps(vecs, model.space.size, width), members)
-                for vecs, members in groups.items()]
+                for vecs, members in groups]
     bad = []
     for deg in sorted(by_degree):
         budget.where = f"fiber enumeration, degree {deg}"
@@ -758,7 +770,7 @@ def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int
             for packed, members in searches:
                 ncomp, other = _label_components(tables, packed)
                 if ncomp > 1:
-                    bad += [(_lift(split.rows[s], entries, lay.nrows), s, tables, ncomp, other)
+                    bad += [(_lift(lay.nrows, (split.rows[s], entries)), s, tables, ncomp, other)
                             for s in members]
         if bad:
             break
@@ -775,7 +787,7 @@ def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int
 
     least, s, tables, ncomp, other = min(bad, key=itemgetter(0))
     # cells[s] is increasing, so the lifted tables stay in lex order
-    lifted = tuple(ContingencyTable(space, _lift(split.cells[s], t, space.size))
+    lifted = tuple(ContingencyTable(space, _lift(space.size, (split.cells[s], t)))
                    for t in tables)
     fib = Fiber(cx, space, MarginalVector(least, lay.blocks()), lifted)
     report = ConnectivityReport(len(lifted), ncomp, (lifted[0], lifted[other]))

@@ -10,7 +10,7 @@ mass for "not a face", a strictly separating functional for "face".  The
 barycenter is kept as integer hit counts, the LP gets integer rows and
 right-hand side, and `FacialityCertificate.recheck` scales each certificate
 to integers and builds no Fraction.
-`is_facial` checks its input and hands its hit counts to the faciality
+`is_facial` checks its input and hands its survivors to the faciality
 core `_facial`, which `neighborliness` calls directly.  The sweep
 re-checks every certificate it gets, and decides a set with no surviving
 outside column in closed form.
@@ -40,8 +40,8 @@ from typing import Callable, Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget
-from .spaces import (Config, ConfigSpace, MarginalLayout, MarginalMatrix, _interchangeable,
-                     _place_weights, layout, marginal_matrix)
+from .spaces import (Config, ConfigSpace, MarginalLayout, MarginalMatrix, _check_model,
+                     _interchangeable, _place_weights, layout, marginal_matrix)
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,10 @@ def _reach(lay: MarginalLayout, y_ix: Iterable[int]) -> list[int]:
     Y, as a bit mask.
 
     Each column hits one row per block, so the columns that hit no zero row
-    of Y's hit counts, the survivors of `_hits`, are those in every mask.
+    of Y's hit counts, its survivors, are those in every mask.  Every member
+    of Y survives.  A column outside Y that does not can carry no mass in a
+    combination with the barycenter's value, so Y is a face when no column
+    outside Y survives.
     """
     cols = _row_columns(lay)
     reach = [0] * len(lay.facet_members)
@@ -277,41 +280,25 @@ def _reach(lay: MarginalLayout, y_ix: Iterable[int]) -> list[int]:
     return reach
 
 
-def _hits(lay: MarginalLayout, y_ix: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Per row, the members of Y it holds; and the survivors, the columns that
-    hit no zero row of those counts, in index order.
-
-    Every member of Y survives.  A column outside Y that does not can carry
-    no mass in a combination with the barycenter's value, so Y is a face
-    when no column outside Y survives.
-    """
-    hits = [0] * lay.nrows
-    for ix in y_ix:
-        for r in lay.rows_of[ix]:
-            hits[r] += 1
-    alive = reduce(and_, _reach(lay, y_ix), (1 << lay.space.size) - 1)
-    return hits, [ix for ix in range(lay.space.size) if alive >> ix & 1]
-
-
 def is_facial(cx: SimplicialComplex, space: ConfigSpace,
               members: Iterable[Sequence[int]]) -> FacialityCertificate:
     """Decide whether conv of the columns of Y is a face of the polytope.
 
     A thin wrapper: it checks the members (each must be a configuration of
-    the space, and Y nonempty), computes their `_hits` and hands both to the
-    faciality core `_facial`, which `neighborliness` calls directly.
+    the space, and Y nonempty), reads their survivors off the `_reach` masks
+    and hands both to the faciality core `_facial`, which `neighborliness`
+    calls directly.
     """
     lay = layout(cx, space)
     y_ix = sorted({space.index(tuple(x)) for x in members})
     if not y_ix:
         raise ValueError("Y must be nonempty")
-    return _facial(lay, y_ix, *_hits(lay, y_ix))
+    return _facial(lay, y_ix, reduce(and_, _reach(lay, y_ix), (1 << space.size) - 1))
 
 
-def _facial(lay: MarginalLayout, y_ix: Sequence[int], hits: Sequence[int],
-            survivors: Sequence[int]) -> FacialityCertificate:
+def _facial(lay: MarginalLayout, y_ix: Sequence[int], alive: int) -> FacialityCertificate:
     """The faciality core: the verdict and certificate of Y, given as its
-    sorted configuration indices with their `_hits`.
+    sorted configuration indices and its survivors as a bit mask (`_reach`).
 
     The barycenter of Y is h / |Y|, h the members of Y on each row.
     Columns that hit a zero row carry no mass and are left out of the LP;
@@ -325,6 +312,11 @@ def _facial(lay: MarginalLayout, y_ix: Sequence[int], hits: Sequence[int],
     of its positive weights on the kept rows and c0 its value on Y.
     """
     m = len(y_ix)
+    hits = [0] * lay.nrows
+    for ix in y_ix:
+        for r in lay.rows_of[ix]:
+            hits[r] += 1
+    survivors = [ix for ix in range(lay.space.size) if alive >> ix & 1]
     share = [Fraction(h, m) for h in range(m + 1)]
     bary = tuple([share[h] for h in hits])
     y_configs = tuple(map(lay.space.config, y_ix))
@@ -576,7 +568,7 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     smaller configuration (`_prefix_rule`), and singletons and pairs are
     decided in closed form (`_small_least`).
 
-    A candidate with no surviving outside column (`_hits`) is a face in
+    A candidate with no surviving outside column (`_reach`) is a face in
     closed form: every outside column hits a zero row of its barycenter.
     The survivors are read off bit masks: per facet block, the columns
     whose row there holds a member of R (`_reach`, once per R), widened by
@@ -586,10 +578,10 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     over is a face, and the lex-first non-facial set is lex-least in its
     orbit, so it is still the first set to reach the LP and fail.  Any
     other candidate goes to the faciality core `_facial`, the one that
-    `is_facial` wraps, with its `_hits`, so no configuration is built or
-    indexed for it.  Every certificate the core returns is re-checked in
-    integers against one marginal matrix, and a failure raises
-    AssertionError.
+    `is_facial` wraps, with the survivors' mask the sweep already holds; the
+    core counts the hits itself, and no configuration is built or indexed
+    for it.  Every certificate the core returns is re-checked in integers
+    against one marginal matrix, and a failure raises AssertionError.
 
     The ceiling counts the candidates of each level, sum over the
     representatives R below of size - 1 - max R (`size` at level 1),
@@ -627,7 +619,7 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
                 if (closed and k == top) or not least(combo_x):
                     continue
                 if not closed:
-                    cert = _facial(lay, combo_x, *_hits(lay, combo_x))
+                    cert = _facial(lay, combo_x, alive)
                     if not cert.recheck(matrix):
                         kind = "face" if cert.is_face else "non-face"
                         raise AssertionError(
@@ -649,8 +641,7 @@ def polytope_dimension(cx: SimplicialComplex, space: ConfigSpace) -> int:
     the constants, one dimension, which the affine hull of the columns loses:
     every facet block of a column sums to 1.
     """
-    if cx.n != space.n:
-        raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
+    _check_model(cx, space)
     q = space.cardinalities
     return sum(prod(q[i] - 1 for i in range(cx.n) if mask >> i & 1)
                for mask in range(1, 1 << cx.n)

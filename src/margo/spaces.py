@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product, repeat
 from math import prod
-from operator import and_, index, itemgetter
+from operator import and_, index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import SimplicialComplex, _mask_of, from_facets
@@ -275,6 +275,12 @@ class MarginalMatrix:
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
 
 
+def _check_model(cx: SimplicialComplex, space: ConfigSpace) -> None:
+    """Raise a ValueError unless the complex and the space agree on n."""
+    if cx.n != space.n:
+        raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
+
+
 class MarginalLayout:
     """Row bookkeeping for a (complex, space) pair.
 
@@ -284,8 +290,7 @@ class MarginalLayout:
     """
 
     def __init__(self, cx: SimplicialComplex, space: ConfigSpace):
-        if cx.n != space.n:
-            raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
+        _check_model(cx, space)
         self.complex = cx
         self.space = space
         self.facet_members: list[tuple[int, ...]] = [tuple(sorted(f)) for f in cx.facets]
@@ -335,7 +340,6 @@ class _ConeSplit(NamedTuple):
 
     part: MarginalLayout  # the slice model: the facets F minus S on the other variables
     rows: tuple[tuple[int, ...], ...]  # per slice, the full row of each slice row
-    assemble: itemgetter  # the slice tables, concatenated in slice order, to a full table
     cells: tuple[tuple[int, ...], ...]  # per slice, the full cell of each slice cell
 
 
@@ -347,9 +351,10 @@ def _slices(lay: MarginalLayout) -> _ConeSplit | None:
     facet-free complex and the full simplex).  The marginal matrix is then
     block diagonal, one block per value of x_S, and each block is the matrix
     of the slice model, whose facets F minus S share no variable; a single
-    facet F leaves one empty facet, which fixes each slice's total.  `cells`
-    inverts `assemble` slice by slice.  Cached per layout, and so per
-    (complex, space) like `layout` itself.
+    facet F leaves one empty facet, which fixes each slice's total.  `rows`
+    and `cells` map each slice's rows and cells to the full model's, the one
+    map by which `fiber._lift` places slice values into it.  Cached per
+    layout, and so per (complex, space) like `layout` itself.
     """
     cx, space = lay.complex, lay.space
     full = (1 << cx.n) - 1
@@ -365,14 +370,11 @@ def _slices(lay: MarginalLayout) -> _ConeSplit | None:
     cone_space = sub_space(space, cone)
     rows = [[0] * part.nrows for _ in range(cone_space.size)]
     cells = [[0] * part.space.size for _ in range(cone_space.size)]
-    position = [0] * space.size
     for ix, (s, j) in enumerate(zip(_restriction(space, cone), _restriction(space, rest))):
-        position[ix] = s * part.space.size + j
         cells[s][j] = ix
         for f, r in enumerate(part.rows_of[j]):
             rows[s][r] = lay.rows_of[ix][facet_of[f]]
-    return _ConeSplit(part, tuple(map(tuple, rows)), itemgetter(*position),
-                      tuple(map(tuple, cells)))
+    return _ConeSplit(part, tuple(map(tuple, rows)), tuple(map(tuple, cells)))
 
 
 def _interchangeable(cx: SimplicialComplex, space: ConfigSpace) -> tuple[tuple[int, ...], ...]:
@@ -383,8 +385,7 @@ def _interchangeable(cx: SimplicialComplex, space: ConfigSpace) -> tuple[tuple[i
     and (j k) fix the facets, so does (i k) = (i j)(j k)(i j).  Classes are
     ordered by their least variable; every variable is in one.
     """
-    if cx.n != space.n:
-        raise ValueError(f"complex on {cx.n} indices vs space on {space.n} variables")
+    _check_model(cx, space)
     q = space.cardinalities
     facets = set(cx.facets)
     classes: list[list[int]] = []

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from margo import (ContingencyTable, binary_space, character, cli, fiber, from_facets,
-                   interval_complement, interval_moves, polytope, uniform_complex)
+                   interval_complement, interval_moves, polytope, spaces, uniform_complex)
 from margo.guards import Budget
 from margo.spaces import config_str, layout
 
@@ -204,6 +204,18 @@ def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"{prefix} 50 subsets tested (neighborliness sweep, level 2)\n"
+
+
+def test_neighborly_refuses_before_building_the_layout(capsys, monkeypatch):
+    # on 2^18 configurations the level-1 charge refuses the run; the CLI
+    # checks the model on n alone, so no layout is built before it
+    def build(*args):
+        raise AssertionError("layout built")
+
+    monkeypatch.setattr(spaces.MarginalLayout, "__init__", build)
+    argv = ["neighborly", "--G", "1,2", "--space", ",".join("2" * 18), "--ceiling", "10"]
+    assert run(capsys, argv) == (2, "", "margo: resource ceiling exceeded: more than 10 "
+                                        "subsets tested (neighborliness sweep, level 1)\n")
 
 
 def test_kmax_below_one_is_a_usage_error(capsys, d2_path):

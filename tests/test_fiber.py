@@ -386,8 +386,9 @@ def test_verify_markov_slice_path_charges():
 
 def counted_work(monkeypatch):
     """A counter of a run's work, kept apart from its budget: every
-    assignment of the kernel-vector search and of the fiber walks, and every
-    product table assembled on a cone split."""
+    assignment of the kernel-vector search and of the fiber walks.  The runs
+    it counts build no product of slice fibers: the slice model has no cone
+    point, and the whole-model path withholds the split."""
     work = [0]
 
     class Tee:
@@ -402,20 +403,6 @@ def counted_work(monkeypatch):
         search = getattr(fiber, name)
         monkeypatch.setattr(fiber, name, lambda lay, arg, budget, search=search:
                             search(lay, arg, Tee(budget)))
-    split_of = fiber._slices
-
-    def counted_split(lay):
-        split = split_of(lay)
-        if split is None:
-            return None
-
-        def assemble(joined):
-            work[0] += 1
-            return split.assemble(joined)
-
-        return split._replace(assemble=assemble)
-
-    monkeypatch.setattr(fiber, "_slices", counted_split)
     return work
 
 
@@ -942,7 +929,7 @@ def test_product_fibers_equal_the_whole_walk(rng, monkeypatch):
             assert list(fib._slice_fibers) == [sorted({itemgetter(*cells)(t) for t in got})
                                                for cells in split.cells], (cx, sp, b)
             # the product's own order, the first slice outermost, before the sort
-            joined = [split.assemble(tuple(chain.from_iterable(heads)))
+            joined = [fiber._lift(sp.size, *zip(split.cells, heads))
                       for heads in product(*fib._slice_fibers)]
             assert sorted(joined) == got
             unsorted += joined != got
@@ -1214,20 +1201,19 @@ def slice_cells(cx, sp):
 
 def test_slices_round_trip():
     # the per-slice cells partition the full cells, and projecting a table
-    # onto them and assembling the projections gives the table back
+    # onto them and lifting the projections back gives the table
     for cx, sp in ((interval_complement(3, {1, 2}), B3),
                    (interval_complement(4, {1, 2}), binary_space(4)),
                    (interval_complement(4, {1, 2, 3}), binary_space(4)),
                    (from_facets(3, [{1, 3}, {2, 3}]), ConfigSpace((2, 2, 3)))):
-        split = fiber._slices(layout(cx, sp))
-        cells = split.cells
+        cells = slice_cells(cx, sp)
         assert sorted(chain.from_iterable(cells)) == list(range(sp.size))
         u = ContingencyTable(sp, tuple(ix % 3 for ix in range(sp.size)))
         fib = enumerate_fiber(cx, sp, marginal_map(cx, u))
         assert fib.size > 1
         for t in fib.tables:
-            joined = tuple(chain.from_iterable(itemgetter(*c)(t.counts) for c in cells))
-            assert split.assemble(joined) == t.counts
+            projections = [itemgetter(*c)(t.counts) for c in cells]
+            assert fiber._lift(sp.size, *zip(cells, projections)) == t.counts
 
 
 def test_fiber_connected_product_path_agrees_with_component_oracle(monkeypatch):
@@ -1324,7 +1310,7 @@ def test_fiber_connected_shares_one_set_up_across_slices(monkeypatch):
     cells = slice_cells(cx, sp)
 
     def lifted(s, values):
-        return tuple(fiber._lift(cells[s], values, sp.size))
+        return fiber._lift(sp.size, (cells[s], values))
 
     swap, double = (1, -1, -1, 1), (2, -2, -2, 2)
     moves = [Move(sp, lifted(s, v))
@@ -1346,6 +1332,33 @@ def test_fiber_connected_shares_one_set_up_across_slices(monkeypatch):
         assert len(packed) == sets and {width for _, _, width in packed} == {9}
     # slice 1 splits by parity under twice the swap, slice 3 has no move
     assert fiber_connected(fib, moves).components == 2 * 2
+
+
+def test_slices_whose_moves_differ_in_order_agree_with_the_oracles(monkeypatch):
+    # interval_complement(3, {1, 2}) on 3,2,2 cuts at x3 into two 3x2 slices.
+    # The slice model's three swaps a, b, c are placed as a0, b0, c0, c1, b1,
+    # a1, so the slices' move lists are equal as sets but not as sequences:
+    # a set key puts both slices in one group, a sequence key in two.  Either
+    # way the verdicts are the whole model's and the oracles'.
+    cx, sp = interval_complement(3, {1, 2}), ConfigSpace((3, 2, 2))
+    cells = slice_cells(cx, sp)
+
+    def swap(i, j):  # rows i and j of a 3x2 slice table, cell 2 * row + column
+        return tuple((ix in (2 * i, 2 * j + 1)) - (ix in (2 * i + 1, 2 * j)) for ix in range(6))
+
+    a, b, c = swap(0, 1), swap(0, 2), swap(1, 2)
+    moves = [Move(sp, fiber._lift(sp.size, (cells[s], v)))
+             for s, v in ((0, a), (0, b), (0, c), (1, c), (1, b), (1, a))]
+    # PASS, and a FAIL once a0 is dropped
+    for chosen, passed in ((moves, True), (moves[1:], False)):
+        rep = assert_matches_table_sweep(cx, sp, chosen, 4)
+        assert rep.passed is passed
+        assert rep == whole_model_report(monkeypatch, cx, sp, chosen, 4)
+        assert_witness_rebuilds(cx, sp, chosen, rep)
+        for counts in ((1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1), (2, 1, 0, 1, 1, 1) * 2):
+            fib = enumerate_fiber(cx, sp, marginal_map(cx, ContingencyTable(sp, counts)))
+            assert fib._slice_fibers is not None and fib.size > 1
+            assert_matches_oracle(fib, chosen)
 
 
 def test_fiber_connected_edge_cases_on_both_paths(monkeypatch):

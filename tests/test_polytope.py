@@ -501,9 +501,9 @@ def test_sets_without_a_surviving_outside_column_skip_is_facial(monkeypatch):
     calls = []
     facial = polytope._facial
 
-    def spy(lay, y_ix, hits, survivors):
+    def spy(lay, y_ix, alive):
         calls.append(list(y_ix))
-        return facial(lay, y_ix, hits, survivors)
+        return facial(lay, y_ix, alive)
 
     want = naive_neighborliness(D2_3, B3, 4)  # the oracle's calls go through the core too
     monkeypatch.setattr(polytope, "_facial", spy)
@@ -786,12 +786,12 @@ def test_sweep_reports_equal_without_the_closed_forms_and_the_memo(monkeypatch):
 
 def test_the_sweeps_faciality_core_equals_is_facial(monkeypatch):
     # every candidate the benchmark's d2 sweeps send to an LP: the core,
-    # called with the sweep's own hit counts, returns is_facial's certificate
+    # called with the sweep's own survivors, returns is_facial's certificate
     core, sent = polytope._facial, []
 
-    def spy(lay, y_ix, hits, survivors):
-        cert = core(lay, y_ix, hits, survivors)
-        sent.append((lay.space, tuple(y_ix), len(survivors) > len(y_ix), cert))
+    def spy(lay, y_ix, alive):
+        cert = core(lay, y_ix, alive)
+        sent.append((lay.space, tuple(y_ix), alive.bit_count() > len(y_ix), cert))
         return cert
 
     monkeypatch.setattr(polytope, "_facial", spy)
