@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
 from math import prod
 from operator import itemgetter, lshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -98,11 +98,11 @@ from .spaces import (
     MarginalLayout,
     MarginalVector,
     _ConeSplit,
+    _config_sep,
     _integers,
     _place_weights,
     _slices,
     _trusted_tables,
-    config_str,
     layout,
 )
 
@@ -569,7 +569,7 @@ def _kernel_vectors(lay: MarginalLayout, bound: int, budget: Budget, *,
     """
     size = lay.space.size
     walk = range(size) if least else _walk(lay)
-    completions = _completions(lay, walk)
+    completions = _lex_completions(lay) if least else _completions(lay, walk)
     facet_of_row = [f for f, bs in enumerate(lay.block_spaces) for _ in range(bs.size)]
     rows_at = [[(r, facet_of_row[r]) for r in lay.rows_of[ix]] for ix in walk]
     psum = [0] * lay.nrows
@@ -794,20 +794,43 @@ def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int
     return MarkovReport(False, degree_limit, checked, DisconnectedFiber(fib, report))
 
 
+def _incumbent(lay: MarginalLayout) -> tuple[int, ...] | None:
+    """The interval move of the first non-face G in (size, lex) order, a
+    minimal one, placed on the binary sub-box: (-1)^(ones on G) on each
+    configuration that is 0/1 on G and 0 elsewhere.  A kernel vector of
+    degree 2^(|G|-1), checked against the marginal map (AssertionError if
+    not); None when every set is a face."""
+    G = next(lay.complex.nonfaces(), None)
+    if G is None:
+        return None
+    weights, vec = _place_weights(lay.space.cardinalities), [0] * lay.space.size
+    for ones in product((0, 1), repeat=len(G)):
+        vec[sum(weights[i - 1] for i, one in zip(G, ones) if one)] = (-1) ** sum(ones)
+    if any(lay.marginal_entries(vec)):
+        raise AssertionError(f"interval move of {sorted(G)} is not a kernel vector")
+    return tuple(vec)
+
+
 def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
                         *, ceiling: int | None = None) -> tuple[int, Move] | None:
     """Smallest degree k <= k_max carrying a disjoint-support binomial pair.
 
     Such a pair of degree-k tables is the positive and negative part of a
-    kernel vector of degree k.  So each degree first asks the lazy
-    kernel-vector search for one vector with both parts of degree <= k and
-    skips the degree when there is none; at the first degree with one,
-    every such vector has degree k.  The witness is the least square-free
-    degree-k kernel vector whose first nonzero entry is positive, ordered
-    by (negative cells, positive cells), each sorted (`_kernel_vectors` with
-    `least`).  As the move u - v it is the first pair (u, v) of a scan of
-    the square-free degree-k tables as k-subsets in lex order: of two
-    disjoint k-subsets the earlier holds the least cell.
+    kernel vector of degree k.  The search starts from an incumbent, the
+    interval move of the first non-face G (`_incumbent`), of degree
+    2^(|G|-1); with no non-face the best degree so far starts at k_max + 1.
+    One exhaustive run of the lazy kernel-vector search at the bound
+    b = min(k_max, best - 1) asks for a vector below the best degree; a
+    vector of degree d makes d the best and starts a fresh search at d - 1,
+    and the first search that yields nothing proves the best degree least.
+    The theorem below says the first search yields nothing, but it is run,
+    not trusted.  A least degree above k_max gives None.  The witness is
+    the least square-free degree-k kernel vector whose first nonzero entry
+    is positive, ordered by (negative cells, positive cells), each sorted
+    (`_kernel_vectors` with `least`).  As the move u - v it is the first
+    pair (u, v) of a scan of the square-free degree-k tables as k-subsets
+    in lex order: of two disjoint k-subsets the earlier holds the least
+    cell.
 
     At the least degree every kernel vector is square-free.  Let g be the
     size of a smallest non-face.  The marginal polytope is
@@ -822,8 +845,9 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     support bound, and raises `AssertionError`.
 
     A facet-free complex's witness is (1, e_0 - e_1).  The ceiling counts
-    both searches' assignments against one budget, and its error names the
-    phase and the degree reached.
+    the assignments of every search against one budget, and its error names
+    the phase and its degree: the bound b of a kernel-vector search, or the
+    degree of the witness search.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -831,23 +855,29 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     budget = Budget(ceiling, "enumerated tables")
     if not lay.nrows:
         return 1, Move(space, (1, -1) + (0,) * (space.size - 2))
-    for k in range(1, k_max + 1):
-        budget.where = f"kernel-vector search, degree {k}"
-        if next(_kernel_vectors(lay, k, budget), None) is None:
-            continue
-        budget.where = f"witness search, degree {k}"
-        vec = None
-        for vec in _kernel_vectors(lay, k, budget, least=True):
-            pass  # each vector is less than the one before
+    vec = _incumbent(lay)
+    best = k_max + 1 if vec is None else sum(v for v in vec if v > 0)
+    while best > 1:  # each search is exhaustive below the best degree so far
+        b = min(k_max, best - 1)
+        budget.where = f"kernel-vector search, degree {b}"
+        vec = next(_kernel_vectors(lay, b, budget), None)
         if vec is None:
-            raise AssertionError(f"support bound broken: no square-free vector at degree {k}")
-        return k, Move(space, vec)
-    return None
+            break
+        best = sum(v for v in vec if v > 0)
+    if best > k_max:
+        return None
+    budget.where = f"witness search, degree {best}"
+    vec = None
+    for vec in _kernel_vectors(lay, best, budget, least=True):
+        pass  # each vector is less than the one before
+    if vec is None:
+        raise AssertionError(f"support bound broken: no square-free vector at degree {best}")
+    return best, Move(space, vec)
 
 
 def tableau(u: ContingencyTable) -> str:
     """A table as the multiset of its configurations, one per line."""
-    lines = []
-    for x, c in zip(u.space.configs(), u.counts):
-        lines.extend([config_str(x, u.space)] * c)
+    sep, lines = _config_sep(u.space), []
+    for x, c in zip(compress(u.space.configs(), u.counts), filter(None, u.counts)):
+        lines += [sep.join(map(str, x))] * c
     return "\n".join(lines) + ("\n" if lines else "")

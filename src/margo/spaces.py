@@ -442,11 +442,14 @@ def kernel_check(matrix: MarginalMatrix, vec: Sequence[int]) -> bool:
     return all(v == 0 for v in matrix.mul(vec))
 
 
+def _config_sep(space: ConfigSpace) -> str:
+    """The separator of `config_str`: none while every value is one digit."""
+    return "" if all(q <= 10 for q in space.cardinalities) else " "
+
+
 def config_str(x: Sequence[int], space: ConfigSpace) -> str:
     """Render a configuration as a digit string (spaced when digits overflow)."""
-    if all(q <= 10 for q in space.cardinalities):
-        return "".join(str(v) for v in x)
-    return " ".join(str(v) for v in x)
+    return _config_sep(space).join(map(str, x))
 
 
 def format_matrix(rows: Sequence[Sequence[int]]) -> str:

@@ -184,18 +184,22 @@ def test_ceiling_errors_name_phase_and_degree(capsys, d2_path):
     assert code == 2 and out == ""
     assert err == f"{prefix} 9 enumerated tables (kernel-vector search, degree 4)\n"
 
-    # the degree-1 search makes 10 assignments
+    # the incumbent has degree 4, and the one kernel-vector search, at
+    # degree 3, makes 16 assignments
     argv = ["degree-bound", "--complex", d2_path, "--space", "2,2,2"]
-    code, out, err = run(capsys, argv + ["--ceiling", "9"])
+    lay, searched, witness = layout(uniform_complex(3, 2), binary_space(3)), Budget(None), Budget(None)
+    assert next(fiber._kernel_vectors(lay, 3, searched), None) is None
+    list(fiber._kernel_vectors(lay, 4, witness, least=True))
+    assert (searched.used, witness.used) == (16, 10)
+    code, out, err = run(capsys, argv + ["--ceiling", "15"])
     assert code == 2 and out == ""
-    assert err == f"{prefix} 9 enumerated tables (kernel-vector search, degree 1)\n"
-    # room for the searches of degrees 1..4 but not for the degree-4 witness search
-    lay, searched = layout(uniform_complex(3, 2), binary_space(3)), Budget(None)
-    for k in (1, 2, 3, 4):
-        next(fiber._kernel_vectors(lay, k, searched), None)
-    code, out, err = run(capsys, argv + ["--ceiling", str(searched.used)])
+    assert err == f"{prefix} 15 enumerated tables (kernel-vector search, degree 3)\n"
+    # room for the degree-3 search but not for all of the degree-4 witness search
+    code, out, err = run(capsys, argv + ["--ceiling", "25"])
     assert code == 2 and out == ""
-    assert err == f"{prefix} {searched.used} enumerated tables (witness search, degree 4)\n"
+    assert err == f"{prefix} 25 enumerated tables (witness search, degree 4)\n"
+    code, out, err = run(capsys, argv + ["--ceiling", "26"])
+    assert code == 0 and err == "" and "witness-degree: 4" in out
 
     # the 27 level-1 candidates fit under the ceiling; with the 26 level-2
     # candidates built from (0,) they do not

@@ -613,34 +613,119 @@ def test_min_binomial_degree_matches_oracle():
 
 
 def test_min_binomial_degree_charges_each_scanned_table_once():
-    # no binomial of degree <= 3 on d2: the kernel-vector search runs to its
-    # end at each degree 1..3, finds nothing, and no table is scanned
+    # no binomial of degree <= 3 on d2, whose incumbent has degree 4: one
+    # kernel-vector search at degree 3 runs to its end, finds nothing, and
+    # no table is scanned
     lay = layout(D2_3, B3)
     searched = Budget(None)
-    for k in (1, 2, 3):
-        assert next(fiber._kernel_vectors(lay, k, searched), None) is None
+    assert next(fiber._kernel_vectors(lay, 3, searched), None) is None
+    assert searched.used == 16
     assert min_binomial_degree(D2_3, B3, 3, ceiling=searched.used) is None
     with pytest.raises(ResourceCeilingError, match=r"\(kernel-vector search, degree 3\)$"):
         min_binomial_degree(D2_3, B3, 3, ceiling=searched.used - 1)
 
-    # u(4,3) over 2^4: the searches at degrees 1..7 find nothing, the one at
-    # degree 8 stops at its first vector, and the degree-8 witness search
-    # charges every assignment of its key-pruned walk; no table is scanned
+    # u(4,3) over 2^4: the incumbent has degree 8, the one search at degree
+    # 7 finds nothing, and the degree-8 witness search charges every
+    # assignment of its key-pruned walk; no table is scanned
     cx, sp = uniform_complex(4, 3), binary_space(4)
     lay = layout(cx, sp)
     searched = Budget(None)
-    for k in range(1, 8):
-        assert next(fiber._kernel_vectors(lay, k, searched), None) is None
-    assert next(fiber._kernel_vectors(lay, 8, searched), None) is not None
+    assert next(fiber._kernel_vectors(lay, 7, searched), None) is None
     witness = Budget(None)
     *_, least = fiber._kernel_vectors(lay, 8, witness, least=True)
     k, move = min_binomial_degree(cx, sp, 8)
     assert k == 8 and move.vector == least and all(abs(v) == 1 for v in least)
     run = searched.used + witness.used
-    assert (searched.used, witness.used) == (229, 18)
+    assert (searched.used, witness.used) == (39, 18)
     assert min_binomial_degree(cx, sp, 8, ceiling=run) == (8, move)
     with pytest.raises(ResourceCeilingError, match=r"\(witness search, degree 8\)$"):
         min_binomial_degree(cx, sp, 8, ceiling=run - 1)
+    with pytest.raises(ResourceCeilingError, match=r"\(kernel-vector search, degree 7\)$"):
+        min_binomial_degree(cx, sp, 8, ceiling=searched.used - 1)
+
+
+def test_incumbent_is_a_kernel_vector_of_the_support_bound_degree():
+    # the first non-face's interval move on the binary sub-box: entries in
+    # {-1, 0, 1}, 2^(g-1) cells of each sign, equal marginals of both parts
+    models = 0
+    for n in range(1, 5):
+        for cards in product((2, 3), repeat=n):
+            sp = ConfigSpace(cards)
+            for cx in [*all_complexes(n), from_facets(n, [set()])]:
+                if not cx.facets:
+                    continue  # no marginal rows: min_binomial_degree answers first
+                vec = fiber._incumbent(layout(cx, sp))
+                if cx.is_face(range(1, n + 1)):
+                    assert vec is None
+                    continue
+                half = 2 ** (cx.min_nonface_cardinality() - 1)
+                assert (vec.count(1), vec.count(-1), vec.count(0)) == (half, half, sp.size - 2 * half)
+                move = Move(sp, vec)
+                assert marginal_map(cx, move.positive) == marginal_map(cx, move.negative)
+                models += 1
+    assert models == 1 * 2 + 4 * 4 + 18 * 8 + 166 * 16  # per n, complexes times spaces
+
+
+def _searched_bounds(monkeypatch) -> list[int]:
+    """The bounds of the kernel-vector searches (not the witness searches)
+    that the run makes from here on, appended as each one starts."""
+    search, bounds = fiber._kernel_vectors, []
+
+    def counted(lay, bound, budget, least=False):
+        if not least:
+            bounds.append(bound)
+        return search(lay, bound, budget, least=least)
+
+    monkeypatch.setattr(fiber, "_kernel_vectors", counted)
+    return bounds
+
+
+@pytest.mark.parametrize("patch", ["none", "doubled"])
+def test_min_binomial_degree_does_not_rest_on_the_incumbent(monkeypatch, patch):
+    # with no incumbent the first search is at k_max; with the incumbent
+    # doubled, a kernel vector of twice the least degree, the first search
+    # finds a vector and the loop tightens the bound: the result is the same
+    cases = [(cx, ConfigSpace(cards), k_max) for cards in ((2, 2, 2), (3, 2, 2), (3, 3, 2))
+             for cx in all_complexes(3) if cx.facets for k_max in (1, 2, 4)]
+    want = [min_binomial_degree(*case) for case in cases]
+    real = fiber._incumbent
+    monkeypatch.setattr(fiber, "_incumbent", {
+        "none": lambda lay: None,
+        "doubled": lambda lay: real(lay) and tuple(2 * v for v in real(lay))}[patch])
+    bounds = _searched_bounds(monkeypatch)
+    tightened = 0
+    for case, unpatched in zip(cases, want):
+        del bounds[:]
+        got = min_binomial_degree(*case)
+        oracle = naive_min_binomial_degree(*case)
+        assert got == unpatched, case
+        assert (got is None) == (oracle is None), case
+        if got is not None:
+            assert got[0] == oracle[0] and got[1].vector == oracle[1].vector, case
+        tightened += len(bounds) > 1
+    assert tightened > 0
+
+
+def test_min_binomial_degree_matches_oracle_at_every_k_max():
+    # k_max from 1 to 2^(g-1) + 2, each search at min(k_max, best - 1); the
+    # full power set has a zero kernel and no g, so it is run to k_max 3
+    for cards in product((2, 3), repeat=3):
+        sp = ConfigSpace(cards)
+        for cx in all_complexes(3):
+            if not cx.facets:
+                continue
+            full = cx.is_face({1, 2, 3})
+            top = 3 if full else 2 ** (cx.min_nonface_cardinality() - 1) + 2
+            # the oracle scans degrees upwards, so at a lower k_max it
+            # returns the same pair when its degree fits and None otherwise
+            oracle = naive_min_binomial_degree(cx, sp, top)
+            assert (oracle is None) == full
+            for k_max in range(1, top + 1):
+                got = min_binomial_degree(cx, sp, k_max)
+                if oracle is None or oracle[0] > k_max:
+                    assert got is None, (cx, cards, k_max)
+                else:
+                    assert got[0] == oracle[0] and got[1].vector == oracle[1].vector, (cx, cards, k_max)
 
 
 def test_min_binomial_degree_agrees_with_oracle_on_four_variables():
@@ -749,6 +834,10 @@ def test_tableau():
     assert tableau(u) == "000\n110\n111\n111\n"
     assert tableau(ContingencyTable.zero(B3)) == ""
     assert tableau(ContingencyTable.indicator(B2, (0, 1))) == "01\n"
+    # past nine values a line is spaced, as config_str renders it
+    wide = ConfigSpace((2, 11))
+    u = ContingencyTable(wide, (0,) * 10 + (1,) + (0,) * 3 + (2,) + (0,) * 7)
+    assert tableau(u) == "0 10\n1 3\n1 3\n"
 
 
 def both_signs(vectors):
