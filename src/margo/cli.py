@@ -180,8 +180,8 @@ def _cmd_verify_markov(args) -> int:
         if not 0 <= args.drop_move < len(moves):
             raise UsageError(f"--drop-move index out of range 0..{len(moves) - 1}")
         del moves[args.drop_move]
-    lay, checked = _checked(fiber._markov_inputs, cx, space, moves, args.degree_limit)
-    report = fiber._verify_markov(lay, checked, args.degree_limit, _ceiling(args))
+    inputs = _checked(fiber._markov_inputs, cx, space, moves, args.degree_limit)
+    report = fiber._verify_markov(*inputs, _ceiling(args))
     pairs = [
         ("command", "verify-markov"),
         ("complex", _complex_str(cx)),

@@ -99,6 +99,7 @@ from .spaces import (
     MarginalVector,
     _ConeSplit,
     _config_sep,
+    _integer,
     _integers,
     _place_weights,
     _slices,
@@ -665,11 +666,12 @@ def _validate_moves(lay: MarginalLayout, moves: Sequence[Move]) -> None:
 
 
 def _markov_inputs(cx: SimplicialComplex, space: ConfigSpace, moves: Iterable[Move],
-                   degree_limit: int) -> tuple[MarginalLayout, tuple[Move, ...]]:
-    """The input checks of `verify_markov_basis`, each a ValueError: a
-    nonnegative degree limit, a complex and space on the same n, moves on
-    that space in the kernel of the marginal map, and at least one facet.
-    Returns the layout and the moves."""
+                   degree_limit: int) -> tuple[MarginalLayout, tuple[Move, ...], int]:
+    """The input checks of `verify_markov_basis`, each a ValueError: an
+    integer, nonnegative degree limit, a complex and space on the same n,
+    moves on that space in the kernel of the marginal map, and at least one
+    facet.  Returns the layout, the moves and the degree limit as an int."""
+    degree_limit = _integer(degree_limit, "degree limit")
     if degree_limit < 0:
         raise ValueError("degree limit must be nonnegative")
     lay = layout(cx, space)
@@ -677,7 +679,7 @@ def _markov_inputs(cx: SimplicialComplex, space: ConfigSpace, moves: Iterable[Mo
     _validate_moves(lay, moves)
     if lay.nrows == 0:
         raise ValueError("cannot verify a model with no facets: every fiber is infinite")
-    return lay, moves
+    return lay, moves, degree_limit
 
 
 def _one_support_class(tables: Sequence[tuple[int, ...]]) -> bool:
@@ -727,8 +729,7 @@ def verify_markov_basis(cx: SimplicialComplex, space: ConfigSpace, moves: Sequen
     the run's ceiling, the phase and the degree: the search's degree limit,
     or the degree of the fibers being checked.
     """
-    lay, moves = _markov_inputs(cx, space, moves, degree_limit)
-    return _verify_markov(lay, moves, degree_limit, ceiling)
+    return _verify_markov(*_markov_inputs(cx, space, moves, degree_limit), ceiling)
 
 
 def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int,
@@ -794,21 +795,10 @@ def _verify_markov(lay: MarginalLayout, moves: Sequence[Move], degree_limit: int
     return MarkovReport(False, degree_limit, checked, DisconnectedFiber(fib, report))
 
 
-def _incumbent(lay: MarginalLayout) -> tuple[int, ...] | None:
-    """The interval move of the first non-face G in (size, lex) order, a
-    minimal one, placed on the binary sub-box: (-1)^(ones on G) on each
-    configuration that is 0/1 on G and 0 elsewhere.  A kernel vector of
-    degree 2^(|G|-1), checked against the marginal map (AssertionError if
-    not); None when every set is a face."""
-    G = next(lay.complex.nonfaces(), None)
-    if G is None:
-        return None
-    weights, vec = _place_weights(lay.space.cardinalities), [0] * lay.space.size
-    for ones in product((0, 1), repeat=len(G)):
-        vec[sum(weights[i - 1] for i, one in zip(G, ones) if one)] = (-1) ** sum(ones)
-    if any(lay.marginal_entries(vec)):
-        raise AssertionError(f"interval move of {sorted(G)} is not a kernel vector")
-    return tuple(vec)
+def _start_degree(cx: SimplicialComplex, k_max: int) -> int:
+    """The degree `min_binomial_degree` starts below: 2^(|G|-1) for the first
+    non-face G in (size, lex) order, k_max + 1 when every set is a face."""
+    return next((1 << len(G) - 1 for G in cx.nonfaces()), k_max + 1)
 
 
 def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
@@ -816,17 +806,19 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     """Smallest degree k <= k_max carrying a disjoint-support binomial pair.
 
     Such a pair of degree-k tables is the positive and negative part of a
-    kernel vector of degree k.  The search starts from an incumbent, the
-    interval move of the first non-face G (`_incumbent`), of degree
-    2^(|G|-1); with no non-face the best degree so far starts at k_max + 1.
-    One exhaustive run of the lazy kernel-vector search at the bound
-    b = min(k_max, best - 1) asks for a vector below the best degree; a
-    vector of degree d makes d the best and starts a fresh search at d - 1,
-    and the first search that yields nothing proves the best degree least.
-    The theorem below says the first search yields nothing, but it is run,
-    not trusted.  A least degree above k_max gives None.  The witness is
-    the least square-free degree-k kernel vector whose first nonzero entry
-    is positive, ordered by (negative cells, positive cells), each sorted
+    kernel vector of degree k.  The best degree so far, the incumbent,
+    starts at 2^(|G|-1) for G the first non-face in (size, lex) order: the
+    degree of G's interval move (below), read off the complex with no
+    vector built.  With no non-face it starts at k_max + 1
+    (`_start_degree`).  One exhaustive run of the lazy kernel-vector search
+    at the bound b = min(k_max, best - 1) asks for a vector below the best
+    degree; a vector of degree d makes d the best and starts a fresh search
+    at d - 1, and the first search that yields nothing proves the best
+    degree least.  The theorem below says the first search yields nothing,
+    but it is run, not trusted: a vector below the bound would be found and
+    returned.  A least degree above k_max gives None.  The witness is the
+    least square-free degree-k kernel vector whose first nonzero entry is
+    positive, ordered by (negative cells, positive cells), each sorted
     (`_kernel_vectors` with `least`).  As the move u - v it is the first
     pair (u, v) of a scan of the square-free degree-k tables as k-subsets
     in lex order: of two disjoint k-subsets the earlier holds the least
@@ -842,21 +834,22 @@ def min_binomial_degree(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     the variable that lies in no facet.  So the least degree is 2^(g-1),
     and each of its vectors has 2^(g-1) cells of each sign, each of count
     1.  A least degree without a square-free vector would break this
-    support bound, and raises `AssertionError`.
+    support bound, and raises `AssertionError`; so does a start degree at
+    which the witness search finds no vector.
 
     A facet-free complex's witness is (1, e_0 - e_1).  The ceiling counts
     the assignments of every search against one budget, and its error names
     the phase and its degree: the bound b of a kernel-vector search, or the
     degree of the witness search.
     """
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     lay = layout(cx, space)
     budget = Budget(ceiling, "enumerated tables")
     if not lay.nrows:
         return 1, Move(space, (1, -1) + (0,) * (space.size - 2))
-    vec = _incumbent(lay)
-    best = k_max + 1 if vec is None else sum(v for v in vec if v > 0)
+    best = _start_degree(cx, k_max)
     while best > 1:  # each search is exhaustive below the best degree so far
         b = min(k_max, best - 1)
         budget.where = f"kernel-vector search, degree {b}"

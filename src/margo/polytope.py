@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 from .complexes import SimplicialComplex
 from .guards import Budget
-from .spaces import (Config, ConfigSpace, MarginalLayout, MarginalMatrix, _check_model,
+from .spaces import (Config, ConfigSpace, MarginalLayout, MarginalMatrix, _check_model, _integer,
                      _interchangeable, _place_weights, layout, marginal_matrix)
 
 
@@ -394,25 +394,6 @@ class _Relabels(dict):
         return new
 
 
-def _small_least(combo: tuple[int, ...], x: Config, classes: Sequence[Sequence[int]],
-                 weights: Sequence[int]) -> bool | None:
-    """The orbit test of a singleton or a pair in closed form, None for a
-    larger set (`_orbit_least`).
-
-    combo starts at configuration 0 and ends at x.  The singleton (0,) is
-    least.  Both row orders of a pair (0, x) image it to (0, p), p the index
-    of x's support pattern (1 where x is nonzero) with the 1s of each class
-    of interchangeable variables moved to that class's least-weighted
-    places, and p <= x; so the pair is least exactly when x is p.
-    """
-    if len(combo) == 1:
-        return True
-    if len(combo) == 2:
-        return combo[1] == sum(sum(map(mul, sorted([x[c] > 0 for c in cols]),
-                                       [weights[c] for c in cols])) for cols in classes)
-    return None
-
-
 def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
                  ) -> Callable[[tuple[int, ...]], bool]:
     """The model's test of orderly generation (Read, 1978): `least(combo)`
@@ -444,8 +425,11 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
     and a swap of two interchangeable columns on which R's rows agree.  The
     sweep tests the candidates of one R in a row, so the rule is kept for
     the last prefix seen.  A singleton or a pair that the rule passes is
-    decided in closed form (`_small_least`); a larger candidate gets the
-    full search.
+    least with no search: its prefix is [configuration 0] or empty, so the
+    rule drops every x with a value above 1 or with x[a] > x[b] for
+    interchangeable a < b, and a surviving x has its 1s on each class's
+    least-weighted places, the least image of (0, x) under the group.  A
+    larger candidate gets the full search.
     """
     n, cards = space.n, space.cardinalities
     configs = list(space.configs())
@@ -469,9 +453,10 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
             drops = _prefix_rule(n, classes, [configs[ix] for ix in prefix])
         if drops(configs[combo[-1]]):
             return False
-        small = _small_least(combo, configs[combo[-1]], classes, weights)
-        if small is not None:
-            return small
+        # the rule passed it, so a pair's x is 0/1 with each class's 1s on its
+        # least-weighted places: no symmetry lowers a singleton or such a pair
+        if len(combo) < 3:
+            return True
         rows = [configs[ix] for ix in combo]
         label = unseen.copy()  # label[c][v]: value v's label in column c so far
         seen = [0] * n
@@ -537,10 +522,10 @@ def _orbit_least(cx: SimplicialComplex, space: ConfigSpace
             return found
 
         # the root: every row images to 0 = combo[0], so none is cut and each
-        # is tried first in turn; a lone row reads (0,), combo itself
+        # is tried first in turn
         everyone = range(len(combo))
-        return len(combo) < 2 or not any(
-            fix(0, u, [v for v in everyone if v != u], singles0, groups0) for u in everyone)
+        return not any(fix(0, u, [v for v in everyone if v != u], singles0, groups0)
+                       for u in everyone)
 
     return least
 
@@ -565,8 +550,8 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     subsets, none of them earlier, so that subset is the lex-least member
     of its orbit and is tested.  Most candidates that are not lex-least are
     rejected without a search, by a symmetry that fixes R and maps x to a
-    smaller configuration (`_prefix_rule`), and singletons and pairs are
-    decided in closed form (`_small_least`).
+    smaller configuration (`_prefix_rule`), and a singleton or a pair that
+    this rule passes is least with no search.
 
     A candidate with no surviving outside column (`_reach`) is a face in
     closed form: every outside column hits a zero row of its barycenter.
@@ -592,6 +577,7 @@ def neighborliness(cx: SimplicialComplex, space: ConfigSpace, k_max: int,
     every set is a face, and the report is min(k_max, size) with no witness.
     Nothing is charged to the ceiling for it.
     """
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     budget = Budget(ceiling, "subsets tested")

@@ -158,6 +158,15 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers") from None
 
 
+def _integer(value, what: str) -> int:
+    """The value as an int, checked by `operator.index`; a ValueError names
+    what it is when it is not an integer (a float included)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+
+
 def _local_index(space: ConfigSpace, members: Sequence[int], y: Sequence[int],
                  of: str = "|B| = ") -> int:
     """The index in X_B of the local configuration y on B (B sorted), checked;

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from margo import (ContingencyTable, binary_space, character, cli, fiber, from_facets,
+from margo import (ContingencyTable, Move, binary_space, character, cli, fiber, from_facets,
                    interval_complement, interval_moves, polytope, spaces, uniform_complex)
 from margo.guards import Budget
 from margo.spaces import config_str, layout
@@ -287,6 +287,17 @@ def test_degree_bound_report(capsys, d2_path):
     assert "witness-positive: 000 011 101 110" in out
     assert "square-free: yes" in out
     assert "status: PASS" in out
+
+
+def test_degree_bound_reports_a_binomial_below_the_bound(capsys, monkeypatch, d2_path):
+    # the support bound says no such binomial exists, so the search is made
+    # to return one: a degree-2 move against the bound 4 is a counterexample
+    move = Move(binary_space(3), (1, 0, 0, -1, -1, 0, 0, 1))
+    monkeypatch.setattr(fiber, "min_binomial_degree", lambda cx, space, k_max, ceiling: (2, move))
+    assert run(capsys, ["degree-bound", "--complex", d2_path, "--space", "2,2,2"]) == (1, (
+        "command: degree-bound\ncomplex: 3 ; {1,2} {1,3} {2,3}\nspace: 2 2 2\n"
+        "g: 3\nbound: 4\nkmax: 4\nwitness-degree: 2\nwitness-positive: 000 111\n"
+        "witness-negative: 011 100\nsquare-free: yes\nstatus: FAIL\n"), "")
 
 
 def test_neighborly_report(capsys, d2_path):

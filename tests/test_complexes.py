@@ -80,6 +80,7 @@ def test_interval_complement():
 def test_uniform_complex():
     cx = uniform_complex(3, 2)
     assert cx.facets == (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
+    assert str(cx) == "complex(n=3, facets=[{1,2}, {1,3}, {2,3}])"
     assert full_simplex(3).facets == (frozenset({1, 2, 3}),)
     assert uniform_complex(4, 1).facets == tuple(frozenset({i}) for i in range(1, 5))
     with pytest.raises(ValueError):

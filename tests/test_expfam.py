@@ -116,6 +116,7 @@ def test_diagonal_measure_violates_independence_binomial():
 def test_support_two_densities_satisfy_d2_binomials():
     move = interval_move(3, {1, 2, 3}, ())
     p = point_mixture(B3, [(0, 0, 0), (1, 1, 1)])
+    assert p.support == ((0, 0, 0), (1, 1, 1))
     assert satisfies_binomials(p, [move], 1e-12)
 
 

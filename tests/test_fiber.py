@@ -109,11 +109,17 @@ def test_enumerate_fiber_rejects_facet_free_complex():
                  "marginal blocks do not match the complex and space", id="fiber-blocks"),
     pytest.param(lambda: verify_markov_basis(INDEPENDENCE, B2, [], -1),
                  "degree limit must be nonnegative", id="negative-degree-limit"),
+    # checked before any search: this run once spent 10^7 assignments first
+    pytest.param(lambda: verify_markov_basis(interval_complement(3, {1, 2}), B3,
+                                             interval_moves(3, {1, 2}), 2.5),
+                 "degree limit must be an integer", id="float-degree-limit"),
     pytest.param(lambda: verify_markov_basis(from_facets(2, []), B2, [], 2),
                  "cannot verify a model with no facets: every fiber is infinite",
                  id="verify-no-facets"),
     pytest.param(lambda: min_binomial_degree(INDEPENDENCE, B2, 0),
                  "k_max must be at least 1", id="binomial-kmax"),
+    pytest.param(lambda: min_binomial_degree(INDEPENDENCE, B2, 4.5),
+                 "k_max must be an integer", id="binomial-float-kmax"),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -644,28 +650,6 @@ def test_min_binomial_degree_charges_each_scanned_table_once():
         min_binomial_degree(cx, sp, 8, ceiling=searched.used - 1)
 
 
-def test_incumbent_is_a_kernel_vector_of_the_support_bound_degree():
-    # the first non-face's interval move on the binary sub-box: entries in
-    # {-1, 0, 1}, 2^(g-1) cells of each sign, equal marginals of both parts
-    models = 0
-    for n in range(1, 5):
-        for cards in product((2, 3), repeat=n):
-            sp = ConfigSpace(cards)
-            for cx in [*all_complexes(n), from_facets(n, [set()])]:
-                if not cx.facets:
-                    continue  # no marginal rows: min_binomial_degree answers first
-                vec = fiber._incumbent(layout(cx, sp))
-                if cx.is_face(range(1, n + 1)):
-                    assert vec is None
-                    continue
-                half = 2 ** (cx.min_nonface_cardinality() - 1)
-                assert (vec.count(1), vec.count(-1), vec.count(0)) == (half, half, sp.size - 2 * half)
-                move = Move(sp, vec)
-                assert marginal_map(cx, move.positive) == marginal_map(cx, move.negative)
-                models += 1
-    assert models == 1 * 2 + 4 * 4 + 18 * 8 + 166 * 16  # per n, complexes times spaces
-
-
 def _searched_bounds(monkeypatch) -> list[int]:
     """The bounds of the kernel-vector searches (not the witness searches)
     that the run makes from here on, appended as each one starts."""
@@ -682,16 +666,16 @@ def _searched_bounds(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("patch", ["none", "doubled"])
 def test_min_binomial_degree_does_not_rest_on_the_incumbent(monkeypatch, patch):
-    # with no incumbent the first search is at k_max; with the incumbent
-    # doubled, a kernel vector of twice the least degree, the first search
-    # finds a vector and the loop tightens the bound: the result is the same
+    # with no start degree the first search is at k_max; with the start
+    # degree doubled, twice the least degree, the first search finds a
+    # vector and the loop tightens the bound: the result is the same
     cases = [(cx, ConfigSpace(cards), k_max) for cards in ((2, 2, 2), (3, 2, 2), (3, 3, 2))
              for cx in all_complexes(3) if cx.facets for k_max in (1, 2, 4)]
     want = [min_binomial_degree(*case) for case in cases]
-    real = fiber._incumbent
-    monkeypatch.setattr(fiber, "_incumbent", {
-        "none": lambda lay: None,
-        "doubled": lambda lay: real(lay) and tuple(2 * v for v in real(lay))}[patch])
+    real = fiber._start_degree
+    monkeypatch.setattr(fiber, "_start_degree", {
+        "none": lambda cx, k_max: k_max + 1,
+        "doubled": lambda cx, k_max: 2 * real(cx, k_max)}[patch])
     bounds = _searched_bounds(monkeypatch)
     tightened = 0
     for case, unpatched in zip(cases, want):

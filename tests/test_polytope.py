@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -67,6 +68,8 @@ def test_lp_solve_infeasible_and_unbounded():
                  "LP rows, rhs and objective must be ints or Fractions", id="lp-float-objective"),
     pytest.param(lambda: neighborliness(INDEPENDENCE, B2, 0), "k_max must be at least 1",
                  id="neighborliness-kmax"),
+    pytest.param(lambda: neighborliness(INDEPENDENCE, B2, 2.0), "k_max must be an integer",
+                 id="neighborliness-float-kmax"),
 ])
 def test_reject_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -545,7 +548,10 @@ def _levels(cx, space, top):
     return levels
 
 
+@lru_cache(maxsize=None)
 def _oracle_levels(cx, space, top):
+    """The walk's representatives of levels 1..top; kept for the test run,
+    since the rule checks below walk the same models as the orbit tests."""
     gens = symmetry_generators(cx, space)
     return [list(naive_orbit_representatives(gens, space.size, k))
             for k in range(1, min(top, space.size) + 1)]
@@ -624,26 +630,24 @@ def _dropped_by_the_rules(cx, space, top):
     return dropped
 
 
-def _check_rules_sound(monkeypatch, cx, space, top):
-    """Every candidate the prefix rules drop is rejected by the full search."""
-    with monkeypatch.context() as mp:
-        dropped = _dropped_by_the_rules(cx, space, top)
-        _rules_off(mp)
-        least = _orbit_least(cx, space)
-        assert not any(map(least, dropped)), (cx, space)
+def _check_rules_sound(cx, space, top):
+    """Every candidate the prefix rules drop is not lex-least in its orbit,
+    by the walk over all k-subsets."""
+    dropped = _dropped_by_the_rules(cx, space, top)
+    least = {combo for reps in _oracle_levels(cx, space, top) for combo in reps}
+    assert least.isdisjoint(dropped), (cx, space)
     return len(dropped)
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 2), (3, 3, 3),
                                    (4, 2, 2)])
-def test_prefix_rules_drop_only_candidates_the_search_rejects(monkeypatch, sizes):
+def test_prefix_rules_drop_only_candidates_the_search_rejects(sizes):
     space = ConfigSpace(sizes)
-    dropped = sum(_check_rules_sound(monkeypatch, cx, space, 4) for cx in all_complexes(3))
+    dropped = sum(_check_rules_sound(cx, space, 4) for cx in all_complexes(3))
     assert dropped > 0
 
 
-def test_prefix_rules_drop_only_candidates_the_search_rejects_on_random_complexes(
-        monkeypatch):
+def test_prefix_rules_drop_only_candidates_the_search_rejects_on_random_complexes():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     subsets = st.frozensets(st.integers(1, 4), min_size=1)
@@ -653,7 +657,7 @@ def test_prefix_rules_drop_only_candidates_the_search_rejects_on_random_complexe
                       sizes=st.tuples(*[st.sampled_from([2, 3])] * 4),
                       top=st.integers(1, 3))
     def check(facets, sizes, top):
-        _check_rules_sound(monkeypatch, from_facets(4, facets), ConfigSpace(sizes), top)
+        _check_rules_sound(from_facets(4, facets), ConfigSpace(sizes), top)
 
     check()
 
@@ -703,12 +707,6 @@ def test_sweep_reports_equal_with_the_prefix_rules_off(monkeypatch):
     assert [neighborliness(*case) for case in cases] == reports
 
 
-def _closed_forms_off(monkeypatch):
-    """Patch the closed-form orbit tests off: every singleton and pair gets
-    the full search of row orders."""
-    monkeypatch.setattr(polytope, "_small_least", lambda combo, x, classes, weights: None)
-
-
 class _Unmemoized(dict):
     """Column relabelings recomputed at every lookup, as the search did
     before the memo."""
@@ -719,66 +717,42 @@ class _Unmemoized(dict):
         return tuple(a if a < s or w == v else s + 1 for w, a in enumerate(labels))
 
 
-def _check_closed_forms(monkeypatch, cx, space, decided):
-    """The closed forms give the full search's verdict on every singleton
-    and pair; each verdict they give on a pair is appended to `decided`."""
+def _check_small_sets(cx, space):
+    """`least` agrees with the walk over all k-subsets on every singleton and
+    pair: those the prefix rules drop, those they pass and answer with no
+    search, and those that do not start at configuration 0."""
     combos = [c for k in (1, 2) for c in combinations(range(space.size), k)]
-    rule = polytope._small_least
-
-    def spy(combo, x, classes, weights):
-        verdict = rule(combo, x, classes, weights)
-        if len(combo) == 2:
-            decided.append(verdict)
-        return verdict
-
-    with monkeypatch.context() as mp:
-        mp.setattr(polytope, "_small_least", spy)
-        closed = list(map(_orbit_least(cx, space), combos))
-    with monkeypatch.context() as mp:
-        _closed_forms_off(mp)
-        assert list(map(_orbit_least(cx, space), combos)) == closed, (cx, space)
+    oracle = {combo for reps in _oracle_levels(cx, space, 2) for combo in reps}
+    assert set(filter(_orbit_least(cx, space), combos)) == oracle, (cx, space)
 
 
-@pytest.mark.parametrize("prefix_rules", [True, False])
-def test_closed_forms_agree_with_the_search_on_small_models(monkeypatch, prefix_rules):
-    # every complex on 1-3 indices over alphabets of 2 and 3.  With the
-    # prefix rules off, the pair rule sees every pair (0, x) and decides
-    # both ways; after them, x is 0/1 and sorted in each class, so every
-    # pair left is least
-    if not prefix_rules:
-        _rules_off(monkeypatch)
-    decided = []
+def test_least_agrees_with_the_oracle_on_singletons_and_pairs():
+    # every complex on 1-3 indices over alphabets of 2 and 3, then random
+    # complexes on 4 indices
     for n in (1, 2, 3):
         for sizes in product((2, 3), repeat=n):
             for cx in all_complexes(n):
-                _check_closed_forms(monkeypatch, cx, ConfigSpace(sizes), decided)
-    assert True in decided and (False in decided) == (not prefix_rules)
-
-
-def test_closed_forms_agree_with_the_search_on_random_complexes(monkeypatch):
+                _check_small_sets(cx, ConfigSpace(sizes))
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     subsets = st.frozensets(st.integers(1, 4), min_size=1)
 
     @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
     @hypothesis.given(facets=st.lists(subsets, max_size=5),
-                      sizes=st.tuples(*[st.sampled_from([2, 3])] * 4),
-                      prefix_rules=st.booleans())
-    def check(facets, sizes, prefix_rules):
-        with monkeypatch.context() as mp:
-            if not prefix_rules:
-                _rules_off(mp)
-            _check_closed_forms(mp, from_facets(4, facets), ConfigSpace(sizes), [])
+                      sizes=st.tuples(*[st.sampled_from([2, 3])] * 4))
+    def check(facets, sizes):
+        _check_small_sets(from_facets(4, facets), ConfigSpace(sizes))
 
     check()
 
 
 def test_sweep_reports_equal_without_the_closed_forms_and_the_memo(monkeypatch):
-    # the reports, certificates included, are byte-identical
+    # the reports, certificates included, are byte-identical; singletons and
+    # pairs have no closed form to patch off, since the prefix rules decide
+    # them (test_least_agrees_with_the_oracle_on_singletons_and_pairs)
     cases = _sweep_cases()
     reports = [repr(neighborliness(*case)) for case in cases]
     memos = []
-    _closed_forms_off(monkeypatch)
     monkeypatch.setattr(polytope, "_Relabels", lambda: memos.append(_Unmemoized()) or memos[-1])
     assert [repr(neighborliness(*case)) for case in cases] == reports
     assert memos  # the sweeps ran the search with the patched relabeling

@@ -56,6 +56,10 @@ def test_config_space_basics():
         ConfigSpace((2, 1))
     with pytest.raises(ValueError):
         sp.index((0, 3))
+    # integer-like values that are not ints still give an int index
+    np = pytest.importorskip("numpy")
+    ix = sp.index((np.int64(1), np.int64(2)))
+    assert ix == 5 and ix.__class__ is int
 
 
 def test_config_str_spaces_out_values_past_nine():
@@ -209,6 +213,7 @@ def test_marginal_vector_blocks_sum_to_degree(rng):
         assert mv.degree == u.degree
         for k in range(len(mv.blocks)):
             assert sum(mv.block(k)) == u.degree
+    assert MarginalVector((), ()).degree == 0  # no blocks, as for a facet-free complex
 
 
 def test_cylinder():
